@@ -36,8 +36,11 @@ Point ShearedIndex::Backward(Point p) const {
 Status ShearedIndex::ValidateInput(const Segment& s) const {
   const int64_t budget =
       geom::kMaxCoord / (std::abs(dx_) + std::abs(dy_));
-  if (std::abs(s.x1) > budget || std::abs(s.x2) > budget ||
-      std::abs(s.y1) > budget || std::abs(s.y2) > budget) {
+  // Range comparisons, not std::abs: |INT64_MIN| is not representable.
+  const auto outside = [budget](int64_t v) {
+    return v < -budget || v > budget;
+  };
+  if (outside(s.x1) || outside(s.x2) || outside(s.y1) || outside(s.y2)) {
     return Status::InvalidArgument(
         "segment " + std::to_string(s.id) +
         " exceeds the sheared coordinate budget");

@@ -1,543 +1,14 @@
 #include "core/two_level_binary_index.h"
 
-#include <algorithm>
-#include <string>
-#include <unordered_set>
-
-#include "geom/filter_kernel.h"
-#include "geom/predicates.h"
-#include "io/columnar_page_view.h"
-#include "util/check.h"
-
 namespace segdb::core {
-
-namespace {
-
-using geom::Segment;
-
-// Leaf page layout: [u32 count][Segment x count].
-constexpr uint32_t kLeafHeader = 8;
-
-// Routing classes of a segment relative to a base line x = blx.
-enum class Route { kOnLine, kCrossing, kLeft, kRight };
-
-Route Classify(const Segment& s, int64_t blx) {
-  if (s.x2 < blx) return Route::kLeft;
-  if (s.x1 > blx) return Route::kRight;
-  if (s.is_vertical()) return Route::kOnLine;  // x1 == x2 == blx here
-  return Route::kCrossing;
-}
-
-}  // namespace
 
 TwoLevelBinaryIndex::TwoLevelBinaryIndex(io::BufferPool* pool,
                                          TwoLevelBinaryOptions options)
-    : pool_(pool), options_(options) {}
-
-TwoLevelBinaryIndex::~TwoLevelBinaryIndex() {
-  if (root_ >= 0) FreeSubtree(root_).IgnoreError();
-}
-
-uint32_t TwoLevelBinaryIndex::LeafCapacity() const {
-  if (options_.leaf_capacity != 0) return options_.leaf_capacity;
-  return io::ColumnarRegionCapacity(pool_->page_size() - kLeafHeader);
-}
-
-pst::LinePstOptions TwoLevelBinaryIndex::PstOptions() const {
-  pst::LinePstOptions o;
-  o.fanout = options_.pst_fanout;
-  return o;
-}
-
-Status TwoLevelBinaryIndex::WriteLeafPages(Node* node) {
-  // Allocate-then-swap: the replacement pages are fully materialized before
-  // the old ones are freed, so a failed allocation mid-way (e.g. an
-  // injected fault) releases the partial batch and leaves the node's pages
-  // — and hence every query — exactly as they were. The old free-first
-  // order silently truncated query results after a mid-write failure.
-  const uint32_t per_page =
-      std::min(LeafCapacity(),
-               io::ColumnarRegionCapacity(pool_->page_size() - kLeafHeader));
-  std::vector<io::PageId> fresh;
-  size_t i = 0;
-  while (i < node->leaf_segments.size()) {
-    const uint32_t take = static_cast<uint32_t>(
-        std::min<size_t>(per_page, node->leaf_segments.size() - i));
-    auto ref = pool_->NewPage();
-    if (!ref.ok()) {
-      for (io::PageId id : fresh) pool_->FreePage(id).IgnoreError();
-      return ref.status();
-    }
-    io::Page& p = ref.value().page();
-    p.WriteAt<uint32_t>(0, take);
-    // Columnar strips sized to the record count; large runs bit-pack below
-    // the row-major footprint, which is where the higher per_page comes from.
-    io::ColumnarPageView(&p, kLeafHeader, take)
-        .WriteRange(0, node->leaf_segments.data() + i, take);
-    ref.value().MarkDirty();
-    fresh.push_back(ref.value().page_id());
-    i += take;
-  }
-  for (io::PageId id : node->leaf_pages) {
-    SEGDB_RETURN_IF_ERROR(pool_->FreePage(id));  // reliable metadata op
-  }
-  node->leaf_pages = std::move(fresh);
-  return Status::OK();
-}
-
-int32_t TwoLevelBinaryIndex::AllocNode() {
-  int32_t idx;
-  if (!free_nodes_.empty()) {
-    idx = free_nodes_.back();
-    free_nodes_.pop_back();
-    nodes_[idx] = Node{};
-  } else {
-    idx = static_cast<int32_t>(nodes_.size());
-    nodes_.emplace_back();
-  }
-  return idx;
-}
-
-Result<int32_t> TwoLevelBinaryIndex::BuildSubtree(
-    std::vector<Segment> segments) {
-  SEGDB_DCHECK(!segments.empty());
-  const int32_t idx = AllocNode();
-  Status built = BuildSubtreeAt(idx, std::move(segments));
-  if (!built.ok()) {
-    // Unwind the partial build: FreeSubtree releases exactly what was
-    // attached before the failure (children recurse, unset fields are
-    // skipped). FreePage is reliable, and the PSTs keep their shape in
-    // memory, so the unwind itself cannot fault on the simulated device.
-    FreeSubtree(idx).IgnoreError();
-    return built;
-  }
-  return idx;
-}
-
-Status TwoLevelBinaryIndex::BuildSubtreeAt(int32_t idx,
-                                           std::vector<Segment> segments) {
-  {
-    auto meta = pool_->NewPage();
-    if (!meta.ok()) return meta.status();
-    meta.value().MarkDirty();
-    nodes_[idx].meta_page = meta.value().page_id();
-  }
-  nodes_[idx].subtree_size = segments.size();
-
-  if (segments.size() <= LeafCapacity()) {
-    nodes_[idx].is_leaf = true;
-    nodes_[idx].leaf_segments = std::move(segments);
-    return WriteLeafPages(&nodes_[idx]);
-  }
-
-  // Median endpoint x as the base line (paper: the vertical line splitting
-  // the endpoint multiset in half; guarantees each side receives at most
-  // half the segments).
-  std::vector<int64_t> xs;
-  xs.reserve(2 * segments.size());
-  for (const Segment& s : segments) {
-    xs.push_back(s.x1);
-    xs.push_back(s.x2);
-  }
-  const size_t mid = xs.size() / 2;
-  std::nth_element(xs.begin(), xs.begin() + mid, xs.end());
-  const int64_t blx = xs[mid];
-  nodes_[idx].is_leaf = false;
-  nodes_[idx].bl_x = blx;
-
-  std::vector<Segment> on_line, crossing, left, right;
-  for (const Segment& s : segments) {
-    switch (Classify(s, blx)) {
-      case Route::kOnLine: on_line.push_back(s); break;
-      case Route::kCrossing: crossing.push_back(s); break;
-      case Route::kLeft: left.push_back(s); break;
-      case Route::kRight: right.push_back(s); break;
-    }
-  }
-  segments.clear();
-  SEGDB_DCHECK(left.size() < nodes_[idx].subtree_size);
-  SEGDB_DCHECK(right.size() < nodes_[idx].subtree_size);
-
-  if (!on_line.empty()) {
-    std::vector<pst::PointRecord> points;
-    points.reserve(on_line.size());
-    for (const Segment& s : on_line) {
-      points.push_back(pst::PointRecord{s.y1, s.y2, s.id});
-    }
-    // Attach before loading: if the load faults mid-way, FreeSubtree's
-    // unwind reaches the PST and Clear()s whatever it managed to build.
-    nodes_[idx].c = std::make_unique<pst::PointPst>(pool_, PstOptions());
-    SEGDB_RETURN_IF_ERROR(nodes_[idx].c->BulkLoad(points));
-  }
-  std::vector<Segment> lefts, rights;
-  for (const Segment& s : crossing) {
-    if (s.x1 < blx) lefts.push_back(s);   // non-degenerate left part
-    if (s.x2 > blx) rights.push_back(s);  // non-degenerate right part
-  }
-  if (!lefts.empty()) {
-    nodes_[idx].l = std::make_unique<pst::LinePst>(
-        pool_, blx, pst::Direction::kLeft, PstOptions());
-    SEGDB_RETURN_IF_ERROR(nodes_[idx].l->BulkLoad(lefts));
-  }
-  if (!rights.empty()) {
-    nodes_[idx].r = std::make_unique<pst::LinePst>(
-        pool_, blx, pst::Direction::kRight, PstOptions());
-    SEGDB_RETURN_IF_ERROR(nodes_[idx].r->BulkLoad(rights));
-  }
-  if (!left.empty()) {
-    Result<int32_t> child = BuildSubtree(std::move(left));
-    if (!child.ok()) return child.status();
-    nodes_[idx].left = child.value();
-  }
-  if (!right.empty()) {
-    Result<int32_t> child = BuildSubtree(std::move(right));
-    if (!child.ok()) return child.status();
-    nodes_[idx].right = child.value();
-  }
-  return Status::OK();
-}
-
-Status TwoLevelBinaryIndex::FreeSubtree(int32_t idx) {
-  Node& node = nodes_[idx];
-  if (node.left >= 0) SEGDB_RETURN_IF_ERROR(FreeSubtree(node.left));
-  if (node.right >= 0) SEGDB_RETURN_IF_ERROR(FreeSubtree(node.right));
-  if (node.c) SEGDB_RETURN_IF_ERROR(node.c->Clear());
-  if (node.l) SEGDB_RETURN_IF_ERROR(node.l->Clear());
-  if (node.r) SEGDB_RETURN_IF_ERROR(node.r->Clear());
-  for (io::PageId id : node.leaf_pages) {
-    SEGDB_RETURN_IF_ERROR(pool_->FreePage(id));
-  }
-  if (node.meta_page != io::kInvalidPageId) {
-    SEGDB_RETURN_IF_ERROR(pool_->FreePage(node.meta_page));
-  }
-  nodes_[idx] = Node{};
-  free_nodes_.push_back(idx);
-  return Status::OK();
-}
-
-Status TwoLevelBinaryIndex::CollectSubtree(int32_t idx,
-                                           std::vector<Segment>* out) const {
-  const Node& node = nodes_[idx];
-  if (node.is_leaf) {
-    out->insert(out->end(), node.leaf_segments.begin(),
-                node.leaf_segments.end());
-    return Status::OK();
-  }
-  if (node.c) {
-    std::vector<pst::PointRecord> points;
-    SEGDB_RETURN_IF_ERROR(node.c->CollectAll(&points));
-    for (const auto& p : points) {
-      out->push_back(Segment::Make({node.bl_x, p.x}, {node.bl_x, p.y}, p.id));
-    }
-  }
-  // Crossing segments live in L and/or R; collect without duplicates:
-  // everything in L, plus R entries whose left part is degenerate.
-  if (node.l) SEGDB_RETURN_IF_ERROR(node.l->CollectAll(out));
-  if (node.r) {
-    std::vector<Segment> rs;
-    SEGDB_RETURN_IF_ERROR(node.r->CollectAll(&rs));
-    for (const Segment& s : rs) {
-      if (s.x1 == node.bl_x) out->push_back(s);
-    }
-  }
-  if (node.left >= 0) SEGDB_RETURN_IF_ERROR(CollectSubtree(node.left, out));
-  if (node.right >= 0) SEGDB_RETURN_IF_ERROR(CollectSubtree(node.right, out));
-  return Status::OK();
-}
-
-Status TwoLevelBinaryIndex::BulkLoad(std::span<const Segment> segments) {
-  SEGDB_IO_BOUND("scan");
-  // Build the replacement tree before freeing the old one: a load that
-  // faults mid-build leaves the previous contents fully intact (the
-  // partial build unwinds itself), so a failed BulkLoad is a no-op.
-  int32_t new_root = -1;
-  if (!segments.empty()) {
-    Result<int32_t> root =
-        BuildSubtree(std::vector<Segment>(segments.begin(), segments.end()));
-    if (!root.ok()) return root.status();
-    new_root = root.value();
-  }
-  if (root_ >= 0) SEGDB_RETURN_IF_ERROR(FreeSubtree(root_));
-  root_ = new_root;
-  size_ = segments.size();
-  return Status::OK();
-}
-
-Status TwoLevelBinaryIndex::InsertAtNode(int32_t idx, const Segment& s) {
-  Node& node = nodes_[idx];
-  switch (Classify(s, node.bl_x)) {
-    case Route::kOnLine: {
-      if (!node.c) node.c = std::make_unique<pst::PointPst>(pool_, PstOptions());
-      return node.c->Insert(pst::PointRecord{s.y1, s.y2, s.id});
-    }
-    case Route::kCrossing: {
-      // A segment crossing on both sides must land in L and R together or
-      // not at all — the audit matches the two by id. If the second insert
-      // faults, roll the first one back (pure removal, no allocation, so
-      // the rollback cannot itself fault on the simulated device).
-      const bool into_l = s.x1 < node.bl_x;
-      const bool into_r = s.x2 > node.bl_x;
-      if (into_l) {
-        if (!node.l) {
-          node.l = std::make_unique<pst::LinePst>(
-              pool_, node.bl_x, pst::Direction::kLeft, PstOptions());
-        }
-        SEGDB_RETURN_IF_ERROR(node.l->Insert(s));
-      }
-      if (into_r) {
-        if (!node.r) {
-          node.r = std::make_unique<pst::LinePst>(
-              pool_, node.bl_x, pst::Direction::kRight, PstOptions());
-        }
-        Status right = node.r->Insert(s);
-        if (!right.ok()) {
-          if (into_l) node.l->Erase(s).IgnoreError();
-          return right;
-        }
-      }
-      return Status::OK();
-    }
-    default:
-      return Status::Internal("InsertAtNode: segment does not touch bl(v)");
-  }
-}
-
-Status TwoLevelBinaryIndex::Insert(const Segment& segment) {
-  // Amortized O(log_B n) (Theorem 1's update bound): height-bounded
-  // descent into per-node PSTs, plus an occasional subtree rebuild.
-  SEGDB_IO_BOUND("scan");
-  // Bookkeeping is deferred: size_ and the per-node subtree_size /
-  // updates_since_rebuild counters along the descent path are committed
-  // only once the structural work has succeeded. A faulted insert thus
-  // leaves the index exactly as it was — audit-clean and retryable —
-  // instead of stranding phantom counts the audit would flag.
-  if (root_ < 0) {
-    Result<int32_t> root = BuildSubtree({segment});
-    if (!root.ok()) return root.status();
-    root_ = root.value();
-    ++size_;
-    return Status::OK();
-  }
-  std::vector<int32_t> path;  // nodes whose subtree gains the segment
-  // Commits the deferred counters for the first `count` path nodes.
-  const auto commit = [&](size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      Node& n = nodes_[path[i]];
-      ++n.subtree_size;
-      ++n.updates_since_rebuild;
-    }
-    ++size_;
-  };
-  int32_t cur = root_;
-  int32_t parent = -1;
-  bool parent_left = false;
-  for (;;) {
-    path.push_back(cur);
-    Node& node = nodes_[cur];
-
-    // BB[alpha]-style partial rebuilding, checked top-down; the
-    // updates_since_rebuild guard keeps rebuilds amortized. The counters
-    // are evaluated as if this insert were already counted (the pre-fault
-    // code incremented on the way down), so the rebuild cadence is
-    // unchanged.
-    const uint64_t ls =
-        node.left >= 0 ? nodes_[node.left].subtree_size : 0;
-    const uint64_t rs =
-        node.right >= 0 ? nodes_[node.right].subtree_size : 0;
-    const uint64_t below = ls + rs;
-    const double limit =
-        options_.rebuild_fraction * static_cast<double>(below) +
-        LeafCapacity();
-    if (below > 2 * static_cast<uint64_t>(LeafCapacity()) &&
-        (node.updates_since_rebuild + 1) * 8 > node.subtree_size + 1 &&
-        (static_cast<double>(ls) > limit ||
-         static_cast<double>(rs) > limit)) {
-      std::vector<Segment> all;
-      all.reserve(node.subtree_size + 1);
-      SEGDB_RETURN_IF_ERROR(CollectSubtree(cur, &all));
-      all.push_back(segment);
-      // Build the replacement before freeing the old subtree: a faulted
-      // rebuild unwinds itself and the insert fails as a clean no-op.
-      Result<int32_t> rebuilt = BuildSubtree(std::move(all));
-      if (!rebuilt.ok()) return rebuilt.status();
-      SEGDB_RETURN_IF_ERROR(FreeSubtree(cur));
-      if (parent < 0) {
-        root_ = rebuilt.value();
-      } else if (parent_left) {
-        nodes_[parent].left = rebuilt.value();
-      } else {
-        nodes_[parent].right = rebuilt.value();
-      }
-      commit(path.size() - 1);  // cur was replaced; its count is built in
-      return Status::OK();
-    }
-
-    if (node.is_leaf) {
-      node.leaf_segments.push_back(segment);
-      if (node.leaf_segments.size() > 2 * LeafCapacity()) {
-        // Split the leaf by rebuilding it as a (small) subtree. Copy the
-        // segments: on a faulted build the pushed entry is popped and the
-        // leaf (pages untouched) reverts to its pre-insert state.
-        std::vector<Segment> all = node.leaf_segments;
-        Result<int32_t> rebuilt = BuildSubtree(std::move(all));
-        if (!rebuilt.ok()) {
-          nodes_[cur].leaf_segments.pop_back();
-          return rebuilt.status();
-        }
-        SEGDB_RETURN_IF_ERROR(FreeSubtree(cur));
-        if (parent < 0) {
-          root_ = rebuilt.value();
-        } else if (parent_left) {
-          nodes_[parent].left = rebuilt.value();
-        } else {
-          nodes_[parent].right = rebuilt.value();
-        }
-        commit(path.size() - 1);
-        return Status::OK();
-      }
-      Status written = WriteLeafPages(&node);
-      if (!written.ok()) {
-        node.leaf_segments.pop_back();
-        return written;
-      }
-      commit(path.size());
-      return Status::OK();
-    }
-
-    const Route route = Classify(segment, node.bl_x);
-    if (route == Route::kOnLine || route == Route::kCrossing) {
-      SEGDB_RETURN_IF_ERROR(InsertAtNode(cur, segment));
-      commit(path.size());
-      return Status::OK();
-    }
-    const bool go_left = route == Route::kLeft;
-    int32_t child = go_left ? node.left : node.right;
-    if (child < 0) {
-      Result<int32_t> fresh = BuildSubtree({segment});
-      if (!fresh.ok()) return fresh.status();
-      if (go_left) {
-        nodes_[cur].left = fresh.value();
-      } else {
-        nodes_[cur].right = fresh.value();
-      }
-      commit(path.size());
-      return Status::OK();
-    }
-    parent = cur;
-    parent_left = go_left;
-    cur = child;
-  }
-}
-
-Status TwoLevelBinaryIndex::Erase(const Segment& segment) {
-  SEGDB_IO_BOUND("scan");  // amortized O(log_B n); the PSTs may repack
-  // Pass 1: locate and remove from the owning structure (no bookkeeping
-  // yet, so a NotFound leaves the index untouched).
-  std::vector<int32_t> path;
-  int32_t cur = root_;
-  Status removed = Status::NotFound("segment not stored");
-  while (cur >= 0) {
-    path.push_back(cur);
-    Node& node = nodes_[cur];
-    {
-      auto meta = pool_->Fetch(node.meta_page);
-      if (!meta.ok()) return meta.status();
-    }
-    if (node.is_leaf) {
-      auto it = std::find(node.leaf_segments.begin(),
-                          node.leaf_segments.end(), segment);
-      if (it == node.leaf_segments.end()) return removed;
-      node.leaf_segments.erase(it);
-      Status written = WriteLeafPages(&node);
-      if (!written.ok()) {
-        // Pages are untouched on failure; restore the mirror (leaf order
-        // is immaterial) so the failed erase is a no-op.
-        node.leaf_segments.push_back(segment);
-        return written;
-      }
-      removed = Status::OK();
-      break;
-    }
-    const Route route = Classify(segment, node.bl_x);
-    if (route == Route::kOnLine) {
-      if (node.c == nullptr) return removed;
-      SEGDB_RETURN_IF_ERROR(
-          node.c->Erase(pst::PointRecord{segment.y1, segment.y2, segment.id}));
-      removed = Status::OK();
-      break;
-    }
-    if (route == Route::kCrossing) {
-      const bool from_l = segment.x1 < node.bl_x;
-      if (from_l) {
-        if (node.l == nullptr) return removed;
-        SEGDB_RETURN_IF_ERROR(node.l->Erase(segment));
-        removed = Status::OK();
-      }
-      if (segment.x2 > node.bl_x) {
-        if (node.r == nullptr) {
-          return removed.ok()
-                     ? Status::Corruption("crossing segment missing in R")
-                     : removed;
-        }
-        Status right = node.r->Erase(segment);
-        if (!right.ok()) {
-          // Keep L and R mirrored (the audit matches them by id): undo the
-          // L-side removal before surfacing the failure.
-          if (from_l) node.l->Insert(segment).IgnoreError();
-          return right;
-        }
-        removed = Status::OK();
-      }
-      break;
-    }
-    cur = route == Route::kLeft ? node.left : node.right;
-  }
-  if (!removed.ok()) return removed;
-  for (int32_t idx : path) {
-    --nodes_[idx].subtree_size;
-    // Erases count toward the rebuild amortization too: they loosen the
-    // audited balance bound by exactly the slack they add here.
-    ++nodes_[idx].updates_since_rebuild;
-  }
-  --size_;
-  return Status::OK();
-}
-
-Status TwoLevelBinaryIndex::QueryNode(const Node& node,
-                                      const VerticalSegmentQuery& q,
-                                      std::vector<Segment>* out) const {
-  if (q.x0 == node.bl_x) {
-    if (node.c) {
-      std::vector<pst::PointRecord> points;
-      SEGDB_RETURN_IF_ERROR(node.c->Query3Sided(
-          -(geom::kMaxCoord + 1), q.yhi, q.ylo, &points));
-      for (const auto& p : points) {
-        out->push_back(
-            Segment::Make({node.bl_x, p.x}, {node.bl_x, p.y}, p.id));
-      }
-    }
-    if (node.l) SEGDB_RETURN_IF_ERROR(node.l->Query(q.x0, q.ylo, q.yhi, out));
-    if (node.r) {
-      // L already reported every segment with x1 < bl(v); R adds only the
-      // ones whose left part is degenerate.
-      std::vector<Segment> rs;
-      SEGDB_RETURN_IF_ERROR(node.r->Query(q.x0, q.ylo, q.yhi, &rs));
-      for (const Segment& s : rs) {
-        if (s.x1 == node.bl_x) out->push_back(s);
-      }
-    }
-    return Status::OK();
-  }
-  if (q.x0 < node.bl_x) {
-    if (node.l) return node.l->Query(q.x0, q.ylo, q.yhi, out);
-    return Status::OK();
-  }
-  if (node.r) return node.r->Query(q.x0, q.ylo, q.yhi, out);
-  return Status::OK();
-}
+    : TwoLevelIndex(pool, /*fanout=*/1, options.pst_fanout,
+                    options.leaf_capacity, /*fractional_cascading=*/false) {}
 
 Status TwoLevelBinaryIndex::Query(const VerticalSegmentQuery& q,
-                                  std::vector<Segment>* out) const {
+                                  std::vector<geom::Segment>* out) const {
   // Theorem 1: O(log_B n + t/B) I/Os — a height-bounded descent with
   // O(1 + t_v/B) PST queries per visited node.
   SEGDB_IO_BOUND("log", "t/B");
@@ -546,187 +17,18 @@ Status TwoLevelBinaryIndex::Query(const VerticalSegmentQuery& q,
   std::vector<io::PageId> ahead;  // read-ahead hint for the next descent step
   while (cur >= 0) {
     const Node& node = nodes_[cur];
-    {
-      // One I/O per visited first-level node (its metadata block).
-      auto meta = pool_->Fetch(node.meta_page);
-      if (!meta.ok()) return meta.status();
-    }
-    if (node.is_leaf) {
-      for (io::PageId id : node.leaf_pages) {
-        auto ref = pool_->Fetch(id);
-        if (!ref.ok()) return ref.status();
-        const io::Page& p = ref.value().page();
-        const uint32_t count = p.ReadAt<uint32_t>(0);
-        // Branchless kernel over the whole page, then one bulk gather of
-        // the matches — no per-segment predicate branch or push_back.
-        const io::ConstColumnarPageView view(p, kLeafHeader, count);
-        geom::ResultBuffer& scratch = geom::GetThreadFilterScratch();
-        uint32_t* idx = scratch.ReserveIndices(count);
-        const uint32_t hits = geom::ActiveFilterKernel().filter_vs(
-            view.strips(), count, q.x0, q.ylo, q.yhi, idx);
-        view.AppendMatches(idx, hits, out);
-      }
-      return Status::OK();
-    }
-    SEGDB_RETURN_IF_ERROR(QueryNode(node, q, out));
-    if (q.x0 == node.bl_x) return Status::OK();
-    cur = q.x0 < node.bl_x ? node.left : node.right;
-    if (cur >= 0) {
-      // Hint the child's pages before its PSTs are searched; staged pages
-      // are charged on first Fetch, so I/O counts stay exact.
-      const Node& next = nodes_[cur];
-      ahead.clear();
-      ahead.push_back(next.meta_page);
-      if (next.is_leaf) {
-        ahead.insert(ahead.end(), next.leaf_pages.begin(),
-                     next.leaf_pages.end());
-      }
-      pool_->Prefetch(ahead);
-    }
+    SEGDB_RETURN_IF_ERROR(FetchMeta(node));
+    if (node.is_leaf) return ScanLeaf(node, q, out);
+    // On bl(v): C(v), L(v) and R(v)'s degenerate-left members, then stop
+    // (nothing below touches bl(v)). Otherwise L(v) for the left slab or
+    // R(v) for the right one, then descend into that slab.
+    const int64_t blx = node.boundaries[0];
+    if (q.x0 == blx) return QueryBoundary(node, 0, q, out);
+    const uint32_t slab = q.x0 < blx ? 0 : 1;
+    SEGDB_RETURN_IF_ERROR(QuerySlab(node, slab, q, out));
+    cur = node.children[slab];
+    ReadAhead(cur, &ahead);
   }
-  return Status::OK();
-}
-
-uint64_t TwoLevelBinaryIndex::page_count() const {
-  uint64_t total = 0;
-  // Walk live nodes only.
-  std::vector<int32_t> stack;
-  if (root_ >= 0) stack.push_back(root_);
-  while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
-    stack.pop_back();
-    total += 1 + node.leaf_pages.size();
-    if (node.c) total += node.c->page_count();
-    if (node.l) total += node.l->page_count();
-    if (node.r) total += node.r->page_count();
-    if (node.left >= 0) stack.push_back(node.left);
-    if (node.right >= 0) stack.push_back(node.right);
-  }
-  return total;
-}
-
-uint32_t TwoLevelBinaryIndex::SubtreeHeight(int32_t idx) const {
-  if (idx < 0) return 0;
-  const Node& node = nodes_[idx];
-  return 1 + std::max(SubtreeHeight(node.left), SubtreeHeight(node.right));
-}
-
-uint32_t TwoLevelBinaryIndex::height() const { return SubtreeHeight(root_); }
-
-Status TwoLevelBinaryIndex::CheckSubtree(int32_t idx, const int64_t* lo,
-                                         const int64_t* hi,
-                                         uint64_t* total) const {
-  const Node& node = nodes_[idx];
-  uint64_t count = 0;
-  if (node.is_leaf) {
-    count = node.leaf_segments.size();
-    for (const Segment& s : node.leaf_segments) {
-      if (lo != nullptr && s.x1 <= *lo) {
-        return Status::Corruption("leaf segment crosses an ancestor line");
-      }
-      if (hi != nullptr && s.x2 >= *hi) {
-        return Status::Corruption("leaf segment crosses an ancestor line");
-      }
-    }
-  } else {
-    if (lo != nullptr && node.bl_x <= *lo) {
-      return Status::Corruption("base line outside ancestor slab");
-    }
-    if (hi != nullptr && node.bl_x >= *hi) {
-      return Status::Corruption("base line outside ancestor slab");
-    }
-    if (node.c) {
-      SEGDB_RETURN_IF_ERROR(node.c->CheckInvariants());
-      std::vector<pst::PointRecord> points;
-      SEGDB_RETURN_IF_ERROR(node.c->CollectAll(&points));
-      for (const auto& p : points) {
-        if (p.x > p.y) {
-          return Status::Corruption("C(v) interval with lo > hi");
-        }
-      }
-      count += node.c->size();
-    }
-    // The L(v)/R(v) partition: L holds exactly the crossing segments with a
-    // non-degenerate left part, R the ones with a non-degenerate right
-    // part, and segments with both live in both (matched by id below).
-    uint64_t crossing = 0;
-    std::unordered_set<uint64_t> both_from_l, both_from_r;
-    if (node.l) {
-      SEGDB_RETURN_IF_ERROR(node.l->CheckInvariants());
-      std::vector<Segment> ls;
-      SEGDB_RETURN_IF_ERROR(node.l->CollectAll(&ls));
-      for (const Segment& s : ls) {
-        if (!(s.x1 < node.bl_x && s.x2 >= node.bl_x)) {
-          return Status::Corruption("L(v) member does not cross from the left");
-        }
-        if ((lo != nullptr && s.x1 <= *lo) ||
-            (hi != nullptr && s.x2 >= *hi)) {
-          return Status::Corruption("L(v) member escapes the ancestor slab");
-        }
-        if (s.x2 > node.bl_x) both_from_l.insert(s.id);
-      }
-      crossing += node.l->size();
-    }
-    if (node.r) {
-      SEGDB_RETURN_IF_ERROR(node.r->CheckInvariants());
-      std::vector<Segment> rs;
-      SEGDB_RETURN_IF_ERROR(node.r->CollectAll(&rs));
-      for (const Segment& s : rs) {
-        if (!(s.x1 <= node.bl_x && s.x2 > node.bl_x)) {
-          return Status::Corruption(
-              "R(v) member does not cross to the right");
-        }
-        if ((lo != nullptr && s.x1 <= *lo) ||
-            (hi != nullptr && s.x2 >= *hi)) {
-          return Status::Corruption("R(v) member escapes the ancestor slab");
-        }
-        if (s.x1 < node.bl_x) {
-          both_from_r.insert(s.id);
-        } else {
-          ++crossing;  // only in R
-        }
-      }
-    }
-    if (both_from_l != both_from_r) {
-      return Status::Corruption(
-          "segments crossing bl(v) on both sides not mirrored in L and R");
-    }
-    count += crossing;
-    // BB[alpha] balance: exact at build time (median-endpoint split gives
-    // each side at most half), each counted update adds one unit of slack.
-    const uint64_t left_size =
-        node.left >= 0 ? nodes_[node.left].subtree_size : 0;
-    const uint64_t right_size =
-        node.right >= 0 ? nodes_[node.right].subtree_size : 0;
-    if (2 * std::max(left_size, right_size) >
-        node.subtree_size + node.updates_since_rebuild) {
-      return Status::Corruption("BB[alpha] balance bound violated");
-    }
-    if (node.left >= 0) {
-      uint64_t sub = 0;
-      SEGDB_RETURN_IF_ERROR(CheckSubtree(node.left, lo, &node.bl_x, &sub));
-      count += sub;
-    }
-    if (node.right >= 0) {
-      uint64_t sub = 0;
-      SEGDB_RETURN_IF_ERROR(CheckSubtree(node.right, &node.bl_x, hi, &sub));
-      count += sub;
-    }
-  }
-  if (count != node.subtree_size) {
-    return Status::Corruption("subtree_size bookkeeping mismatch");
-  }
-  *total = count;
-  return Status::OK();
-}
-
-Status TwoLevelBinaryIndex::CheckInvariants() const {
-  if (root_ < 0) {
-    return size_ == 0 ? Status::OK() : Status::Corruption("size_ mismatch");
-  }
-  uint64_t total = 0;
-  SEGDB_RETURN_IF_ERROR(CheckSubtree(root_, nullptr, nullptr, &total));
-  if (total != size_) return Status::Corruption("size_ mismatch");
   return Status::OK();
 }
 

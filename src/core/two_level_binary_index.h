@@ -6,13 +6,14 @@
 // right. Each internal node v owns three second-level structures:
 //
 //   C(v) — segments lying ON bl(v) (vertical, x == bl(v)): 1-D intervals
-//          indexed as points (lo, hi) in a PointPst; a VS query on the
-//          line is the 3-sided query lo <= yhi, hi >= ylo.
+//          indexed as points (lo, hi) in a PointPst.
 //   L(v) — left parts of segments crossing bl(v): a LinePst with base
-//          bl(v) extending left. Segments are stored whole (splitting at
-//          the crossing point would need rational coordinates); the PST's
-//          half-plane query semantics make that equivalent.
+//          bl(v) extending left, holding the segments whole.
 //   R(v) — right parts, symmetric.
+//
+// This is the one-boundary configuration of the shared first level
+// (core/two_level_index.h): bl(v) is the node's single slab boundary s_0,
+// C(v)/L(v)/R(v) are C_0/L_0/R_0, and G stays empty.
 //
 // A query x = x0 descends the unique root-to-leaf path: at each node it
 // searches L(v) (x0 left of bl(v)) or R(v) (right), or, when x0 hits
@@ -24,23 +25,15 @@
 // BB[alpha]-style partial rebuilding of first-level subtrees (the paper's
 // BB[alpha] rotations realized by whole-subtree rebuilds, which amortize
 // to the same bound and keep the second-level structures packed).
-//
-// First-level nodes are mirrored to one disk page each and that page is
-// fetched on every visit, so buffer-pool misses equal the paper's I/O
-// count even though the directory also lives in memory.
 #ifndef SEGDB_CORE_TWO_LEVEL_BINARY_INDEX_H_
 #define SEGDB_CORE_TWO_LEVEL_BINARY_INDEX_H_
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "core/segment_index.h"
+#include "core/two_level_index.h"
 #include "io/buffer_pool.h"
-#include "pst/line_pst.h"
-#include "pst/point_pst.h"
 #include "util/status.h"
 
 namespace segdb::core {
@@ -51,86 +44,16 @@ struct TwoLevelBinaryOptions {
   uint32_t pst_fanout = 0;
   // Leaf capacity in segments: 0 = one page's worth.
   uint32_t leaf_capacity = 0;
-  // First-level partial-rebuild trigger: a child subtree may hold at most
-  // this fraction of its parent's segments before the subtree is rebuilt.
-  double rebuild_fraction = 0.7;
 };
 
-class TwoLevelBinaryIndex final : public SegmentIndex {
+class TwoLevelBinaryIndex final : public TwoLevelIndex {
  public:
   TwoLevelBinaryIndex(io::BufferPool* pool,
                       TwoLevelBinaryOptions options = {});
-  ~TwoLevelBinaryIndex() override;
 
-  TwoLevelBinaryIndex(const TwoLevelBinaryIndex&) = delete;
-  TwoLevelBinaryIndex& operator=(const TwoLevelBinaryIndex&) = delete;
-
-  Status BulkLoad(std::span<const geom::Segment> segments) override;
-  Status Insert(const geom::Segment& segment) override;
-  Status Erase(const geom::Segment& segment) override;
   Status Query(const VerticalSegmentQuery& query,
                std::vector<geom::Segment>* out) const override;
-  uint64_t size() const override { return size_; }
-  uint64_t page_count() const override;
   std::string name() const override { return "two-level-binary"; }
-
-  // First-level height (experiment instrumentation).
-  uint32_t height() const;
-
-  // Structural self-check (tests): BB[alpha] balance bookkeeping, the
-  // L(v)/R(v)/C(v) partition at every base line, slab containment, and
-  // every second-level structure's own invariants.
-  Status CheckInvariants() const override;
-
- private:
-  struct Node {
-    bool is_leaf = false;
-    int64_t bl_x = 0;  // base line (internal nodes)
-    int32_t left = -1;
-    int32_t right = -1;
-    uint64_t subtree_size = 0;
-    // Inserts + erases absorbed since the subtree was last (re)built: the
-    // amortization guard for partial rebuilding, and the slack term of the
-    // audited balance bound 2*max(|left|, |right|) <= size + updates
-    // (exact at build time by the median-endpoint split, maintained by
-    // every update counting here).
-    uint64_t updates_since_rebuild = 0;
-    io::PageId meta_page = io::kInvalidPageId;
-    std::unique_ptr<pst::PointPst> c;  // segments on the base line
-    std::unique_ptr<pst::LinePst> l;   // crossing, left parts
-    std::unique_ptr<pst::LinePst> r;   // crossing, right parts
-    std::vector<io::PageId> leaf_pages;
-    std::vector<geom::Segment> leaf_segments;  // mirror of leaf pages
-  };
-
-  uint32_t LeafCapacity() const;
-  pst::LinePstOptions PstOptions() const;
-
-  // Takes a node slot from the free list (or grows the arena).
-  int32_t AllocNode();
-  // Builds a subtree for `segments`. Fault-atomic: on failure every page
-  // and arena slot the partial build claimed is released before the error
-  // returns, so a failed build is a no-op on the index.
-  Result<int32_t> BuildSubtree(std::vector<geom::Segment> segments);
-  Status BuildSubtreeAt(int32_t idx, std::vector<geom::Segment> segments);
-  Status FreeSubtree(int32_t idx);
-  Status CollectSubtree(int32_t idx, std::vector<geom::Segment>* out) const;
-  Status WriteLeafPages(Node* node);
-  // Inserts into the second-level structures of internal node `idx`;
-  // the segment must intersect the node's base line.
-  Status InsertAtNode(int32_t idx, const geom::Segment& s);
-  Status QueryNode(const Node& node, const VerticalSegmentQuery& q,
-                   std::vector<geom::Segment>* out) const;
-  Status CheckSubtree(int32_t idx, const int64_t* lo, const int64_t* hi,
-                      uint64_t* total) const;
-  uint32_t SubtreeHeight(int32_t idx) const;
-
-  io::BufferPool* pool_;
-  TwoLevelBinaryOptions options_;
-  std::vector<Node> nodes_;
-  std::vector<int32_t> free_nodes_;
-  int32_t root_ = -1;
-  uint64_t size_ = 0;
 };
 
 }  // namespace segdb::core

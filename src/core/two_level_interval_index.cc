@@ -1,588 +1,28 @@
 #include "core/two_level_interval_index.h"
 
 #include <algorithm>
-#include <string>
-#include <unordered_set>
-
-#include "geom/filter_kernel.h"
-#include "geom/predicates.h"
-#include "io/columnar_page_view.h"
-#include "util/check.h"
 
 namespace segdb::core {
 
 namespace {
 
-using geom::Segment;
-
-constexpr uint32_t kLeafHeader = 8;
+// b = B/4 (the paper's choice) unless the caller fixes b; at least 2.
+uint32_t Fanout(const io::BufferPool* pool, uint32_t requested) {
+  if (requested != 0) return std::max<uint32_t>(2, requested);
+  const uint32_t records_per_page =
+      pool->page_size() / static_cast<uint32_t>(sizeof(geom::Segment));
+  return std::max<uint32_t>(2, records_per_page / 4);
+}
 
 }  // namespace
 
 TwoLevelIntervalIndex::TwoLevelIntervalIndex(io::BufferPool* pool,
                                              TwoLevelIntervalOptions options)
-    : pool_(pool), options_(options) {
-  if (options_.fanout != 0) {
-    fanout_ = std::max<uint32_t>(2, options_.fanout);
-  } else {
-    const uint32_t records_per_page =
-        pool_->page_size() / static_cast<uint32_t>(sizeof(Segment));
-    fanout_ = std::max<uint32_t>(2, records_per_page / 4);  // b = B/4
-  }
-}
-
-TwoLevelIntervalIndex::~TwoLevelIntervalIndex() {
-  if (root_ >= 0) FreeSubtree(root_).IgnoreError();
-}
-
-uint32_t TwoLevelIntervalIndex::LeafCapacity() const {
-  if (options_.leaf_capacity != 0) return options_.leaf_capacity;
-  return io::ColumnarRegionCapacity(pool_->page_size() - kLeafHeader);
-}
-
-pst::LinePstOptions TwoLevelIntervalIndex::PstOptions() const {
-  pst::LinePstOptions o;
-  o.fanout = options_.pst_fanout;
-  return o;
-}
-
-bool TwoLevelIntervalIndex::TouchedRange(
-    const std::vector<int64_t>& boundaries, const Segment& s, uint32_t* first,
-    uint32_t* last) {
-  auto lo = std::lower_bound(boundaries.begin(), boundaries.end(), s.x1);
-  auto hi = std::upper_bound(boundaries.begin(), boundaries.end(), s.x2);
-  if (lo >= hi) return false;
-  *first = static_cast<uint32_t>(lo - boundaries.begin());
-  *last = static_cast<uint32_t>(hi - boundaries.begin()) - 1;
-  return true;
-}
-
-Status TwoLevelIntervalIndex::WriteLeafPages(Node* node) {
-  // Allocate-then-swap for fault atomicity: all replacement pages are
-  // written before any old page is freed, so an allocation failure leaves
-  // the node's pages (and the mirrored segment list) untouched.
-  std::vector<io::PageId> fresh;
-  const uint32_t per_page =
-      io::ColumnarRegionCapacity(pool_->page_size() - kLeafHeader);
-  size_t i = 0;
-  while (i < node->leaf_segments.size()) {
-    const uint32_t take = static_cast<uint32_t>(
-        std::min<size_t>(per_page, node->leaf_segments.size() - i));
-    auto ref = pool_->NewPage();
-    if (!ref.ok()) {
-      for (io::PageId id : fresh) pool_->FreePage(id).IgnoreError();
-      return ref.status();
-    }
-    io::Page& p = ref.value().page();
-    p.WriteAt<uint32_t>(0, take);
-    // Columnar strips sized to the record count (see columnar_page_view.h).
-    io::ColumnarPageView(&p, kLeafHeader, take)
-        .WriteRange(0, node->leaf_segments.data() + i, take);
-    ref.value().MarkDirty();
-    fresh.push_back(ref.value().page_id());
-    i += take;
-  }
-  for (io::PageId id : node->leaf_pages) {
-    SEGDB_RETURN_IF_ERROR(pool_->FreePage(id));  // reliable metadata op
-  }
-  node->leaf_pages = std::move(fresh);
-  return Status::OK();
-}
-
-int32_t TwoLevelIntervalIndex::AllocNode() {
-  if (!free_nodes_.empty()) {
-    const int32_t idx = free_nodes_.back();
-    free_nodes_.pop_back();
-    nodes_[idx] = Node{};
-    return idx;
-  }
-  const int32_t idx = static_cast<int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  return idx;
-}
-
-Result<int32_t> TwoLevelIntervalIndex::BuildSubtree(
-    std::vector<Segment> segments) {
-  const int32_t idx = AllocNode();
-  Status built = BuildSubtreeAt(idx, std::move(segments));
-  if (!built.ok()) {
-    // Unwind whatever the partial build attached — the meta page, loaded
-    // second-level structures, finished children — and return the slot.
-    FreeSubtree(idx).IgnoreError();
-    return built;
-  }
-  return idx;
-}
-
-Status TwoLevelIntervalIndex::BuildSubtreeAt(int32_t idx,
-                                             std::vector<Segment> segments) {
-  SEGDB_DCHECK(!segments.empty());
-  {
-    auto meta = pool_->NewPage();
-    if (!meta.ok()) return meta.status();
-    meta.value().MarkDirty();
-    nodes_[idx].meta_page = meta.value().page_id();
-  }
-  nodes_[idx].subtree_size = segments.size();
-
-  if (segments.size() <= LeafCapacity()) {
-    nodes_[idx].is_leaf = true;
-    nodes_[idx].leaf_segments = std::move(segments);
-    return WriteLeafPages(&nodes_[idx]);
-  }
-
-  // Boundaries: endpoint quantiles (distinct), excluding the extremes so
-  // the outer slabs stay meaningful.
-  std::vector<int64_t> xs;
-  xs.reserve(2 * segments.size());
-  for (const Segment& s : segments) {
-    xs.push_back(s.x1);
-    xs.push_back(s.x2);
-  }
-  std::sort(xs.begin(), xs.end());
-  std::vector<int64_t> boundaries;
-  for (uint32_t i = 1; i <= fanout_; ++i) {
-    const size_t pos = static_cast<size_t>(
-        static_cast<uint64_t>(xs.size()) * i / (fanout_ + 1));
-    const int64_t v = xs[std::min(pos, xs.size() - 1)];
-    if (boundaries.empty() || boundaries.back() < v) boundaries.push_back(v);
-  }
-  if (boundaries.empty()) boundaries.push_back(xs[xs.size() / 2]);
-  Node& node_init = nodes_[idx];
-  node_init.is_leaf = false;
-  node_init.boundaries = boundaries;
-  node_init.per_boundary.resize(boundaries.size());
-  node_init.children.assign(boundaries.size() + 1, -1);
-
-  // Route every segment.
-  std::vector<std::vector<Segment>> per_slab(boundaries.size() + 1);
-  std::vector<std::vector<pst::PointRecord>> c_points(boundaries.size());
-  std::vector<std::vector<Segment>> l_sets(boundaries.size());
-  std::vector<std::vector<Segment>> r_sets(boundaries.size());
-  std::vector<Segment> long_set;
-  for (const Segment& s : segments) {
-    uint32_t first, last;
-    if (!TouchedRange(boundaries, s, &first, &last)) {
-      const uint32_t k = static_cast<uint32_t>(
-          std::lower_bound(boundaries.begin(), boundaries.end(), s.x1) -
-          boundaries.begin());
-      per_slab[k].push_back(s);
-      continue;
-    }
-    if (s.is_vertical()) {
-      // On the boundary line (TouchedRange true for a vertical segment
-      // only when x1 == boundaries[first]).
-      c_points[first].push_back(pst::PointRecord{s.y1, s.y2, s.id});
-      continue;
-    }
-    if (s.x1 < boundaries[first]) l_sets[first].push_back(s);
-    if (s.x2 > boundaries[last]) r_sets[last].push_back(s);
-    if (last > first) long_set.push_back(s);
-  }
-  segments.clear();
-
-  // Second-level structures are attached to the node before loading so a
-  // failed load is still reachable by the caller's FreeSubtree unwind.
-  for (size_t i = 0; i < boundaries.size(); ++i) {
-    if (!c_points[i].empty()) {
-      nodes_[idx].per_boundary[i].c =
-          std::make_unique<pst::PointPst>(pool_, PstOptions());
-      SEGDB_RETURN_IF_ERROR(nodes_[idx].per_boundary[i].c->BulkLoad(
-          c_points[i]));
-    }
-    if (!l_sets[i].empty()) {
-      nodes_[idx].per_boundary[i].l = std::make_unique<pst::LinePst>(
-          pool_, boundaries[i], pst::Direction::kLeft, PstOptions());
-      SEGDB_RETURN_IF_ERROR(nodes_[idx].per_boundary[i].l->BulkLoad(l_sets[i]));
-    }
-    if (!r_sets[i].empty()) {
-      nodes_[idx].per_boundary[i].r = std::make_unique<pst::LinePst>(
-          pool_, boundaries[i], pst::Direction::kRight, PstOptions());
-      SEGDB_RETURN_IF_ERROR(nodes_[idx].per_boundary[i].r->BulkLoad(r_sets[i]));
-    }
-  }
-  if (!long_set.empty()) {
-    segtree::MultislabOptions g_opts;
-    g_opts.fractional_cascading = options_.fractional_cascading;
-    g_opts.bridge_d = options_.bridge_d;
-    nodes_[idx].g = std::make_unique<segtree::MultislabSegmentTree>(
-        pool_, boundaries, g_opts);
-    SEGDB_RETURN_IF_ERROR(nodes_[idx].g->Build(long_set));
-  }
-  for (size_t k = 0; k < per_slab.size(); ++k) {
-    if (per_slab[k].empty()) continue;
-    SEGDB_DCHECK(per_slab[k].size() < nodes_[idx].subtree_size);
-    // Recursive builds self-clean on failure; finished children hang off
-    // nodes_[idx].children and are released by the caller's unwind.
-    Result<int32_t> child = BuildSubtree(std::move(per_slab[k]));
-    if (!child.ok()) return child.status();
-    nodes_[idx].children[k] = child.value();
-  }
-  return Status::OK();
-}
-
-Status TwoLevelIntervalIndex::FreeSubtree(int32_t idx) {
-  Node& node = nodes_[idx];
-  for (int32_t child : node.children) {
-    if (child >= 0) SEGDB_RETURN_IF_ERROR(FreeSubtree(child));
-  }
-  for (BoundaryStructs& bs : node.per_boundary) {
-    if (bs.c) SEGDB_RETURN_IF_ERROR(bs.c->Clear());
-    if (bs.l) SEGDB_RETURN_IF_ERROR(bs.l->Clear());
-    if (bs.r) SEGDB_RETURN_IF_ERROR(bs.r->Clear());
-  }
-  if (node.g) SEGDB_RETURN_IF_ERROR(node.g->Clear());
-  for (io::PageId id : node.leaf_pages) {
-    SEGDB_RETURN_IF_ERROR(pool_->FreePage(id));
-  }
-  if (node.meta_page != io::kInvalidPageId) {
-    SEGDB_RETURN_IF_ERROR(pool_->FreePage(node.meta_page));
-  }
-  nodes_[idx] = Node{};
-  free_nodes_.push_back(idx);
-  return Status::OK();
-}
-
-Status TwoLevelIntervalIndex::CollectSubtree(
-    int32_t idx, std::vector<Segment>* out) const {
-  const Node& node = nodes_[idx];
-  if (node.is_leaf) {
-    out->insert(out->end(), node.leaf_segments.begin(),
-                node.leaf_segments.end());
-    return Status::OK();
-  }
-  // A crossing segment may live in an L, an R, and G; dedup by id.
-  std::unordered_set<uint64_t> seen;
-  auto add = [&](const Segment& s) {
-    if (seen.insert(s.id).second) out->push_back(s);
-  };
-  for (size_t i = 0; i < node.per_boundary.size(); ++i) {
-    const BoundaryStructs& bs = node.per_boundary[i];
-    if (bs.c) {
-      std::vector<pst::PointRecord> points;
-      SEGDB_RETURN_IF_ERROR(bs.c->CollectAll(&points));
-      for (const auto& p : points) {
-        add(Segment::Make({node.boundaries[i], p.x}, {node.boundaries[i], p.y},
-                          p.id));
-      }
-    }
-    std::vector<Segment> tmp;
-    if (bs.l) SEGDB_RETURN_IF_ERROR(bs.l->CollectAll(&tmp));
-    if (bs.r) SEGDB_RETURN_IF_ERROR(bs.r->CollectAll(&tmp));
-    for (const Segment& s : tmp) add(s);
-  }
-  if (node.g) {
-    std::vector<Segment> tmp;
-    SEGDB_RETURN_IF_ERROR(node.g->CollectAll(&tmp));
-    for (const Segment& s : tmp) add(s);
-  }
-  for (int32_t child : node.children) {
-    if (child >= 0) SEGDB_RETURN_IF_ERROR(CollectSubtree(child, out));
-  }
-  return Status::OK();
-}
-
-Status TwoLevelIntervalIndex::BulkLoad(std::span<const Segment> segments) {
-  SEGDB_IO_BOUND("scan");
-  if (segments.empty()) {
-    if (root_ >= 0) {
-      SEGDB_RETURN_IF_ERROR(FreeSubtree(root_));
-      root_ = -1;
-    }
-    size_ = 0;
-    return Status::OK();
-  }
-  // Build the replacement before freeing the old tree: a failed build must
-  // leave the previous contents fully queryable.
-  Result<int32_t> root =
-      BuildSubtree(std::vector<Segment>(segments.begin(), segments.end()));
-  if (!root.ok()) return root.status();
-  if (root_ >= 0) SEGDB_RETURN_IF_ERROR(FreeSubtree(root_));
-  root_ = root.value();
-  size_ = segments.size();
-  return Status::OK();
-}
-
-Status TwoLevelIntervalIndex::InsertAtNode(int32_t idx, const Segment& s) {
-  Node& node = nodes_[idx];
-  uint32_t first, last;
-  if (!TouchedRange(node.boundaries, s, &first, &last)) {
-    return Status::Internal("InsertAtNode: segment touches no boundary");
-  }
-  if (s.is_vertical()) {
-    BoundaryStructs& bs = node.per_boundary[first];
-    if (!bs.c) bs.c = std::make_unique<pst::PointPst>(pool_, PstOptions());
-    return bs.c->Insert(pst::PointRecord{s.y1, s.y2, s.id});
-  }
-  // A crossing segment can enter up to three structures (L, R, G). On a
-  // failure partway through, the halves already applied are rolled back —
-  // the rollbacks are pure removals of the just-inserted record, so they
-  // cannot themselves hit an injected allocation fault.
-  const bool into_l = s.x1 < node.boundaries[first];
-  const bool into_r = s.x2 > node.boundaries[last];
-  if (into_l) {
-    BoundaryStructs& bs = node.per_boundary[first];
-    if (!bs.l) {
-      bs.l = std::make_unique<pst::LinePst>(
-          pool_, node.boundaries[first], pst::Direction::kLeft, PstOptions());
-    }
-    SEGDB_RETURN_IF_ERROR(bs.l->Insert(s));
-  }
-  if (into_r) {
-    BoundaryStructs& bs = node.per_boundary[last];
-    if (!bs.r) {
-      bs.r = std::make_unique<pst::LinePst>(
-          pool_, node.boundaries[last], pst::Direction::kRight, PstOptions());
-    }
-    const Status right = bs.r->Insert(s);
-    if (!right.ok()) {
-      if (into_l) node.per_boundary[first].l->Erase(s).IgnoreError();
-      return right;
-    }
-  }
-  if (last > first) {
-    if (!node.g) {
-      segtree::MultislabOptions g_opts;
-      g_opts.fractional_cascading = options_.fractional_cascading;
-      g_opts.bridge_d = options_.bridge_d;
-      node.g = std::make_unique<segtree::MultislabSegmentTree>(
-          pool_, node.boundaries, g_opts);
-      const Status built = node.g->Build({});
-      if (!built.ok()) {
-        node.g.reset();
-        if (into_l) node.per_boundary[first].l->Erase(s).IgnoreError();
-        if (into_r) node.per_boundary[last].r->Erase(s).IgnoreError();
-        return built;
-      }
-    }
-    const Status in_g = node.g->Insert(s);
-    if (!in_g.ok()) {
-      if (into_l) node.per_boundary[first].l->Erase(s).IgnoreError();
-      if (into_r) node.per_boundary[last].r->Erase(s).IgnoreError();
-      return in_g;
-    }
-    if (node.g->NeedsRebuild()) {
-      // Amortized repack after the insert committed. Rebuild is atomic
-      // (build-aside), so a failure here is absorbed: the delta trigger
-      // persists and the next update re-runs it.
-      node.g->Rebuild().IgnoreError();
-    }
-  }
-  return Status::OK();
-}
-
-Status TwoLevelIntervalIndex::Insert(const Segment& segment) {
-  // Amortized O(log_B n) (Theorem 2's update bound): height-bounded
-  // descent, plus an occasional subtree rebuild.
-  SEGDB_IO_BOUND("scan");
-  if (root_ < 0) {
-    Result<int32_t> root = BuildSubtree({segment});
-    if (!root.ok()) return root.status();
-    root_ = root.value();
-    ++size_;
-    return Status::OK();
-  }
-  // Bookkeeping (subtree sizes, rebuild counters, size_) is deferred and
-  // committed only once the mutation has succeeded, so a faulted insert
-  // leaves every counter consistent with what is actually stored.
-  std::vector<int32_t> path;
-  const auto commit = [&](size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      ++nodes_[path[i]].subtree_size;
-      ++nodes_[path[i]].inserts_since_rebuild;
-    }
-    ++size_;
-  };
-  int32_t cur = root_;
-  size_t parent_slot = 0;
-  for (;;) {
-    path.push_back(cur);
-    Node& node = nodes_[cur];
-
-    // Weight-balance by partial rebuilding, checked top-down. A subtree
-    // may only rebuild after absorbing a constant fraction of its size in
-    // inserts (pays for the rebuild even when balance cannot improve).
-    // Counters are compared as-if-incremented so the deferred bookkeeping
-    // keeps the rebuild cadence of the original eager code.
-    if (!node.is_leaf) {
-      uint64_t below = 0, max_child = 0;
-      for (int32_t child : node.children) {
-        const uint64_t cs = child >= 0 ? nodes_[child].subtree_size : 0;
-        below += cs;
-        max_child = std::max(max_child, cs);
-      }
-      const double share = static_cast<double>(below) /
-                           static_cast<double>(node.children.size());
-      const double limit =
-          options_.rebuild_factor * share + LeafCapacity();
-      if (below > 2 * static_cast<uint64_t>(LeafCapacity()) &&
-          (node.inserts_since_rebuild + 1) * 8 > node.subtree_size + 1 &&
-          static_cast<double>(max_child) > limit) {
-        std::vector<Segment> all;
-        all.reserve(node.subtree_size + 1);
-        SEGDB_RETURN_IF_ERROR(CollectSubtree(cur, &all));
-        all.push_back(segment);
-        // Build the replacement before freeing the old subtree: a failed
-        // build leaves the index untouched and the data still stored.
-        Result<int32_t> rebuilt = BuildSubtree(std::move(all));
-        if (!rebuilt.ok()) return rebuilt.status();
-        SEGDB_RETURN_IF_ERROR(FreeSubtree(cur));
-        if (path.size() == 1) {
-          root_ = rebuilt.value();
-        } else {
-          nodes_[path[path.size() - 2]].children[parent_slot] =
-              rebuilt.value();
-        }
-        commit(path.size() - 1);  // the rebuilt node restarts its counters
-        return Status::OK();
-      }
-    }
-
-    if (node.is_leaf) {
-      node.leaf_segments.push_back(segment);
-      if (node.leaf_segments.size() > 2 * LeafCapacity()) {
-        // Copy (not move): a failed build must leave the leaf unchanged.
-        std::vector<Segment> all = node.leaf_segments;
-        Result<int32_t> rebuilt = BuildSubtree(std::move(all));
-        if (!rebuilt.ok()) {
-          // BuildSubtree may grow nodes_; re-index instead of using `node`.
-          nodes_[cur].leaf_segments.pop_back();
-          return rebuilt.status();
-        }
-        SEGDB_RETURN_IF_ERROR(FreeSubtree(cur));
-        if (path.size() == 1) {
-          root_ = rebuilt.value();
-        } else {
-          nodes_[path[path.size() - 2]].children[parent_slot] =
-              rebuilt.value();
-        }
-        commit(path.size() - 1);
-        return Status::OK();
-      }
-      const Status written = WriteLeafPages(&node);
-      if (!written.ok()) {
-        node.leaf_segments.pop_back();
-        return written;
-      }
-      commit(path.size());
-      return Status::OK();
-    }
-
-    uint32_t first, last;
-    if (TouchedRange(node.boundaries, segment, &first, &last)) {
-      SEGDB_RETURN_IF_ERROR(InsertAtNode(cur, segment));
-      commit(path.size());
-      return Status::OK();
-    }
-    const uint32_t k = static_cast<uint32_t>(
-        std::lower_bound(node.boundaries.begin(), node.boundaries.end(),
-                         segment.x1) -
-        node.boundaries.begin());
-    if (node.children[k] < 0) {
-      Result<int32_t> fresh = BuildSubtree({segment});
-      if (!fresh.ok()) return fresh.status();
-      nodes_[cur].children[k] = fresh.value();
-      commit(path.size());
-      return Status::OK();
-    }
-    parent_slot = k;
-    cur = node.children[k];
-  }
-}
-
-Status TwoLevelIntervalIndex::Erase(const Segment& segment) {
-  SEGDB_IO_BOUND("scan");  // amortized O(log_B n); substructures repack
-  std::vector<int32_t> path;
-  int32_t cur = root_;
-  Status removed = Status::NotFound("segment not stored");
-  while (cur >= 0) {
-    path.push_back(cur);
-    Node& node = nodes_[cur];
-    {
-      auto meta = pool_->Fetch(node.meta_page);
-      if (!meta.ok()) return meta.status();
-    }
-    if (node.is_leaf) {
-      auto it = std::find(node.leaf_segments.begin(),
-                          node.leaf_segments.end(), segment);
-      if (it == node.leaf_segments.end()) return removed;
-      node.leaf_segments.erase(it);
-      const Status written = WriteLeafPages(&node);
-      if (!written.ok()) {
-        // Leaf pages are untouched on failure; restore the in-memory copy
-        // (order within a leaf is immaterial).
-        node.leaf_segments.push_back(segment);
-        return written;
-      }
-      removed = Status::OK();
-      break;
-    }
-    uint32_t first, last;
-    if (!TouchedRange(node.boundaries, segment, &first, &last)) {
-      const uint32_t k = static_cast<uint32_t>(
-          std::lower_bound(node.boundaries.begin(), node.boundaries.end(),
-                           segment.x1) -
-          node.boundaries.begin());
-      cur = node.children[k];
-      continue;
-    }
-    if (segment.is_vertical()) {
-      if (node.per_boundary[first].c == nullptr) return removed;
-      SEGDB_RETURN_IF_ERROR(node.per_boundary[first].c->Erase(
-          pst::PointRecord{segment.y1, segment.y2, segment.id}));
-      removed = Status::OK();
-      break;
-    }
-    // A crossing segment may live in up to three structures (L, R, G). G
-    // goes first: its erase is the only one that can allocate (a
-    // fractional-cascading tombstone), so once it succeeds the remaining
-    // steps' rollbacks are plain LinePst erases that cannot re-fault.
-    // Rollbacks reinsert what was already removed so a faulted erase
-    // leaves the segment fully stored and retryable.
-    bool from_l = false, from_g = false;
-    if (last > first) {
-      if (node.g == nullptr) return removed;
-      SEGDB_RETURN_IF_ERROR(node.g->Erase(segment));
-      removed = Status::OK();
-      from_g = true;
-    }
-    if (segment.x1 < node.boundaries[first]) {
-      if (node.per_boundary[first].l == nullptr) {
-        return removed.ok() ? Status::Corruption("missing L entry") : removed;
-      }
-      const Status left = node.per_boundary[first].l->Erase(segment);
-      if (!left.ok()) {
-        if (from_g) node.g->Insert(segment).IgnoreError();
-        return left;
-      }
-      removed = Status::OK();
-      from_l = true;
-    }
-    if (segment.x2 > node.boundaries[last]) {
-      if (node.per_boundary[last].r == nullptr) {
-        return removed.ok() ? Status::Corruption("missing R entry") : removed;
-      }
-      const Status right = node.per_boundary[last].r->Erase(segment);
-      if (!right.ok()) {
-        if (from_l) node.per_boundary[first].l->Insert(segment).IgnoreError();
-        if (from_g) node.g->Insert(segment).IgnoreError();
-        return right;
-      }
-      removed = Status::OK();
-    }
-    // Amortized repack of G: absorb a failure here — the erase itself has
-    // committed, and the rebuild trigger persists until a later op retries.
-    if (from_g && node.g->NeedsRebuild()) node.g->Rebuild().IgnoreError();
-    break;
-  }
-  if (!removed.ok()) return removed;
-  for (int32_t idx : path) --nodes_[idx].subtree_size;
-  --size_;
-  return Status::OK();
-}
+    : TwoLevelIndex(pool, Fanout(pool, options.fanout), options.pst_fanout,
+                    options.leaf_capacity, options.fractional_cascading) {}
 
 Status TwoLevelIntervalIndex::Query(const VerticalSegmentQuery& q,
-                                    std::vector<Segment>* out) const {
+                                    std::vector<geom::Segment>* out) const {
   // Theorem 2: O(log_B n + sqrt(n/B) + t/B) I/Os — the sqrt term is the
   // multislab sweep at each visited interval-tree node.
   SEGDB_IO_BOUND("log", "sqrt", "t/B");
@@ -591,262 +31,25 @@ Status TwoLevelIntervalIndex::Query(const VerticalSegmentQuery& q,
   std::vector<io::PageId> ahead;  // read-ahead hint for the next descent step
   while (cur >= 0) {
     const Node& node = nodes_[cur];
-    {
-      auto meta = pool_->Fetch(node.meta_page);
-      if (!meta.ok()) return meta.status();
-    }
-    if (node.is_leaf) {
-      for (io::PageId id : node.leaf_pages) {
-        auto ref = pool_->Fetch(id);
-        if (!ref.ok()) return ref.status();
-        const io::Page& p = ref.value().page();
-        const uint32_t count = p.ReadAt<uint32_t>(0);
-        // Kernel filter + one bulk gather per page (see Solution A).
-        const io::ConstColumnarPageView view(p, kLeafHeader, count);
-        geom::ResultBuffer& scratch = geom::GetThreadFilterScratch();
-        uint32_t* idx = scratch.ReserveIndices(count);
-        const uint32_t hits = geom::ActiveFilterKernel().filter_vs(
-            view.strips(), count, q.x0, q.ylo, q.yhi, idx);
-        view.AppendMatches(idx, hits, out);
-      }
-      return Status::OK();
-    }
-
+    SEGDB_RETURN_IF_ERROR(FetchMeta(node));
+    if (node.is_leaf) return ScanLeaf(node, q, out);
     auto it = std::lower_bound(node.boundaries.begin(), node.boundaries.end(),
                                q.x0);
-    const bool on_boundary =
-        it != node.boundaries.end() && *it == q.x0;
-    const uint32_t k =
-        static_cast<uint32_t>(it - node.boundaries.begin());
-
-    if (on_boundary) {
+    const uint32_t k = static_cast<uint32_t>(it - node.boundaries.begin());
+    if (it != node.boundaries.end() && *it == q.x0) {
       // x0 == s_k: C_k, L_k, R_k and G, then stop (nothing deeper can
       // touch a boundary line).
-      const BoundaryStructs& bs = node.per_boundary[k];
-      if (bs.c) {
-        std::vector<pst::PointRecord> points;
-        SEGDB_RETURN_IF_ERROR(bs.c->Query3Sided(-(geom::kMaxCoord + 1),
-                                                q.yhi, q.ylo, &points));
-        for (const auto& p : points) {
-          out->push_back(Segment::Make({q.x0, p.x}, {q.x0, p.y}, p.id));
-        }
-      }
-      if (bs.l) {
-        // L_k members have first crossed boundary s_k; those that also
-        // cross s_{k+1} have a long part covering s_k and are reported by
-        // G — keep only the ones G cannot see.
-        std::vector<Segment> ls;
-        SEGDB_RETURN_IF_ERROR(bs.l->Query(q.x0, q.ylo, q.yhi, &ls));
-        for (const Segment& s : ls) {
-          if (k + 1 >= node.boundaries.size() ||
-              s.x2 < node.boundaries[k + 1]) {
-            out->push_back(s);
-          }
-        }
-      }
-      if (bs.r) {
-        // R_k members have last crossed boundary s_k. Keep only those
-        // whose first crossed boundary is also s_k (x1 == s_k): members
-        // with an earlier crossing have a long part covering s_k (G
-        // reports them), and x1 < s_k overlaps L_k's answers.
-        std::vector<Segment> rs;
-        SEGDB_RETURN_IF_ERROR(bs.r->Query(q.x0, q.ylo, q.yhi, &rs));
-        for (const Segment& s : rs) {
-          if (s.x1 == q.x0) out->push_back(s);
-        }
-      }
-      if (node.g) SEGDB_RETURN_IF_ERROR(node.g->Query(q.x0, q.ylo, q.yhi, out));
+      SEGDB_RETURN_IF_ERROR(QueryBoundary(node, k, q, out));
+      if (node.g) return node.g->Query(q.x0, q.ylo, q.yhi, out);
       return Status::OK();
     }
-
     // x0 inside slab k: R_{k-1}, L_k and G cover the node's segments
     // disjointly (see header).
-    if (k >= 1) {
-      const BoundaryStructs& bs = node.per_boundary[k - 1];
-      if (bs.r) SEGDB_RETURN_IF_ERROR(bs.r->Query(q.x0, q.ylo, q.yhi, out));
-    }
-    if (k < node.boundaries.size()) {
-      const BoundaryStructs& bs = node.per_boundary[k];
-      if (bs.l) SEGDB_RETURN_IF_ERROR(bs.l->Query(q.x0, q.ylo, q.yhi, out));
-    }
+    SEGDB_RETURN_IF_ERROR(QuerySlab(node, k, q, out));
     if (node.g) SEGDB_RETURN_IF_ERROR(node.g->Query(q.x0, q.ylo, q.yhi, out));
     cur = node.children[k];
-    if (cur >= 0) {
-      // Hint the child slab's pages before this node's PSTs and G are
-      // searched; staged pages are charged on first Fetch, so I/O counts
-      // stay exact.
-      const Node& next = nodes_[cur];
-      ahead.clear();
-      ahead.push_back(next.meta_page);
-      if (next.is_leaf) {
-        ahead.insert(ahead.end(), next.leaf_pages.begin(),
-                     next.leaf_pages.end());
-      }
-      pool_->Prefetch(ahead);
-    }
+    ReadAhead(cur, &ahead);
   }
-  return Status::OK();
-}
-
-uint64_t TwoLevelIntervalIndex::page_count() const {
-  uint64_t total = 0;
-  std::vector<int32_t> stack;
-  if (root_ >= 0) stack.push_back(root_);
-  while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
-    stack.pop_back();
-    total += 1 + node.leaf_pages.size();
-    for (const BoundaryStructs& bs : node.per_boundary) {
-      if (bs.c) total += bs.c->page_count();
-      if (bs.l) total += bs.l->page_count();
-      if (bs.r) total += bs.r->page_count();
-    }
-    if (node.g) total += node.g->page_count();
-    for (int32_t child : node.children) {
-      if (child >= 0) stack.push_back(child);
-    }
-  }
-  return total;
-}
-
-uint32_t TwoLevelIntervalIndex::SubtreeHeight(int32_t idx) const {
-  if (idx < 0) return 0;
-  const Node& node = nodes_[idx];
-  uint32_t h = 0;
-  for (int32_t child : node.children) {
-    h = std::max(h, SubtreeHeight(child));
-  }
-  return 1 + h;
-}
-
-uint32_t TwoLevelIntervalIndex::height() const {
-  return SubtreeHeight(root_);
-}
-
-Status TwoLevelIntervalIndex::CheckSubtree(int32_t idx, const int64_t* lo,
-                                           const int64_t* hi,
-                                           uint64_t* total) const {
-  const Node& node = nodes_[idx];
-  uint64_t count = 0;
-  if (node.is_leaf) {
-    count = node.leaf_segments.size();
-    for (const Segment& s : node.leaf_segments) {
-      if ((lo != nullptr && s.x1 <= *lo) || (hi != nullptr && s.x2 >= *hi)) {
-        return Status::Corruption("leaf segment escapes its slab");
-      }
-    }
-  } else {
-    // Fan-out b = B/4 slab coverage: at most b strictly-increasing
-    // boundaries, one C/L/R triple per boundary and one child per slab.
-    if (node.boundaries.empty() || node.boundaries.size() > fanout_) {
-      return Status::Corruption("boundary count outside [1, b]");
-    }
-    if (node.per_boundary.size() != node.boundaries.size() ||
-        node.children.size() != node.boundaries.size() + 1) {
-      return Status::Corruption("per-boundary structures misaligned");
-    }
-    for (size_t i = 0; i < node.boundaries.size(); ++i) {
-      if (i > 0 && node.boundaries[i - 1] >= node.boundaries[i]) {
-        return Status::Corruption("boundaries not strictly increasing");
-      }
-      if ((lo != nullptr && node.boundaries[i] <= *lo) ||
-          (hi != nullptr && node.boundaries[i] >= *hi)) {
-        return Status::Corruption("boundary outside ancestor slab");
-      }
-      const BoundaryStructs& bs = node.per_boundary[i];
-      if (bs.c) SEGDB_RETURN_IF_ERROR(bs.c->CheckInvariants());
-      if (bs.l) SEGDB_RETURN_IF_ERROR(bs.l->CheckInvariants());
-      if (bs.r) SEGDB_RETURN_IF_ERROR(bs.r->CheckInvariants());
-    }
-    if (node.g) SEGDB_RETURN_IF_ERROR(node.g->CheckInvariants());
-    {
-      std::unordered_set<uint64_t> seen;
-      // Re-derive every stored segment's routing and confirm it sits in
-      // exactly the collections InsertAtNode would choose.
-      uint32_t first, last;
-      for (size_t i = 0; i < node.per_boundary.size(); ++i) {
-        const BoundaryStructs& bs = node.per_boundary[i];
-        if (bs.c) {
-          std::vector<pst::PointRecord> points;
-          SEGDB_RETURN_IF_ERROR(bs.c->CollectAll(&points));
-          for (const auto& p : points) {
-            if (p.x > p.y) {
-              return Status::Corruption("C_i interval with lo > hi");
-            }
-          }
-          count += bs.c->size();
-        }
-        if (bs.l) {
-          std::vector<Segment> tmp;
-          SEGDB_RETURN_IF_ERROR(bs.l->CollectAll(&tmp));
-          for (const Segment& s : tmp) {
-            if (!TouchedRange(node.boundaries, s, &first, &last) ||
-                first != i || s.x1 >= node.boundaries[i]) {
-              return Status::Corruption(
-                  "L_i member whose first crossed boundary is not s_i");
-            }
-            if ((lo != nullptr && s.x1 <= *lo) ||
-                (hi != nullptr && s.x2 >= *hi)) {
-              return Status::Corruption("L_i member escapes the ancestor slab");
-            }
-            seen.insert(s.id);
-          }
-        }
-        if (bs.r) {
-          std::vector<Segment> tmp;
-          SEGDB_RETURN_IF_ERROR(bs.r->CollectAll(&tmp));
-          for (const Segment& s : tmp) {
-            if (!TouchedRange(node.boundaries, s, &first, &last) ||
-                last != i || s.x2 <= node.boundaries[i]) {
-              return Status::Corruption(
-                  "R_i member whose last crossed boundary is not s_i");
-            }
-            if ((lo != nullptr && s.x1 <= *lo) ||
-                (hi != nullptr && s.x2 >= *hi)) {
-              return Status::Corruption("R_i member escapes the ancestor slab");
-            }
-            seen.insert(s.id);
-          }
-        }
-      }
-      if (node.g) {
-        std::vector<Segment> tmp;
-        SEGDB_RETURN_IF_ERROR(node.g->CollectAll(&tmp));
-        for (const Segment& s : tmp) {
-          if (!TouchedRange(node.boundaries, s, &first, &last) ||
-              last <= first) {
-            return Status::Corruption(
-                "G member crossing fewer than two boundaries");
-          }
-          seen.insert(s.id);
-        }
-      }
-      count += seen.size();
-    }
-    for (size_t k = 0; k < node.children.size(); ++k) {
-      if (node.children[k] < 0) continue;
-      const int64_t* clo = k == 0 ? lo : &node.boundaries[k - 1];
-      const int64_t* chi =
-          k == node.boundaries.size() ? hi : &node.boundaries[k];
-      uint64_t sub = 0;
-      SEGDB_RETURN_IF_ERROR(CheckSubtree(node.children[k], clo, chi, &sub));
-      count += sub;
-    }
-  }
-  if (count != node.subtree_size) {
-    return Status::Corruption("subtree_size bookkeeping mismatch");
-  }
-  *total = count;
-  return Status::OK();
-}
-
-Status TwoLevelIntervalIndex::CheckInvariants() const {
-  if (root_ < 0) {
-    return size_ == 0 ? Status::OK() : Status::Corruption("size_ mismatch");
-  }
-  uint64_t total = 0;
-  SEGDB_RETURN_IF_ERROR(CheckSubtree(root_, nullptr, nullptr, &total));
-  if (total != size_) return Status::Corruption("size_ mismatch");
   return Status::OK();
 }
 

@@ -7,14 +7,12 @@
 // it falls into the child of the slab that strictly contains it. Leaves
 // hold <= B segments in raw pages.
 //
-// Per internal node (Section 4.2), segments are organized as:
-//   C_i  — segments lying ON boundary s_i: a PointPst over their y-extents.
-//   L_i  — segments whose *first* crossed boundary is s_i with a
-//          non-degenerate left part (x1 < s_i): a left-extending LinePst
-//          based at s_i (the paper's short left fragments, stored uncut).
-//   R_i  — symmetric: last crossed boundary s_i, x2 > s_i.
-//   G    — long parts (segments crossing >= 2 boundaries): the multislab
-//          segment tree with fractional cascading (Section 4.3).
+// Per internal node (Section 4.2), segments are organized as C_i (on
+// boundary s_i), L_i / R_i (the paper's short left / right fragments,
+// stored uncut) and G (long parts, in the multislab segment tree with
+// fractional cascading, Section 4.3). This is the first-level shell of
+// core/two_level_index.h at b = B/4 boundaries, which defines the four
+// structures; Solution A is its one-boundary configuration.
 //
 // A query x = x0 walks the root-to-leaf path. In a node, if x0 hits
 // boundary s_i the query searches C_i, L_i, R_i and G and stops (segments
@@ -32,16 +30,11 @@
 #define SEGDB_CORE_TWO_LEVEL_INTERVAL_INDEX_H_
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "core/segment_index.h"
+#include "core/two_level_index.h"
 #include "io/buffer_pool.h"
-#include "pst/line_pst.h"
-#include "pst/point_pst.h"
-#include "segtree/multislab_segment_tree.h"
 #include "util/status.h"
 
 namespace segdb::core {
@@ -55,92 +48,16 @@ struct TwoLevelIntervalOptions {
   uint32_t leaf_capacity = 0;
   // Use fractional cascading in G (Section 4.3). Off reproduces Lemma 4.
   bool fractional_cascading = true;
-  // G bridge density (paper's d).
-  uint32_t bridge_d = 2;
-  // Partial-rebuild trigger for first-level children.
-  double rebuild_factor = 2.0;
 };
 
-class TwoLevelIntervalIndex final : public SegmentIndex {
+class TwoLevelIntervalIndex final : public TwoLevelIndex {
  public:
   TwoLevelIntervalIndex(io::BufferPool* pool,
                         TwoLevelIntervalOptions options = {});
-  ~TwoLevelIntervalIndex() override;
 
-  TwoLevelIntervalIndex(const TwoLevelIntervalIndex&) = delete;
-  TwoLevelIntervalIndex& operator=(const TwoLevelIntervalIndex&) = delete;
-
-  Status BulkLoad(std::span<const geom::Segment> segments) override;
-  Status Insert(const geom::Segment& segment) override;
-  Status Erase(const geom::Segment& segment) override;
   Status Query(const VerticalSegmentQuery& query,
                std::vector<geom::Segment>* out) const override;
-  uint64_t size() const override { return size_; }
-  uint64_t page_count() const override;
   std::string name() const override { return "two-level-interval"; }
-
-  uint32_t fanout() const { return fanout_; }
-  uint32_t height() const;
-  // Structural self-check (tests): fan-out b = B/4 slab coverage, the
-  // C_i/L_i/R_i/G routing partition per node, size bookkeeping, and every
-  // second-level structure's own invariants.
-  Status CheckInvariants() const override;
-
- private:
-  struct BoundaryStructs {
-    std::unique_ptr<pst::PointPst> c;
-    std::unique_ptr<pst::LinePst> l;
-    std::unique_ptr<pst::LinePst> r;
-  };
-
-  struct Node {
-    bool is_leaf = false;
-    std::vector<int64_t> boundaries;        // internal nodes
-    std::vector<BoundaryStructs> per_boundary;
-    std::unique_ptr<segtree::MultislabSegmentTree> g;
-    std::vector<int32_t> children;          // children[k] = slab k, -1 none
-    uint64_t subtree_size = 0;
-    // Inserts absorbed since this subtree was last (re)built: a rebuild
-    // is allowed only after enough inserts to pay for it, which keeps
-    // partial rebuilding amortized even when re-quantiled boundaries
-    // cannot improve balance (duplicate-heavy x distributions).
-    uint64_t inserts_since_rebuild = 0;
-    io::PageId meta_page = io::kInvalidPageId;
-    std::vector<io::PageId> leaf_pages;
-    std::vector<geom::Segment> leaf_segments;
-  };
-
-  uint32_t LeafCapacity() const;
-  pst::LinePstOptions PstOptions() const;
-
-  // First (lowest-index) and last boundary of `node` touched by s;
-  // returns false when s crosses none.
-  static bool TouchedRange(const std::vector<int64_t>& boundaries,
-                           const geom::Segment& s, uint32_t* first,
-                           uint32_t* last);
-
-  // Takes a node slot from the free list (or grows the arena).
-  int32_t AllocNode();
-  // Builds a subtree for `segments`. Fault-atomic: on failure every page
-  // and arena slot the partial build claimed is released before the error
-  // returns, so a failed build is a no-op on the index.
-  Result<int32_t> BuildSubtree(std::vector<geom::Segment> segments);
-  Status BuildSubtreeAt(int32_t idx, std::vector<geom::Segment> segments);
-  Status FreeSubtree(int32_t idx);
-  Status CollectSubtree(int32_t idx, std::vector<geom::Segment>* out) const;
-  Status WriteLeafPages(Node* node);
-  Status InsertAtNode(int32_t idx, const geom::Segment& s);
-  Status CheckSubtree(int32_t idx, const int64_t* lo, const int64_t* hi,
-                      uint64_t* total) const;
-  uint32_t SubtreeHeight(int32_t idx) const;
-
-  io::BufferPool* pool_;
-  TwoLevelIntervalOptions options_;
-  uint32_t fanout_ = 0;
-  std::vector<Node> nodes_;
-  std::vector<int32_t> free_nodes_;
-  int32_t root_ = -1;
-  uint64_t size_ = 0;
 };
 
 }  // namespace segdb::core

@@ -1,6 +1,5 @@
 #include "core/validate.h"
 
-#include <cstdlib>
 #include <string>
 #include <unordered_set>
 
@@ -8,20 +7,34 @@
 
 namespace segdb::core {
 
+namespace {
+
+// A range comparison, not std::abs: |INT64_MIN| is not representable.
+bool InDomain(int64_t v) {
+  return v >= -geom::kMaxCoord && v <= geom::kMaxCoord;
+}
+
+}  // namespace
+
+Status ValidateSegment(const geom::Segment& s) {
+  if (s.x1 > s.x2 || (s.x1 == s.x2 && s.y1 > s.y2)) {
+    return Status::InvalidArgument("segment " + std::to_string(s.id) +
+                                   " is not in canonical form (use "
+                                   "Segment::Make)");
+  }
+  if (!InDomain(s.x1) || !InDomain(s.y1) || !InDomain(s.x2) ||
+      !InDomain(s.y2)) {
+    return Status::InvalidArgument("segment " + std::to_string(s.id) +
+                                   " exceeds the coordinate bound");
+  }
+  return Status::OK();
+}
+
 Status ValidateForIndexing(std::span<const geom::Segment> segments) {
   std::unordered_set<uint64_t> ids;
   ids.reserve(segments.size());
   for (const geom::Segment& s : segments) {
-    if (s.x1 > s.x2 || (s.x1 == s.x2 && s.y1 > s.y2)) {
-      return Status::InvalidArgument("segment " + std::to_string(s.id) +
-                                     " is not in canonical form (use "
-                                     "Segment::Make)");
-    }
-    if (std::abs(s.x1) > geom::kMaxCoord || std::abs(s.x2) > geom::kMaxCoord ||
-        std::abs(s.y1) > geom::kMaxCoord || std::abs(s.y2) > geom::kMaxCoord) {
-      return Status::InvalidArgument("segment " + std::to_string(s.id) +
-                                     " exceeds the coordinate bound");
-    }
+    SEGDB_RETURN_IF_ERROR(ValidateSegment(s));
     if (!ids.insert(s.id).second) {
       return Status::InvalidArgument("duplicate segment id " +
                                      std::to_string(s.id));

@@ -1,10 +1,13 @@
 // Pre-indexing validation: everything a segment set must satisfy before
 // being handed to a SegmentIndex, checked in O(n log n):
-//   * canonical form and coordinate bounds (geom::kMaxCoord),
+//   * canonical form and coordinate bounds (geom::kMaxCoord), per segment
+//     (ValidateSegment),
 //   * unique ids,
 //   * the NCT invariant (no proper crossings), via the plane sweep.
-// Index BulkLoad/Insert do not re-validate (the checks cost more than the
-// build); call this at ingestion boundaries, as the examples do.
+// The two-level indexes (Solutions A and B) run ValidateSegment on every
+// segment they are given. They do not check ids or the NCT invariant (the
+// sweep costs more than the build), so call ValidateForIndexing at
+// ingestion boundaries, as the examples do.
 #ifndef SEGDB_CORE_VALIDATE_H_
 #define SEGDB_CORE_VALIDATE_H_
 
@@ -14,6 +17,10 @@
 #include "util/status.h"
 
 namespace segdb::core {
+
+// InvalidArgument unless s is in canonical form (Segment::Make's endpoint
+// order) and every coordinate lies in [-kMaxCoord, kMaxCoord].
+Status ValidateSegment(const geom::Segment& s);
 
 Status ValidateForIndexing(std::span<const geom::Segment> segments);
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -134,6 +136,48 @@ TEST_P(CoreIndexTest, RejectsInvertedRange) {
   auto index = MakeIndex();
   std::vector<Segment> out;
   EXPECT_FALSE(index->Query(VerticalSegmentQuery{0, 5, -5}, &out).ok());
+}
+
+TEST_P(CoreIndexTest, RejectsMalformedSegmentsUnchanged) {
+  // Non-canonical segments and coordinates outside +/-kMaxCoord, each
+  // through BulkLoad and through Insert: InvalidArgument, the index as it
+  // was, and a valid insert still lands afterwards.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<Segment> bad = {
+      Segment{10, 0, 0, 0, 100},                            // x1 > x2
+      Segment{5, 9, 5, 1, 101},                             // y1 > y2
+      Segment::Make({0, 0}, {int64_t{1} << 40, 0}, 102),    // past the codec
+      Segment::Make({-(int64_t{1} << 31), 0}, {0, 0}, 103),
+      Segment::Make({0, 0}, {10, geom::kMaxCoord + 1}, 104),
+      Segment::Make({kMin, 0}, {0, 0}, 105),
+      Segment::Make({0, 0}, {kMax, 0}, 106),
+      Segment::Make({0, kMin}, {10, 0}, 107),
+  };
+  const std::vector<Segment> good = {
+      Segment::Make({0, 0}, {100, 0}, 1),
+      Segment::Make({50, 10}, {50, 30}, 2),
+      Segment::Make({20, -50}, {80, -20}, 3),
+  };
+  for (const Segment& s : bad) {
+    for (const bool bulk : {true, false}) {
+      auto index = MakeIndex();
+      ASSERT_TRUE(index->BulkLoad(good).ok());
+      const uint64_t pages = index->page_count();
+      std::vector<Segment> with_bad = good;
+      with_bad.push_back(s);
+      const Status st = bulk ? index->BulkLoad(with_bad) : index->Insert(s);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << "id " << s.id << (bulk ? " via BulkLoad" : " via Insert");
+      EXPECT_EQ(index->size(), good.size());
+      EXPECT_EQ(index->page_count(), pages);
+      EXPECT_TRUE(CheckIndexInvariants(index.get()).ok());
+      ASSERT_TRUE(index->Insert(Segment::Make({0, 40}, {50, 60}, 4)).ok());
+      std::vector<Segment> out;
+      ASSERT_TRUE(index->Query(VerticalSegmentQuery::Line(50), &out).ok());
+      EXPECT_EQ(Ids(out), (std::vector<uint64_t>{1, 2, 3, 4}));
+    }
+  }
 }
 
 TEST_P(CoreIndexTest, SingleSegment) {

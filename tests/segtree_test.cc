@@ -55,8 +55,11 @@ std::vector<Segment> FilterLong(const std::vector<Segment>& segs,
   return out;
 }
 
+// gtest prints a parameter without operator<< as its raw bytes, and that
+// text is part of the test's listed name. A full word for the flag leaves
+// the struct with no padding, so the name never carries uninitialised bytes.
 struct GConfig {
-  bool cascading;
+  uint32_t cascading;  // 0 or 1
   uint32_t bridge_d;
   uint32_t page_size;
 };
@@ -67,7 +70,7 @@ class SegtreeTest : public ::testing::TestWithParam<GConfig> {
 
   MultislabOptions Opts() const {
     MultislabOptions o;
-    o.fractional_cascading = GetParam().cascading;
+    o.fractional_cascading = GetParam().cascading != 0;
     o.bridge_d = GetParam().bridge_d;
     return o;
   }
@@ -276,11 +279,11 @@ TEST_P(SegtreeTest, ClearReleasesPages) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, SegtreeTest,
-    ::testing::Values(GConfig{false, 2, 1024}, GConfig{true, 2, 1024},
-                      GConfig{true, 4, 1024}, GConfig{true, 2, 4096},
-                      GConfig{false, 2, 4096}),
+    ::testing::Values(GConfig{0, 2, 1024}, GConfig{1, 2, 1024},
+                      GConfig{1, 4, 1024}, GConfig{1, 2, 4096},
+                      GConfig{0, 2, 4096}),
     [](const auto& info) {
-      return std::string(info.param.cascading ? "casc" : "plain") + "_d" +
+      return std::string(info.param.cascading != 0 ? "casc" : "plain") + "_d" +
              std::to_string(info.param.bridge_d) + "_page" +
              std::to_string(info.param.page_size);
     });

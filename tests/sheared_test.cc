@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -122,6 +124,21 @@ TEST(ShearedBoundsTest, RejectsOversizedInput) {
   const int64_t big = geom::kMaxCoord / 4;
   EXPECT_FALSE(
       index.Insert(Segment::Make({big, big}, {big + 10, big}, 1)).ok());
+}
+
+TEST(ShearedBoundsTest, RejectsInt64Extremes) {
+  // Range comparisons against the budget: no abs of INT64_MIN.
+  ShearedIndex index(std::make_unique<baseline::OracleIndex>(), 2, -3);
+  for (int64_t v : {std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(index.Insert(Segment::Make({v, 0}, {0, 0}, 1)).code(),
+              StatusCode::kInvalidArgument)
+        << v;
+    EXPECT_EQ(index.Insert(Segment::Make({0, 0}, {1, v}, 2)).code(),
+              StatusCode::kInvalidArgument)
+        << v;
+  }
+  EXPECT_EQ(index.size(), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/validate.h"
@@ -94,6 +96,21 @@ TEST(ValidateTest, AcceptsCoordinatesExactlyAtBound) {
   std::vector<Segment> past = {
       Segment::Make({0, -(geom::kMaxCoord + 1)}, {0, 0}, 3)};
   EXPECT_FALSE(ValidateForIndexing(past).ok());
+}
+
+TEST(ValidateTest, RejectsInt64Extremes) {
+  // The bound is a range comparison: |INT64_MIN| is not representable, so
+  // an abs-based check is undefined behaviour there.
+  for (int64_t v : {std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    const std::vector<Segment> on_x = {Segment::Make({v, 0}, {0, 0}, 1)};
+    EXPECT_EQ(ValidateForIndexing(on_x).code(), StatusCode::kInvalidArgument)
+        << v;
+    EXPECT_EQ(ValidateSegment(Segment::Make({0, v}, {1, 0}, 2)).code(),
+              StatusCode::kInvalidArgument)
+        << v;
+  }
+  EXPECT_TRUE(ValidateSegment(Segment::Make({0, 0}, {1, 1}, 3)).ok());
 }
 
 TEST(ValidateTest, AcceptsZeroLengthSegments) {

@@ -228,6 +228,21 @@ class _Deriver:
         return terms, witness
 
 
+def derived_costs(facts: annotations.Facts) -> dict[str, frozenset]:
+    """Class::Name -> derived term set for every annotated function under
+    src/: the set run() checks each annotation against."""
+    deriver = _Deriver(facts)
+    costs = {}
+    for rel, ff in facts.files.items():
+        if ff.ast is None or not rel.startswith("src/"):
+            continue
+        for fn in ff.ast.functions:
+            if annotation_of(fn, ff) is not None:
+                terms, _ = deriver.derive_with_witness(rel, fn)
+                costs[annotations.func_qual(fn)] = frozenset(terms)
+    return costs
+
+
 def _subsumed(term: str, ann_terms) -> bool:
     return bool(_LEQ[term] & ann_terms)
 

@@ -16,8 +16,9 @@ import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+import segdb_lint  # noqa: E402
 from segdb_sema import analyze_text, run  # noqa: E402
-from segdb_sema import cppast, model  # noqa: E402
+from segdb_sema import annotations, cppast, iocost, model  # noqa: E402
 from segdb_sema.lexer import lex  # noqa: E402
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -708,6 +709,26 @@ class RealTreeTest(unittest.TestCase):
     def test_repository_is_clean(self):
         findings = run(REPO_ROOT, frontend="pycpp")
         self.assertEqual([str(f) for f in findings], [])
+
+    def test_theorem_queries_derive_their_classes(self):
+        # The SEGDB_IO_BOUND checks are only as strong as the derivation:
+        # a call the checker cannot resolve contributes nothing, so a
+        # refactor could leave both annotations passing while checking
+        # nothing. Pin the derived sets themselves: Theorem 1 for
+        # Solution A, Theorem 2 (G's sqrt included) for Solution B.
+        facts = annotations.Facts()
+        for rel in segdb_lint.collect_files(REPO_ROOT):
+            if not rel.startswith("src/") or not rel.endswith((".h", ".cc")):
+                continue
+            with open(os.path.join(REPO_ROOT, rel), encoding="utf-8") as f:
+                text = f.read()
+            annotations.harvest_file(
+                facts, rel, text, segdb_lint.strip_comments_and_strings(text))
+        costs = iocost.derived_costs(facts)
+        self.assertEqual(costs.get("TwoLevelBinaryIndex::Query"),
+                         frozenset({"log", "t/B"}))
+        self.assertEqual(costs.get("TwoLevelIntervalIndex::Query"),
+                         frozenset({"log", "sqrt", "t/B"}))
 
     def test_registry_knows_pool_signatures(self):
         reg = model.Registry()
