@@ -1,12 +1,16 @@
 // CPU microbenchmarks (google-benchmark): exact predicates, page
-// serialization, index build throughput and in-memory query latency.
+// serialization, buffer-pool hits and misses at 1 and 4 threads, index
+// build throughput and in-memory query latency.
 // These complement the I/O-count experiments (E1-E11): the paper's model
 // charges only block transfers, but a practical release should also show
 // the constant factors are sane.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "geom/sweep.h"
 #include "io/buffer_pool.h"
 #include "io/disk_manager.h"
+#include "io/file_disk_manager.h"
 #include "itree/interval_set.h"
 #include "util/random.h"
 #include "workload/generators.h"
@@ -396,6 +401,85 @@ void BM_DecodeKernelRegion(benchmark::State& state) {
   state.SetLabel(label);
 }
 BENCHMARK(BM_DecodeKernelRegion)->Arg(0)->Arg(1);
+
+// Buffer-pool layer: one Fetch and Release per iteration, over uniformly
+// random pages, each thread with its own sequence. Real time, so the
+// items/s at 4 threads against 1 shows how the pool scales with clients.
+std::vector<io::PageId> FillPool(io::BufferPool* pool, size_t pages) {
+  std::vector<io::PageId> ids;
+  for (size_t i = 0; i < pages; ++i) {
+    auto ref = pool->NewPage();
+    if (!ref.ok()) return {};
+    ids.push_back(ref.value().page_id());
+  }
+  if (!pool->FlushAll().ok()) return {};
+  return ids;
+}
+
+void FetchLoop(benchmark::State& state, io::BufferPool* pool,
+               const std::vector<io::PageId>& ids) {
+  if (ids.empty()) {
+    state.SkipWithError("pool fixture failed");
+    return;
+  }
+  Rng rng(100 + state.thread_index());
+  for (auto _ : state) {
+    auto ref = pool->Fetch(ids[rng.Uniform(ids.size())]);
+    if (!ref.ok()) {
+      state.SkipWithError("fetch failed");
+      break;
+    }
+    benchmark::DoNotOptimize(ref.value().page().data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+// Every page resident (1,024 pages in 2,048 frames, 16 shards): the hit
+// path alone — shard lock, page-table probe, pin and unpin.
+void BM_PoolFetchHit(benchmark::State& state) {
+  struct Fixture {
+    io::SimDiskManager disk{4096};
+    io::BufferPool pool{&disk, 2048, io::BufferPoolOptions{}};
+    std::vector<io::PageId> ids = FillPool(&pool, 1024);
+  };
+  static Fixture fixture;
+  FetchLoop(state, &fixture.pool, fixture.ids);
+}
+BENCHMARK(BM_PoolFetchHit)->Threads(1)->Threads(4)->UseRealTime();
+
+// 10,240 pages of a page-cache file behind a pool a tenth that size
+// (1,024 frames, 16 shards of 64, cold_b's shape): nearly every fetch
+// evicts a CLOCK victim and reads the device.
+void BM_PoolFetchMiss(benchmark::State& state) {
+  struct Fixture {
+    Fixture() {
+      const char* tmp = std::getenv("TMPDIR");
+      path = std::string(tmp != nullptr ? tmp : "/tmp") +
+             "/segdb_bench_micro_pool.segdb";
+      std::remove(path.c_str());
+      io::FileDiskManagerOptions options;
+      options.direct = io::FileDiskManagerOptions::Direct::kOff;
+      auto opened = io::FileDiskManager::Open(path, options);
+      if (!opened.ok()) return;
+      disk = std::move(opened.value());
+      pool = std::make_unique<io::BufferPool>(disk.get(), 1024,
+                                              io::BufferPoolOptions{});
+      ids = FillPool(pool.get(), 10240);
+    }
+    ~Fixture() {
+      pool.reset();
+      disk.reset();
+      std::remove(path.c_str());
+    }
+    std::string path;
+    std::unique_ptr<io::FileDiskManager> disk;
+    std::unique_ptr<io::BufferPool> pool;
+    std::vector<io::PageId> ids;
+  };
+  static Fixture fixture;
+  FetchLoop(state, fixture.pool.get(), fixture.ids);
+}
+BENCHMARK(BM_PoolFetchMiss)->Threads(1)->Threads(4)->UseRealTime();
 
 }  // namespace
 }  // namespace segdb

@@ -11,12 +11,11 @@ namespace segdb::io {
 
 namespace {
 
-// Sharding only engages for pools large enough that per-shard LRU is
-// indistinguishable from global LRU in practice; every pool smaller than
-// kMinFramesPerShard keeps one shard and therefore the exact
-// pre-concurrency behaviour (the LRU-model test depends on that).
+// One shard per 64 frames, at most 16: a 1,024-frame pool gets 16 shards,
+// and every pool under 128 frames keeps one. A query's cold misses fit in
+// one shard's frames, so cold-cache counts do not depend on the split.
 constexpr size_t kMaxShards = 16;
-constexpr size_t kMinFramesPerShard = 1024;
+constexpr size_t kMinFramesPerShard = 64;
 
 size_t PickShardCount(size_t frame_count) {
   const size_t by_size = frame_count / kMinFramesPerShard;
@@ -86,9 +85,12 @@ BufferPool::BufferPool(DiskManager* disk, size_t frame_count,
   const size_t extra = frame_count % shards_.size();
   size_t next = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
     const size_t take = per + (s < extra ? 1 : 0);
-    shards_[s].frames.reserve(take);
-    for (size_t i = 0; i < take; ++i) shards_[s].frames.push_back(next++);
+    shard.frames.reserve(take);
+    for (size_t i = 0; i < take; ++i) shard.frames.push_back(next++);
+    util::MutexLock lock(&shard.mu);
+    ResetFrames(shard);
   }
   SEGDB_DCHECK(next == frame_count);
   if (options.compressed_tier_bytes > 0) {
@@ -99,34 +101,76 @@ BufferPool::BufferPool(DiskManager* disk, size_t frame_count,
 
 void BufferPool::Unpin(size_t frame) {
   Frame& f = frames_[frame];
-  // Tick first: after the release-decrement the frame may be evicted and
-  // reused, and this pin must not touch it again.
-  f.lru_tick.store(NextTick(), std::memory_order_relaxed);
+  // Reference first: after the release-decrement the frame may be evicted
+  // and reused, and this pin must not touch it again.
+  f.referenced.store(true, std::memory_order_relaxed);
   const int prev = f.pin_count.fetch_sub(1, std::memory_order_release);
   SEGDB_DCHECK(prev > 0);
 }
 
-Result<size_t> BufferPool::GrabFrame(Shard& shard) {
-  size_t victim = frames_.size();
-  uint64_t best_tick = ~0ULL;
+void BufferPool::Claim(Frame& f, PageId id) {
+  f.id = id;
+  f.pin_count.store(1, std::memory_order_relaxed);
+  f.dirty.store(false, std::memory_order_relaxed);
+  f.referenced.store(false, std::memory_order_relaxed);
+  f.prefetched = false;
+  f.staging = true;
+}
+
+bool BufferPool::Claimed(const Shard& shard, PageId id) const {
   for (size_t idx : shard.frames) {
+    const Frame& f = frames_[idx];
+    if (f.staging && f.id == id) return true;
+  }
+  return false;
+}
+
+void BufferPool::FreeFrame(Shard& shard, size_t frame) {
+  Frame& f = frames_[frame];
+  f.id = kInvalidPageId;
+  f.pin_count.store(0, std::memory_order_relaxed);
+  f.dirty.store(false, std::memory_order_relaxed);
+  f.prefetched = false;
+  f.staging = false;
+  shard.free_frames.push_back(frame);
+}
+
+void BufferPool::ResetFrames(Shard& shard) {
+  shard.free_frames.assign(shard.frames.rbegin(), shard.frames.rend());
+  shard.hand = 0;
+}
+
+Result<size_t> BufferPool::GrabFrame(Shard& shard) {
+  if (!shard.free_frames.empty()) {
+    const size_t idx = shard.free_frames.back();
+    shard.free_frames.pop_back();
+    return idx;
+  }
+  // CLOCK sweep from the hand: an unpinned frame with its reference bit set
+  // gets a second chance (the bit is cleared), the first one without is the
+  // victim. Pins only grow under this shard's mutex, which we hold, so a
+  // frame seen unpinned on the first turn is still unpinned — and
+  // unreferenced — on the second: two turns find a victim unless every
+  // frame was pinned (or claimed) when the hand passed it.
+  const size_t n = shard.frames.size();
+  size_t victim = frames_.size();
+  for (size_t step = 0; step < 2 * n; ++step) {
+    const size_t idx = shard.frames[shard.hand];
+    shard.hand = shard.hand + 1 == n ? 0 : shard.hand + 1;
     Frame& f = frames_[idx];
-    if (f.id == kInvalidPageId) return idx;  // free frame
     // Acquire pairs with the release-decrement in Unpin: a frame seen
-    // unpinned here is fully released, including its page bytes and dirty
-    // bit. Pins only grow under this shard's mutex, which we hold.
-    if (f.pin_count.load(std::memory_order_acquire) == 0) {
-      const uint64_t tick = f.lru_tick.load(std::memory_order_relaxed);
-      if (tick < best_tick) {
-        best_tick = tick;
-        victim = idx;
-      }
-    }
+    // unpinned here is fully released, including its page bytes, dirty
+    // bit and reference bit.
+    if (f.pin_count.load(std::memory_order_acquire) != 0) continue;
+    if (f.referenced.exchange(false, std::memory_order_relaxed)) continue;
+    victim = idx;
+    break;
   }
   if (victim == frames_.size()) {
     return Status::ResourceExhausted("buffer pool: all frames pinned");
   }
   Frame& f = frames_[victim];
+  SEGDB_DCHECK(f.id != kInvalidPageId && !f.staging);
   if (f.dirty.load(std::memory_order_relaxed)) {
     if (sink_ != nullptr) {
       // NO-STEAL: an uncommitted dirty page never reaches the device. The
@@ -196,87 +240,94 @@ void BufferPool::DropCompressed(Shard& shard, PageId id) {
 
 Result<PageRef> BufferPool::Fetch(PageId id) {
   Shard& shard = ShardFor(id);
-  util::MutexLock lock(&shard.mu);
-  ++shard.stats.fetches;
-  // Single probe on the hit path: try_emplace either finds the resident
-  // frame or leaves a placeholder we fill (or erase) below.
-  auto [it, inserted] = shard.page_table.try_emplace(id, 0);
-  if (!inserted) {
-    Frame& f = frames_[it->second];
-    if (f.prefetched) {
-      // First demand fetch of a staged page: charge the miss the paper's
-      // model counts for this page, without a second physical read.
-      f.prefetched = false;
-      ++shard.stats.misses;
-    } else {
-      ++shard.stats.hits;
+  size_t claimed;
+  {
+    util::MutexLock lock(&shard.mu);
+    ++shard.stats.fetches;
+    auto it = shard.page_table.find(id);
+    if (it != shard.page_table.end()) {
+      Frame& f = frames_[it->second];
+      if (f.prefetched) {
+        // First demand fetch of a staged page: charge the miss the paper's
+        // model counts for this page, without a second physical read.
+        f.prefetched = false;
+        ++shard.stats.misses;
+      } else {
+        ++shard.stats.hits;
+      }
+      Pin(f);
+      return PageRef(this, it->second, id);
     }
-    f.pin_count.fetch_add(1, std::memory_order_relaxed);
-    f.lru_tick.store(NextTick(), std::memory_order_relaxed);
-    return PageRef(this, it->second, id);
-  }
-  // Compressed-tier probe before the miss is charged: a promotion
-  // decompresses RAM-resident bytes instead of reading the device, so it is
-  // its own stats bucket, not a miss. The entry is moved out and erased
-  // BEFORE GrabFrame — the grab may stash its victim into this same map,
-  // and dropping our entry early is harmless because tier bytes are always
-  // a copy of disk (a failed grab just means the next fetch reads disk).
-  auto ct = shard.ctier.find(id);
-  if (ct != shard.ctier.end()) {
-    ++shard.stats.compressed_hits;
-    const std::vector<uint8_t> bytes = std::move(ct->second);
-    shard.ctier_bytes -= bytes.size();
-    shard.ctier.erase(ct);
+    // Compressed-tier probe before the miss is charged: a promotion
+    // decompresses RAM-resident bytes instead of reading the device, so it
+    // is its own stats bucket, not a miss. The entry is moved out and
+    // erased BEFORE GrabFrame — the grab may stash its victim into this
+    // same map, and dropping our entry early is harmless because tier bytes
+    // are always a copy of disk (a failed grab just means the next fetch
+    // reads disk).
+    auto ct = shard.ctier.find(id);
+    if (ct != shard.ctier.end()) {
+      ++shard.stats.compressed_hits;
+      const std::vector<uint8_t> bytes = std::move(ct->second);
+      shard.ctier_bytes -= bytes.size();
+      shard.ctier.erase(ct);
+      Result<size_t> frame = GrabFrame(shard);
+      if (!frame.ok()) return frame.status();
+      Frame& f = frames_[frame.value()];
+      DecompressPage(bytes, f.page.data(), page_size_);
+      f.id = id;
+      Pin(f);
+      shard.page_table.emplace(id, frame.value());
+      return PageRef(this, frame.value(), id);
+    }
+    ++shard.stats.misses;
     Result<size_t> frame = GrabFrame(shard);
-    if (!frame.ok()) {
-      shard.page_table.erase(it);
-      return frame.status();
+    if (!frame.ok()) return frame.status();
+    claimed = frame.value();
+    Frame& f = frames_[claimed];
+    if (sink_ != nullptr && sink_->TakeSpilled(id, &f.page)) {
+      // A spilled dirty page rejoins the pool. The miss above stays charged
+      // — without the sink these bytes would have been written back on
+      // eviction and demand-read here, so cold I/O counts are
+      // sink-invariant. The frame is dirty: the device copy is stale until
+      // commit writeback.
+      f.id = id;
+      f.dirty.store(true, std::memory_order_relaxed);
+      Pin(f);
+      shard.page_table.emplace(id, claimed);
+      return PageRef(this, claimed, id);
     }
-    Frame& f = frames_[frame.value()];
-    DecompressPage(bytes, f.page.data(), page_size_);
-    f.id = id;
-    f.pin_count.store(1, std::memory_order_relaxed);
-    f.dirty.store(false, std::memory_order_relaxed);
-    f.prefetched = false;
-    f.lru_tick.store(NextTick(), std::memory_order_relaxed);
-    it->second = frame.value();
-    return PageRef(this, frame.value(), id);
+    Claim(f, id);
   }
-  ++shard.stats.misses;
-  Result<size_t> frame = GrabFrame(shard);
-  if (!frame.ok()) {
-    shard.page_table.erase(it);
-    return frame.status();
-  }
-  Frame& f = frames_[frame.value()];
-  if (sink_ != nullptr && sink_->TakeSpilled(id, &f.page)) {
-    // A spilled dirty page rejoins the pool. The miss above stays charged —
-    // without the sink these bytes would have been written back on eviction
-    // and demand-read here, so cold I/O counts are sink-invariant. The
-    // frame is dirty: the device copy is stale until commit writeback.
-    f.id = id;
-    f.pin_count.store(1, std::memory_order_relaxed);
-    f.dirty.store(true, std::memory_order_relaxed);
-    f.prefetched = false;
-    f.lru_tick.store(NextTick(), std::memory_order_relaxed);
-    it->second = frame.value();
-    return PageRef(this, frame.value(), id);
-  }
-  Status read = disk_->ReadPage(id, &f.page);
+  // Fill with no lock held. The claim's pin keeps the hand away, and the
+  // frame is in no page table, so no other thread reads or writes its bytes.
+  const Status read = disk_->ReadPage(id, &frames_[claimed].page);
+  util::MutexLock lock(&shard.mu);
   if (!read.ok()) {
-    // Failed demand read: drop the placeholder and leave the grabbed frame
-    // free (its id was never set), so a retry of the same Fetch starts
-    // from a clean slate. The miss stays counted — the device was asked.
-    shard.page_table.erase(it);
+    // Failed demand read: the claimed frame goes back to the free list with
+    // no page-table entry, so a retry of the same Fetch starts from a clean
+    // slate. The miss stays counted — the device was asked.
+    FreeFrame(shard, claimed);
     return read;
   }
-  f.id = id;
-  f.pin_count.store(1, std::memory_order_relaxed);
-  f.dirty.store(false, std::memory_order_relaxed);
-  f.prefetched = false;
-  f.lru_tick.store(NextTick(), std::memory_order_relaxed);
-  it->second = frame.value();
-  return PageRef(this, frame.value(), id);
+  auto [it, inserted] = shard.page_table.try_emplace(id, claimed);
+  if (!inserted) {
+    // Another thread installed the page while we read it: release the
+    // claim and pin its frame. Our read stays charged, as it was a device
+    // read; a staged frame's first-demand miss is the one we just charged.
+    FreeFrame(shard, claimed);
+    Frame& winner = frames_[it->second];
+    winner.prefetched = false;
+    Pin(winner);
+    return PageRef(this, it->second, id);
+  }
+  // A racing fetcher may have installed the page and then evicted it into
+  // the tier while we read; the frame copy wins, keeping the two disjoint.
+  DropCompressed(shard, id);
+  Frame& f = frames_[claimed];
+  f.staging = false;
+  f.referenced.store(true, std::memory_order_relaxed);
+  return PageRef(this, claimed, id);
 }
 
 Result<PageRef> BufferPool::NewPage() {
@@ -296,10 +347,8 @@ Result<PageRef> BufferPool::NewPage() {
   Frame& f = frames_[frame.value()];
   f.page.Zero();
   f.id = id.value();
-  f.pin_count.store(1, std::memory_order_relaxed);
   f.dirty.store(true, std::memory_order_relaxed);
-  f.prefetched = false;
-  f.lru_tick.store(NextTick(), std::memory_order_relaxed);
+  Pin(f);
   shard.page_table[id.value()] = frame.value();
   return PageRef(this, frame.value(), id.value());
 }
@@ -310,14 +359,12 @@ Status BufferPool::FreePage(PageId id) {
     util::MutexLock lock(&shard.mu);
     auto it = shard.page_table.find(id);
     if (it != shard.page_table.end()) {
-      Frame& f = frames_[it->second];
-      if (f.pin_count.load(std::memory_order_acquire) > 0) {
+      const size_t frame = it->second;
+      if (frames_[frame].pin_count.load(std::memory_order_acquire) > 0) {
         return Status::FailedPrecondition("FreePage: page is pinned");
       }
-      f.id = kInvalidPageId;
-      f.dirty.store(false, std::memory_order_relaxed);
-      f.prefetched = false;
       shard.page_table.erase(it);
+      FreeFrame(shard, frame);
     }
     // A freed page's id can be re-allocated by NewPage; a stale tier entry
     // would then resurrect the old bytes on the first eviction/fetch cycle.
@@ -341,16 +388,19 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   // lock. A claimed frame carries the page id and the stager's pin but no
   // page-table entry, so demand fetches neither see it nor evict it; the
   // `staging` flag tells the audit what state it is in.
-  struct Claim {
+  struct Staged {
     PageId id;
     size_t frame;
   };
-  std::vector<Claim> claims;
+  std::vector<Staged> claims;
   claims.reserve(ids.size());
   for (PageId id : ids) {
     if (id == kInvalidPageId) continue;
     Shard& shard = ShardFor(id);
     util::MutexLock lock(&shard.mu);
+    // Free frames only: read-ahead must never displace demand-resident
+    // pages, or it would perturb the measured hit/miss pattern.
+    if (shard.free_frames.empty()) continue;
     if (shard.page_table.find(id) != shard.page_table.end()) continue;
     // Tier-resident pages are already one decompression away from a frame;
     // staging them from disk would duplicate the bytes and break the
@@ -359,30 +409,13 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
     // Spilled pages must not be staged either: the device bytes are stale
     // (the fresh bytes live in the sink until commit-time writeback).
     if (sink_ != nullptr && sink_->Contains(id)) continue;
-    // Free frames only: read-ahead must never displace demand-resident
-    // pages, or it would perturb the measured hit/miss pattern. A frame
-    // claimed earlier in this batch has its id set, so it is not free and
-    // a duplicate id in `ids` claims nothing twice.
-    size_t free_frame = frames_.size();
-    bool already_claimed = false;
-    for (size_t idx : shard.frames) {
-      Frame& g = frames_[idx];
-      if (g.id == id && g.staging) {
-        already_claimed = true;
-        break;
-      }
-      if (free_frame == frames_.size() && g.id == kInvalidPageId) {
-        free_frame = idx;
-      }
-    }
-    if (already_claimed || free_frame == frames_.size()) continue;
-    Frame& f = frames_[free_frame];
-    f.id = id;
-    f.pin_count.store(1, std::memory_order_relaxed);
-    f.dirty.store(false, std::memory_order_relaxed);
-    f.prefetched = false;
-    f.staging = true;
-    claims.push_back(Claim{id, free_frame});
+    // A page already being filled — earlier in this batch, by another
+    // stager or by a demand miss — is not read twice.
+    if (Claimed(shard, id)) continue;
+    const size_t frame = shard.free_frames.back();
+    shard.free_frames.pop_back();
+    Claim(frames_[frame], id);
+    claims.push_back(Staged{id, frame});
   }
   if (claims.empty()) return;
 
@@ -393,7 +426,7 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   // Fetch, which keeps cold I/O counts bit-identical across backends.
   std::vector<PageFill> fills;
   fills.reserve(claims.size());
-  for (const Claim& c : claims) {
+  for (const Staged& c : claims) {
     fills.push_back(PageFill{c.id, &frames_[c.frame].page, Status::OK()});
   }
   disk_->PeekPagesBatch(fills);
@@ -403,23 +436,22 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   // unpinned, clean — so the stage is a no-op and the partial bytes are
   // unreachable; the fault-injection suite pins this down. A page that
   // became resident meanwhile (demand fetch raced the fill) also releases
-  // the claim: the table entry wins.
+  // the claim: the table entry wins. A staged page enters unreferenced, so
+  // the hand takes it first if no demand fetch comes for it.
   for (size_t i = 0; i < claims.size(); ++i) {
-    const Claim& c = claims[i];
+    const Staged& c = claims[i];
     Shard& shard = ShardFor(c.id);
     util::MutexLock lock(&shard.mu);
-    Frame& f = frames_[c.frame];
-    f.staging = false;
     if (!fills[i].status.ok() ||
-        shard.page_table.find(c.id) != shard.page_table.end()) {
-      f.id = kInvalidPageId;
-      f.pin_count.store(0, std::memory_order_relaxed);
+        !shard.page_table.try_emplace(c.id, c.frame).second) {
+      FreeFrame(shard, c.frame);
       continue;
     }
+    DropCompressed(shard, c.id);
+    Frame& f = frames_[c.frame];
+    f.staging = false;
     f.prefetched = true;
     f.pin_count.store(0, std::memory_order_relaxed);
-    f.lru_tick.store(NextTick(), std::memory_order_relaxed);
-    shard.page_table[c.id] = c.frame;
     ++shard.stats.prefetches;
   }
 }
@@ -453,10 +485,11 @@ Status BufferPool::EvictAll() {
         ++shard.stats.writebacks;
       }
       shard.page_table.erase(f.id);
-      f.id = kInvalidPageId;
-      f.dirty.store(false, std::memory_order_relaxed);
-      f.prefetched = false;
+      FreeFrame(shard, idx);
     }
+    // Every frame is free now: restore the fresh-pool order, so an emptied
+    // pool fills its frames exactly like a new one.
+    ResetFrames(shard);
     // A cold cache has no second tier either: dropping it here keeps the
     // EvictAll/ResetStats measurement protocol tier-invariant, so the
     // golden cold-miss counts hold with the tier on or off.
@@ -511,8 +544,8 @@ void BufferPool::ResetStats() {
 }
 
 Status BufferPool::CheckInvariants() const {
-  uint64_t tick_now = tick_.load(std::memory_order_relaxed);
   std::vector<bool> owned(frames_.size(), false);
+  std::vector<bool> listed(frames_.size(), false);
   size_t resident = 0;
   size_t table_total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -524,6 +557,16 @@ Status BufferPool::CheckInvariants() const {
     // walk: an audit concurrent with a Fetch storm on another shard is
     // legal and must not tear this shard's map.
     util::MutexLock lock(&shard.mu);
+    if (shard.hand >= shard.frames.size()) {
+      return Status::Corruption("CLOCK hand outside its shard");
+    }
+    for (size_t idx : shard.free_frames) {
+      if (idx >= frames_.size() || listed[idx]) {
+        return Status::Corruption("frame on no or several free-list slots");
+      }
+      listed[idx] = true;
+    }
+    size_t free_count = 0;
     for (size_t idx : shard.frames) {
       if (idx >= frames_.size() || owned[idx]) {
         return Status::Corruption("frame owned by no or several shards");
@@ -532,16 +575,6 @@ Status BufferPool::CheckInvariants() const {
       const Frame& f = frames_[idx];
       if (f.pin_count.load(std::memory_order_relaxed) < 0) {
         return Status::Corruption("frame with negative pin count");
-      }
-      if (f.lru_tick.load(std::memory_order_relaxed) > tick_now) {
-        // Unpins stamp frame ticks lock-free, so a concurrent reader can
-        // legitimately advance a frame past our clock snapshot; refresh
-        // the snapshot (the clock is monotonic) before calling it
-        // corruption.
-        tick_now = tick_.load(std::memory_order_relaxed);
-        if (f.lru_tick.load(std::memory_order_relaxed) > tick_now) {
-          return Status::Corruption("frame LRU tick ahead of the pool clock");
-        }
       }
       if (f.id == kInvalidPageId) {
         if (f.pin_count.load(std::memory_order_relaxed) != 0) {
@@ -553,15 +586,23 @@ Status BufferPool::CheckInvariants() const {
         if (f.staging) {
           return Status::Corruption("staging frame with no page id");
         }
+        if (!listed[idx]) {
+          return Status::Corruption("empty frame missing from the free list");
+        }
+        ++free_count;
         continue;
       }
+      if (listed[idx]) {
+        return Status::Corruption("occupied frame on the free list");
+      }
       if (f.staging) {
-        // Claimed by an in-flight batched Prefetch: holds exactly the
-        // stager's pin, is not yet mapped (so not resident), and its page
-        // bytes are undefined until the fill completes.
+        // Claimed by an in-flight fill (a demand miss or a batched
+        // Prefetch): holds exactly the claimer's pin, is not yet mapped (so
+        // not resident), and its page bytes are undefined until the fill
+        // completes.
         if (f.pin_count.load(std::memory_order_relaxed) != 1) {
           return Status::Corruption(
-              "staging frame must hold exactly the stager's pin");
+              "staging frame must hold exactly the claimer's pin");
         }
         if (f.prefetched) {
           return Status::Corruption("staging frame already marked staged");
@@ -593,6 +634,9 @@ Status BufferPool::CheckInvariants() const {
           return Status::Corruption("clean frame diverges from disk contents");
         }
       }
+    }
+    if (free_count != shard.free_frames.size()) {
+      return Status::Corruption("free list names a frame of another shard");
     }
     table_total += shard.page_table.size();
     for (const auto& [id, idx] : shard.page_table) {

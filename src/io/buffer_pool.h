@@ -1,4 +1,4 @@
-// An LRU buffer pool over the simulated disk. All index structures access
+// A CLOCK buffer pool over the simulated disk. All index structures access
 // pages through PageRef pins obtained here, so the pool's miss counter is
 // exactly the number of I/O operations in the paper's cost model.
 //
@@ -8,34 +8,35 @@
 //
 // Concurrency model (DESIGN.md section 10). The read path — Fetch of
 // already-written pages, PageRef::page() const access, Release, Prefetch —
-// is safe from any number of threads. The page table is sharded (pages hash
-// to shards by id; each shard owns a disjoint set of frames and its own
-// mutex), pin counts and LRU ticks are atomics, and eviction scans only the
-// requesting shard's frames, so readers on different shards never
-// serialize. Everything that mutates pages or the page set — NewPage,
-// FreePage, MarkDirty plus writes through page(), FlushAll, EvictAll,
-// ResetStats, CheckInvariants — requires external synchronization: a single
-// writer with no concurrent readers (quiescence). Stats are kept per shard
-// and aggregated by stats(), so the miss counter still equals the paper's
-// I/O count.
+// is safe from any number of threads. The page table is sharded by size
+// (S = clamp(frames/64, 1, 16); pages hash to shards by id; each shard owns
+// a disjoint set of frames, its own mutex and its own CLOCK hand), so
+// readers on different shards never serialize. A miss never holds its
+// shard during the device read: it claims a frame under the shard lock,
+// fills it with no lock held, and re-locks to install it. Everything that
+// mutates pages or the page set — NewPage, FreePage, MarkDirty plus writes
+// through page(), FlushAll, EvictAll, ResetStats — requires external
+// synchronization: a single writer with no concurrent readers
+// (quiescence). Stats are kept per shard and aggregated by stats(), so the
+// miss counter still equals the paper's I/O count.
 //
 // Lock discipline (compile-time checked on Clang, DESIGN.md section 12).
-// Each Shard::mu is a capability guarding that shard's page_table, stats,
-// and the shard-owned frames' non-atomic metadata (Frame::id,
-// Frame::prefetched). Shard mutexes are leaves and are never nested —
-// every public method locks at most one shard at a time (the quiescent
-// sweeps lock shards strictly one after another). Three fields
-// deliberately live OUTSIDE the capability as atomics:
+// Each Shard::mu is a capability guarding that shard's page_table, free
+// list, CLOCK hand, stats, and the shard-owned frames' non-atomic metadata
+// (Frame::id, Frame::prefetched, Frame::staging). Shard mutexes are leaves
+// and are never nested — every public method locks at most one shard at a
+// time (the quiescent sweeps lock shards strictly one after another).
+// Three fields deliberately live OUTSIDE the capability as atomics:
 //   - Frame::pin_count: decremented lock-free by PageRef::Release from any
 //     thread (taking the shard lock on every unpin would serialize readers
 //     that never touch the page table); its release/acquire pairing with
-//     the eviction scan is documented at the use sites.
-//   - Frame::lru_tick: a monotonic recency stamp written on pin/unpin;
-//     eviction reads it only for *unpinned* frames under the shard lock,
-//     so a stale value can at worst pick a slightly older victim.
+//     the CLOCK sweep is documented at the use sites.
+//   - Frame::referenced: the CLOCK reference bit, set on pin and unpin;
+//     the hand reads and clears it only for *unpinned* frames under the
+//     shard lock, and pins only grow under that lock, so no set is lost.
 //   - Frame::dirty: set by MarkDirty through a pinned PageRef without the
 //     shard lock; the pin itself keeps eviction away, and the unpin
-//     release-store publishes it to the next eviction scan.
+//     release-store publishes it to the next sweep.
 #ifndef SEGDB_IO_BUFFER_POOL_H_
 #define SEGDB_IO_BUFFER_POOL_H_
 
@@ -152,10 +153,9 @@ struct BufferPoolOptions {
 
 class BufferPool {
  public:
-  // `frame_count` bounds resident pages; fetching past it evicts LRU
-  // unpinned frames. Small pools (< 2048 frames, i.e. every exactness
-  // test) get a single shard and behave exactly like the pre-concurrency
-  // pool, global LRU included. This two-argument form takes the compressed-
+  // `frame_count` bounds resident pages; fetching past it evicts an
+  // unpinned frame chosen by its shard's CLOCK hand. Pools under 128
+  // frames get a single shard. This two-argument form takes the compressed-
   // tier budget from the SEGDB_COMPRESSED_TIER_BYTES environment variable
   // (absent/0 = disabled) so whole test binaries can be re-run with the
   // tier on without touching every pool construction.
@@ -170,7 +170,12 @@ class BufferPool {
   size_t frame_count() const { return frames_.size(); }
   size_t shard_count() const { return shards_.size(); }
 
-  // Pins the page, reading it from disk on a miss. Thread-safe.
+  // Pins the page, reading it from disk on a miss. Thread-safe. A miss
+  // claims a frame (a free one first, else the CLOCK victim), reads into it
+  // with no lock held, then installs it; if another thread installed the
+  // same page meanwhile, the claim is released and that frame is pinned
+  // instead (both reads stay charged, so misses still equal device reads).
+  // A failed read returns the claimed frame to the free list.
   Result<PageRef> Fetch(PageId id);
 
   // Allocates a fresh zeroed page on disk and pins it (dirty). Writer path.
@@ -219,7 +224,7 @@ class BufferPool {
   BufferPoolStats stats() const;
   void ResetStats();
 
-  // Audits the pool: page-table/frame agreement, pin and LRU bookkeeping,
+  // Audits the pool: page-table/frame agreement, pin and CLOCK bookkeeping,
   // stats consistency, and clean resident frames matching their on-disk
   // contents (via DiskManager::PeekPage, so no I/O is counted). Takes each
   // shard's mutex while auditing it, so it may run concurrently with the
@@ -233,12 +238,18 @@ class BufferPool {
  private:
   friend class PageRef;
 
-  struct Frame {
+  // One cache line per frame: pins and unpins of neighbouring frames from
+  // different threads never share a line, and the FlushAll/CollectDirty
+  // walks stride evenly (a 40-byte frame walked a third slower).
+  struct alignas(64) Frame {
     explicit Frame(uint32_t page_size) : page(page_size) {}
     Page page;
     PageId id = kInvalidPageId;
     std::atomic<int> pin_count{0};
     std::atomic<bool> dirty{false};
+    // CLOCK reference bit: set on every pin and unpin, cleared by the hand
+    // as it passes an unpinned frame (second chance).
+    std::atomic<bool> referenced{false};
     // Resident via Prefetch but not yet demand-fetched: the first Fetch
     // charges the miss and clears this. Guarded by the owning shard's
     // mutex — a per-frame fact the annotation language cannot name from
@@ -246,13 +257,12 @@ class BufferPool {
     // by SEGDB_REQUIRES on every helper that touches it instead of
     // SEGDB_GUARDED_BY.
     bool prefetched = false;
-    // Claimed by an in-flight batched Prefetch: the frame holds the
-    // stager's pin and its id, but is NOT in the page table until the
-    // asynchronous fill completes and installs it (or releases the frame
-    // on a failed read / lost race with a demand fetch). Same guard story
-    // as `prefetched`.
+    // Claimed by an in-flight fill — a demand miss or a batched Prefetch:
+    // the frame holds the claimer's pin and its id, but is NOT in the page
+    // table until the fill completes and installs it (or releases the
+    // frame on a failed read / lost race). Same guard story as
+    // `prefetched`.
     bool staging = false;
-    std::atomic<uint64_t> lru_tick{0};
   };
 
   struct Shard {
@@ -264,6 +274,11 @@ class BufferPool {
     // Global frame indices owned by the shard. Fixed at construction,
     // read-only afterwards — no guard needed.
     std::vector<size_t> frames;
+    // Frames with no page and no claim, taken from the back. A fresh or
+    // emptied shard holds `frames` reversed, so it fills in frame order.
+    std::vector<size_t> free_frames SEGDB_GUARDED_BY(mu);
+    // CLOCK hand: the position in `frames` the next sweep starts at.
+    size_t hand SEGDB_GUARDED_BY(mu) = 0;
     BufferPoolStats stats SEGDB_GUARDED_BY(mu);
     // Compressed second tier: evicted pages stashed as CompressPage bytes.
     // Disjoint from page_table by invariant (a promotion removes the entry
@@ -278,15 +293,28 @@ class BufferPool {
   };
 
   Shard& ShardFor(PageId id) { return shards_[id % shards_.size()]; }
-  uint64_t NextTick() {
-    return tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
 
+  void Pin(Frame& f) {
+    f.pin_count.fetch_add(1, std::memory_order_relaxed);
+    f.referenced.store(true, std::memory_order_relaxed);
+  }
   void Unpin(size_t frame);
-  // Finds a free or evictable frame in `shard`; writes back the victim if
-  // dirty, then stashes its bytes in the compressed tier (the stash comes
-  // AFTER a successful writeback, so tier entries always equal disk).
+  // Takes a free frame of `shard`, else evicts the CLOCK victim: writes it
+  // back if dirty, then stashes its bytes in the compressed tier (the stash
+  // comes AFTER a successful writeback, so tier entries always equal disk).
+  // The frame comes back unmapped, unpinned and clean.
   Result<size_t> GrabFrame(Shard& shard) SEGDB_REQUIRES(shard.mu);
+  // Marks a grabbed frame as claimed for `id`: pinned by the claimer,
+  // `staging`, not in the page table. The caller holds the frame's shard
+  // mutex, which the frame alone cannot name for the annotation.
+  void Claim(Frame& f, PageId id);
+  // Whether an in-flight fill of `id` holds a claim in `shard`.
+  bool Claimed(const Shard& shard, PageId id) const SEGDB_REQUIRES(shard.mu);
+  // Returns an unmapped frame (a released claim, a freed page) to the free
+  // list: no id, no pin, clean.
+  void FreeFrame(Shard& shard, size_t frame) SEGDB_REQUIRES(shard.mu);
+  // Every frame free, in construction order, and the hand at the start.
+  void ResetFrames(Shard& shard) SEGDB_REQUIRES(shard.mu);
   // Compresses `page` into the shard's tier under `id`, evicting oldest
   // entries past the per-shard budget. No-op when the tier is disabled.
   void StashCompressed(Shard& shard, PageId id, const Page& page)
@@ -307,7 +335,6 @@ class BufferPool {
   // Not an atomic on purpose: attaching a sink mid-storm is outside the
   // pool's contract, same as every other writer-path operation.
   WritebackSink* sink_ = nullptr;
-  std::atomic<uint64_t> tick_{0};
 };
 
 }  // namespace segdb::io

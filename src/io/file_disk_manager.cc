@@ -49,15 +49,21 @@ uint64_t RoundUp(uint64_t v, uint64_t align) {
   return (v + align - 1) / align * align;
 }
 
+// An O_DIRECT-aligned block buffer; null when the allocation fails.
+using AlignedBlock = std::unique_ptr<uint8_t[], void (*)(void*)>;
+AlignedBlock NewAlignedBlock(uint32_t size) {
+  return AlignedBlock(
+      static_cast<uint8_t*>(std::aligned_alloc(kDirectAlign, size)),
+      &std::free);
+}
+
 }  // namespace
 
 FileDiskManager::FileDiskManager(uint32_t page_size,
                                  const FileDiskManagerOptions& options)
     : DiskManager(page_size),
       options_(options),
-      bounce_(static_cast<uint8_t*>(std::aligned_alloc(kDirectAlign,
-                                                       page_size)),
-              &std::free) {
+      bounce_(NewAlignedBlock(page_size)) {
   SEGDB_CHECK(bounce_ != nullptr) << "bounce buffer allocation";
 }
 
@@ -126,7 +132,8 @@ Result<std::unique_ptr<FileDiskManager>> FileDiskManager::Open(
 Status FileDiskManager::InitCreate() {
   bitmap_bytes_ = RoundUp((options_.max_pages + 7) / 8, page_size());
   data_offset_ = page_size() + bitmap_bytes_;
-  live_.assign(options_.max_pages, false);
+  max_pages_ = options_.max_pages;
+  live_ = std::make_unique<std::atomic<uint64_t>[]>((max_pages_ + 63) / 64);
   frontier_ = 0;
   pages_in_use_count_ = 0;
   high_water_ = 0;
@@ -170,7 +177,8 @@ Status FileDiskManager::InitExisting(uint64_t file_size) {
   if (file_size < data_offset_) {
     return Status::Corruption("file truncated inside the bitmap region");
   }
-  live_.assign(max_pages, false);
+  max_pages_ = max_pages;
+  live_ = std::make_unique<std::atomic<uint64_t>[]>((max_pages_ + 63) / 64);
   free_list_.clear();
   uint64_t live_count = 0;
   for (uint64_t off = 0; off < bitmap_bytes_; off += page_size()) {
@@ -181,7 +189,7 @@ Status FileDiskManager::InitExisting(uint64_t file_size) {
     if (base_bit >= max_pages) break;
     for (uint64_t b = 0; b < bits; ++b) {
       if (bounce_[b / 8] & (1u << (b % 8))) {
-        live_[base_bit + b] = true;
+        SetLive(static_cast<PageId>(base_bit + b), true);
         ++live_count;
       }
     }
@@ -194,7 +202,9 @@ Status FileDiskManager::InitExisting(uint64_t file_size) {
   // of the most recently freed page closely enough for tests that only
   // assert reuse, not order.
   for (uint64_t id = frontier_; id-- > 0;) {
-    if (!live_[id]) free_list_.push_back(static_cast<PageId>(id));
+    if (!IsLive(static_cast<PageId>(id))) {
+      free_list_.push_back(static_cast<PageId>(id));
+    }
   }
   return Status::OK();
 }
@@ -205,20 +215,21 @@ Status FileDiskManager::WriteMeta() {
   PutU64(sb, kMagic);
   PutU32(sb + 8, page_size());
   PutU32(sb + 12, kFormatVersion);
-  PutU64(sb + 16, live_.size());
+  PutU64(sb + 16, max_pages_);
   PutU64(sb + 24, frontier_);
   PutU64(sb + 32, pages_in_use_count_);
   PutU64(sb + 40, high_water_);
   SEGDB_RETURN_IF_ERROR(WriteBlock(0, bounce_.get()));
-  uint64_t max_pages = live_.size();
   for (uint64_t off = 0; off < bitmap_bytes_; off += page_size()) {
     std::memset(bounce_.get(), 0, page_size());
     uint64_t base_bit = off * 8;
-    if (base_bit < max_pages) {
+    if (base_bit < max_pages_) {
       uint64_t bits = std::min<uint64_t>(uint64_t{page_size()} * 8,
-                                         max_pages - base_bit);
+                                         max_pages_ - base_bit);
       for (uint64_t b = 0; b < bits; ++b) {
-        if (live_[base_bit + b]) bounce_[b / 8] |= (1u << (b % 8));
+        if (IsLive(static_cast<PageId>(base_bit + b))) {
+          bounce_[b / 8] |= (1u << (b % 8));
+        }
       }
     }
     SEGDB_RETURN_IF_ERROR(WriteBlock(page_size() + off, bounce_.get()));
@@ -261,7 +272,19 @@ Status FileDiskManager::Sync() {
 }
 
 bool FileDiskManager::IsLive(PageId id) const {
-  return id < live_.size() && live_[id];
+  return id < max_pages_ &&
+         ((live_[id / 64].load(std::memory_order_acquire) >> (id % 64)) & 1);
+}
+
+void FileDiskManager::SetLive(PageId id, bool live) {
+  // Release: a reader that sees the bit set also sees the zeroing write
+  // and the file growth that AllocatePage made before setting it.
+  const uint64_t bit = uint64_t{1} << (id % 64);
+  if (live) {
+    live_[id / 64].fetch_or(bit, std::memory_order_release);
+  } else {
+    live_[id / 64].fetch_and(~bit, std::memory_order_release);
+  }
 }
 
 Status FileDiskManager::ReadBlock(uint64_t offset, uint8_t* dst) const {
@@ -290,7 +313,7 @@ Result<PageId> FileDiskManager::AllocatePage() {
     id = free_list_.back();
     free_list_.pop_back();
     reused = true;
-  } else if (frontier_ < live_.size()) {
+  } else if (frontier_ < max_pages_) {
     id = static_cast<PageId>(frontier_);
   } else {
     return Status::ResourceExhausted("file device capacity exhausted");
@@ -309,7 +332,7 @@ Result<PageId> FileDiskManager::AllocatePage() {
     SEGDB_RETURN_IF_ERROR(GrowTo(PageOffset(id) + page_size()));
     ++frontier_;
   }
-  live_[id] = true;
+  SetLive(id, true);
   counters_.allocations.fetch_add(1, std::memory_order_relaxed);
   ++pages_in_use_count_;
   if (pages_in_use_count_ > high_water_) high_water_ = pages_in_use_count_;
@@ -322,7 +345,7 @@ Status FileDiskManager::FreePage(PageId id) {
   if (!IsLive(id)) {
     return Status::InvalidArgument("FreePage: page not allocated");
   }
-  live_[id] = false;
+  SetLive(id, false);
   free_list_.push_back(id);
   counters_.frees.fetch_add(1, std::memory_order_relaxed);
   --pages_in_use_count_;
@@ -336,16 +359,26 @@ Status FileDiskManager::ReadPage(PageId id, Page* out) {
 }
 
 Status FileDiskManager::PeekPage(PageId id, Page* out) const {
-  util::MutexLock lock(&mu_);
-  if (fd_ < 0) return Status::FailedPrecondition("device is closed");
+  const int fd = fd_;
+  if (fd < 0) return Status::FailedPrecondition("device is closed");
   if (!IsLive(id)) {
     return Status::InvalidArgument("PeekPage: page not allocated");
   }
   if (out->size() != page_size()) {
     return Status::InvalidArgument("PeekPage: page buffer size mismatch");
   }
-  SEGDB_RETURN_IF_ERROR(ReadBlock(PageOffset(id), bounce_.get()));
-  std::memcpy(out->data(), bounce_.get(), page_size());
+  if (!direct_) {
+    return ReadFullAt(fd, out->data(), page_size(), PageOffset(id));
+  }
+  // O_DIRECT needs an aligned destination; the buffer belongs to this call,
+  // so concurrent reads share nothing.
+  AlignedBlock block = NewAlignedBlock(page_size());
+  if (block == nullptr) {
+    return Status::ResourceExhausted("PeekPage: aligned buffer allocation");
+  }
+  SEGDB_RETURN_IF_ERROR(ReadFullAt(fd, block.get(), page_size(),
+                                   PageOffset(id)));
+  std::memcpy(out->data(), block.get(), page_size());
   return Status::OK();
 }
 
@@ -424,7 +457,6 @@ void FileDiskManager::PeekPagesBatch(std::span<PageFill> fills) {
 }
 
 void FileDiskManager::PrefetchPages(std::span<const PageId> ids) {
-  util::MutexLock lock(&mu_);
   uint64_t hinted = 0;
   for (PageId id : ids) {
     if (IsLive(id)) ++hinted;

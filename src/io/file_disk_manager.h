@@ -25,12 +25,18 @@
 // benchmarks the page-cached path.
 //
 // Concurrency: same contract as the abstract base — the read path is
-// safe from any number of threads. The engine and scheduler are
-// single-driver, so an internal mutex serializes device access; the
-// atomic counters keep the stats snapshot lock-free.
+// safe from any number of threads. ReadPage, PeekPage and PrefetchPages
+// take no lock: liveness is a bitmap of atomic words that AllocatePage and
+// FreePage flip under the mutex, the fd is fixed from Open to Close, and a
+// read lands straight in the caller's page (under O_DIRECT, through an
+// aligned buffer owned by the call). Allocation, free, file growth, writes,
+// Sync, the metadata, and the engine and scheduler that one thread at a
+// time may drive (PeekPagesBatch) stay under the mutex. Close must not
+// overlap any other call.
 #ifndef SEGDB_IO_FILE_DISK_MANAGER_H_
 #define SEGDB_IO_FILE_DISK_MANAGER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -100,29 +106,33 @@ class FileDiskManager final : public DiskManager {
   Status InitExisting(uint64_t file_size) SEGDB_REQUIRES(mu_);
   Status WriteMeta() SEGDB_REQUIRES(mu_);
 
-  bool IsLive(PageId id) const SEGDB_REQUIRES(mu_);
+  // Lock-free: pairs with the release in SetLive.
+  bool IsLive(PageId id) const;
+  void SetLive(PageId id, bool live) SEGDB_REQUIRES(mu_);
   uint64_t PageOffset(PageId id) const {
     return data_offset_ + uint64_t{id} * page_size();
   }
-  // Reads/writes `page_size` bytes of file at `offset` through the
-  // aligned bounce buffer (O_DIRECT cannot touch unaligned caller
-  // memory).
+  // Reads/writes `page_size` bytes of file at `offset`; `dst`/`src` is the
+  // aligned bounce buffer (O_DIRECT cannot touch unaligned caller memory).
   Status ReadBlock(uint64_t offset, uint8_t* dst) const SEGDB_REQUIRES(mu_);
   Status WriteBlock(uint64_t offset, const uint8_t* src) SEGDB_REQUIRES(mu_);
   Status GrowTo(uint64_t file_size) SEGDB_REQUIRES(mu_);
 
   const FileDiskManagerOptions options_;
   mutable util::Mutex mu_;
-  int fd_ SEGDB_GUARDED_BY(mu_) = -1;
+  // Set in Open, cleared in Close; read lock-free by the read path.
+  std::atomic<int> fd_{-1};
   bool direct_ = false;  // set once in Open, read-only afterwards
   uint64_t bitmap_bytes_ = 0;   // fixed at create
   uint64_t data_offset_ = 0;    // fixed at create
+  uint64_t max_pages_ = 0;      // capacity, fixed at create
   std::unique_ptr<AsyncIoEngine> engine_;           // driven under mu_
   mutable std::unique_ptr<IoScheduler> scheduler_;  // driven under mu_
-  // Aligned bounce for single-block transfers, guarded like the fd.
+  // Aligned bounce for the writer and metadata paths' block transfers.
   std::unique_ptr<uint8_t[], void (*)(void*)> bounce_ SEGDB_GUARDED_BY(mu_);
 
-  std::vector<bool> live_ SEGDB_GUARDED_BY(mu_);
+  // One bit per page id below max_pages_; written under mu_, read without.
+  std::unique_ptr<std::atomic<uint64_t>[]> live_;
   std::vector<PageId> free_list_ SEGDB_GUARDED_BY(mu_);
   uint64_t frontier_ SEGDB_GUARDED_BY(mu_) = 0;  // never-allocated boundary
   uint64_t file_size_ SEGDB_GUARDED_BY(mu_) = 0;

@@ -11,6 +11,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,7 +24,11 @@
 #include "geom/predicates.h"
 #include "io/buffer_pool.h"
 #include "io/disk_manager.h"
+#include "io/fault_injection.h"
+#include "io/file_disk_manager.h"
+#include "util/clock.h"
 #include "util/random.h"
+#include "util/sync.h"
 #include "util/thread_pool.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -49,9 +57,29 @@ std::vector<io::PageId> FillPages(io::BufferPool* pool, size_t count) {
   return ids;
 }
 
-void FetchStorm(io::BufferPool* pool, const std::vector<io::PageId>& ids,
-                size_t threads, size_t fetches_per_thread) {
+// Runs `threads` readers over `ids` and returns how many fetches failed
+// with `tolerated` (all-frames-pinned by default, which is legal under
+// pressure). A failure with any other code, or a wrong stamp, fails the
+// test: never silent decay.
+uint64_t FetchStorm(io::BufferPool* pool, const std::vector<io::PageId>& ids,
+                    size_t threads, size_t fetches_per_thread,
+                    StatusCode tolerated = StatusCode::kResourceExhausted) {
   std::atomic<uint64_t> bad{0};
+  std::atomic<uint64_t> failed{0};
+  // Pins `id` and checks its stamp; an invalid ref means the fetch failed.
+  auto fetch = [&](io::PageId id) {
+    auto ref = pool->Fetch(id);
+    if (!ref.ok()) {
+      if (ref.status().code() == tolerated) {
+        ++failed;
+      } else {
+        ++bad;
+      }
+      return io::PageRef();
+    }
+    if (ref.value().page().ReadAt<uint64_t>(0) != Stamp(id)) ++bad;
+    return std::move(ref.value());
+  };
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (size_t t = 0; t < threads; ++t) {
@@ -62,32 +90,98 @@ void FetchStorm(io::BufferPool* pool, const std::vector<io::PageId>& ids,
         const io::PageId id = rng.Bernoulli(0.7)
                                   ? ids[rng.Uniform(32)]
                                   : ids[rng.Uniform(ids.size())];
-        auto ref = pool->Fetch(id);
-        if (!ref.ok()) {
-          // All-frames-pinned is legal under pressure; never silent decay.
-          if (ref.status().code() != StatusCode::kResourceExhausted) ++bad;
-          continue;
-        }
-        if (ref.value().page().ReadAt<uint64_t>(0) != Stamp(id)) ++bad;
+        const io::PageRef ref = fetch(id);
         // Occasionally hold a second overlapping pin on another page.
-        if (i % 7 == 0) {
-          const io::PageId other = ids[rng.Uniform(ids.size())];
-          auto second = pool->Fetch(other);
-          if (second.ok() &&
-              second.value().page().ReadAt<uint64_t>(0) != Stamp(other)) {
-            ++bad;
-          }
-        }
+        if (ref.valid() && i % 7 == 0) fetch(ids[rng.Uniform(ids.size())]);
       }
     });
   }
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(bad.load(), 0u);
+  return failed.load();
 }
+
+std::string TempPath(const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+// A page-cache file device small enough for a test directory.
+std::unique_ptr<io::FileDiskManager> OpenFileDevice(const std::string& path) {
+  io::FileDiskManagerOptions options;
+  options.max_pages = 4096;
+  options.direct = io::FileDiskManagerOptions::Direct::kOff;
+  auto opened = io::FileDiskManager::Open(path, options);
+  EXPECT_TRUE(opened.ok()) << opened.status().message();
+  return opened.ok() ? std::move(opened.value()) : nullptr;
+}
+
+// Holds ReadPage of one page until the test opens the gate; every other
+// call goes straight to the base device.
+class GatedDisk final : public io::DiskManager {
+ public:
+  explicit GatedDisk(io::DiskManager* base)
+      : io::DiskManager(base->page_size()), base_(base) {}
+
+  void Close(io::PageId id) {
+    util::MutexLock lock(&mu_);
+    gated_ = id;
+  }
+  void Open() {
+    util::MutexLock lock(&mu_);
+    gated_ = io::kInvalidPageId;
+    cv_.NotifyAll();
+  }
+  // Whether a reader reached the gate before the deadline.
+  bool WaitParked(const util::Deadline& deadline) {
+    util::MutexLock lock(&mu_);
+    while (!parked_ && !deadline.expired()) cv_.WaitUntil(mu_, deadline.when());
+    return parked_;
+  }
+
+  Status ReadPage(io::PageId id, io::Page* out) override {
+    {
+      util::MutexLock lock(&mu_);
+      if (id == gated_) {
+        parked_ = true;
+        cv_.NotifyAll();
+        while (id == gated_) cv_.Wait(mu_);
+      }
+    }
+    return base_->ReadPage(id, out);
+  }
+  Result<io::PageId> AllocatePage() override { return base_->AllocatePage(); }
+  Status FreePage(io::PageId id) override { return base_->FreePage(id); }
+  Status PeekPage(io::PageId id, io::Page* out) const override {
+    return base_->PeekPage(id, out);
+  }
+  Status WritePage(io::PageId id, const io::Page& page) override {
+    return base_->WritePage(id, page);
+  }
+  Status WritePagePrefix(io::PageId id, const io::Page& page,
+                         uint32_t prefix_bytes) override {
+    return base_->WritePagePrefix(id, page, prefix_bytes);
+  }
+  void PrefetchPages(std::span<const io::PageId> ids) override {
+    base_->PrefetchPages(ids);
+  }
+  uint64_t pages_in_use() const override { return base_->pages_in_use(); }
+  uint64_t high_water_pages() const override {
+    return base_->high_water_pages();
+  }
+
+ private:
+  io::DiskManager* const base_;
+  util::Mutex mu_;
+  util::CondVar cv_;
+  io::PageId gated_ SEGDB_GUARDED_BY(mu_) = io::kInvalidPageId;
+  bool parked_ SEGDB_GUARDED_BY(mu_) = false;
+};
 
 TEST(ConcurrencyTest, FetchStormShardedPool) {
   io::SimDiskManager disk(256);
-  io::BufferPool pool(&disk, 4096);  // 4 shards
+  io::BufferPool pool(&disk, 4096);  // 16 shards
   ASSERT_GT(pool.shard_count(), 1u);
   auto ids = FillPages(&pool, 1024);
   FetchStorm(&pool, ids, 8, 2000);
@@ -99,20 +193,121 @@ TEST(ConcurrencyTest, FetchStormShardedPool) {
 
 TEST(ConcurrencyTest, FetchStormUnderEvictionPressure) {
   io::SimDiskManager disk(256);
-  io::BufferPool pool(&disk, 128);  // 1 shard, working set 8x the frames
+  io::BufferPool pool(&disk, 64);  // 1 shard, working set 8x the frames
   ASSERT_EQ(pool.shard_count(), 1u);
-  auto ids = FillPages(&pool, 1024);
+  auto ids = FillPages(&pool, 512);
   FetchStorm(&pool, ids, 4, 2000);
   ASSERT_TRUE(pool.CheckInvariants().ok());
 }
 
 TEST(ConcurrencyTest, CrossShardEvictionStorm) {
   io::SimDiskManager disk(256);
-  io::BufferPool pool(&disk, 2048);  // 2 shards, evicting on both
+  io::BufferPool pool(&disk, 128);  // 2 shards, evicting on both
   ASSERT_EQ(pool.shard_count(), 2u);
-  auto ids = FillPages(&pool, 4096);
+  auto ids = FillPages(&pool, 256);
   FetchStorm(&pool, ids, 6, 2000);
   ASSERT_TRUE(pool.CheckInvariants().ok());
+}
+
+// A miss reads its page with no shard lock held: while one page's read is
+// parked on the device, a hit and a miss on other pages of the same (only)
+// shard complete. The wait is bounded, so a pool that holds the shard
+// across the read fails here instead of hanging.
+TEST(ConcurrencyTest, MissDoesNotBlockItsShard) {
+  io::SimDiskManager base(256);
+  GatedDisk disk(&base);
+  io::BufferPool pool(&disk, 16, io::BufferPoolOptions{});
+  ASSERT_EQ(pool.shard_count(), 1u);
+  const auto ids = FillPages(&pool, 32);
+  ASSERT_TRUE(pool.EvictAll().ok());
+  ASSERT_TRUE(pool.Fetch(ids[0]).ok());  // resident: the hit below
+
+  constexpr uint64_t kWaitMicros = 5'000'000;
+  disk.Close(ids[1]);
+  std::atomic<uint64_t> bad{0};
+  auto fetch = [&](io::PageId id) {
+    auto ref = pool.Fetch(id);
+    if (!ref.ok() || ref.value().page().ReadAt<uint64_t>(0) != Stamp(id)) {
+      ++bad;
+    }
+  };
+  std::thread parked([&] { fetch(ids[1]); });
+  const bool reached =
+      disk.WaitParked(util::Deadline::AfterMicros(kWaitMicros));
+  util::Mutex mu;
+  util::CondVar cv;
+  bool done = false;
+  std::thread other([&] {
+    fetch(ids[0]);
+    fetch(ids[2]);
+    util::MutexLock lock(&mu);
+    done = true;
+    cv.NotifyAll();
+  });
+  bool finished = false;
+  {
+    const util::Deadline deadline = util::Deadline::AfterMicros(kWaitMicros);
+    util::MutexLock lock(&mu);
+    while (!done && !deadline.expired()) cv.WaitUntil(mu, deadline.when());
+    finished = done;
+  }
+  disk.Open();
+  parked.join();
+  other.join();
+  EXPECT_TRUE(reached) << "the gated read never started";
+  EXPECT_TRUE(finished) << "a hit and a miss waited for another page's read";
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_TRUE(pool.CheckInvariants().ok());
+}
+
+// Readers miss through a small pool over the real file device, so the
+// lock-free device reads and the claim/fill/install path run concurrently.
+TEST(ConcurrencyTest, FileDeviceReadStorm) {
+  const std::string path = TempPath("concurrency_file_storm.segdb");
+  auto file = OpenFileDevice(path);
+  ASSERT_NE(file, nullptr);
+  io::BufferPool pool(file.get(), 64, io::BufferPoolOptions{});
+  const auto ids = FillPages(&pool, 512);  // working set 8x the frames
+  ASSERT_TRUE(pool.EvictAll().ok());
+  pool.ResetStats();
+  file->ResetStats();
+  EXPECT_EQ(FetchStorm(&pool, ids, 4, 2000), 0u);
+  const Status audit = pool.CheckInvariants();
+  EXPECT_TRUE(audit.ok()) << audit.message();
+  EXPECT_EQ(pool.stats().misses, file->stats().reads);
+  EXPECT_GT(pool.stats().misses, 0u);
+  file.reset();
+  std::remove(path.c_str());
+}
+
+// The same storm with about 5% of device reads failing: every failed Fetch
+// reports the IoError and leaves no half-installed frame behind.
+TEST(ConcurrencyTest, FileDeviceReadStormWithReadFaults) {
+  const std::string path = TempPath("concurrency_file_fault_storm.segdb");
+  auto file = OpenFileDevice(path);
+  ASSERT_NE(file, nullptr);
+  io::FaultPlan plan;
+  plan.seed = 22;
+  plan.read_fault_rate = 0.05;
+  io::FaultInjectingDiskManager faulty(file.get(), plan);
+  faulty.set_enabled(false);
+  io::BufferPool pool(&faulty, 64, io::BufferPoolOptions{});
+  const auto ids = FillPages(&pool, 512);
+  ASSERT_TRUE(pool.EvictAll().ok());
+  pool.ResetStats();
+  file->ResetStats();
+  faulty.set_enabled(true);
+  const uint64_t failed =
+      FetchStorm(&pool, ids, 4, 2000, StatusCode::kIoError);
+  faulty.set_enabled(false);  // the audit's own reads must not fault
+  EXPECT_GT(failed, 0u);
+  EXPECT_EQ(failed, faulty.faults_injected());
+  const Status audit = pool.CheckInvariants();
+  EXPECT_TRUE(audit.ok()) << audit.message();
+  // A failed read is a charged miss that the device never served.
+  EXPECT_EQ(pool.stats().misses, file->stats().reads + failed);
+  file.reset();
+  std::remove(path.c_str());
 }
 
 TEST(ConcurrencyTest, ConcurrentPrefetchAndFetch) {
@@ -154,11 +349,13 @@ TEST(ConcurrencyTest, ConcurrentPrefetchAndFetch) {
 
 TEST(ConcurrencyTest, ColdIoCountsIndependentOfShardCount) {
   // The acceptance bar for the sharded stats: cold-cache per-query miss
-  // counts must equal the single-shard (pre-concurrency) counters.
+  // counts must equal the single-shard counters. Each query's pages fit in
+  // one shard's frames, so no query evicts and the split cannot matter.
   auto run = [](size_t frames, size_t* shards, std::vector<uint64_t>* ios) {
     io::SimDiskManager disk(1024);
     io::BufferPool pool(&disk, frames);
     *shards = pool.shard_count();
+    const size_t shard_frames = frames / pool.shard_count();
     Rng rng(91);
     auto segs = workload::GenMapLayer(rng, 1500, 120000);
     core::TwoLevelIntervalIndex index(&pool);
@@ -174,11 +371,12 @@ TEST(ConcurrencyTest, ColdIoCountsIndependentOfShardCount) {
       ASSERT_TRUE(
           index.Query(VerticalSegmentQuery{q.x0, q.ylo, q.yhi}, &out).ok());
       ios->push_back(pool.stats().misses);
+      ASSERT_LE(ios->back(), shard_frames);
     }
   };
   size_t shards_small = 0, shards_large = 0;
   std::vector<uint64_t> ios_small, ios_large;
-  run(768, &shards_small, &ios_small);    // single shard
+  run(127, &shards_small, &ios_small);    // single shard
   run(8192, &shards_large, &ios_large);   // sharded
   EXPECT_EQ(shards_small, 1u);
   EXPECT_GT(shards_large, 1u);
@@ -288,11 +486,12 @@ TEST(ConcurrencyTest, QueryEngineEmptyBatch) {
 // table and stats without holding the shard mutexes, so an audit
 // overlapping a read storm raced the map mutations (a TSan hit, and a
 // potential crash on a rehash). The audit now locks each shard while
-// inspecting it and tolerates lock-free unpin tick advances, making it
-// legal concurrently with the *pure* read path (clean pages, no writers).
+// inspecting it, making it legal concurrently with the *pure* read path
+// (clean pages, no writers); frames claimed by in-flight misses are
+// audited as `staging`, never compared with the disk.
 TEST(ConcurrencyTest, AuditConcurrentWithReadStorm) {
   io::SimDiskManager disk(256);
-  // 2 shards with a working set twice the frames: the storm must keep
+  // 16 shards with a working set twice the frames: the storm must keep
   // evicting, i.e. keep mutating the page tables the audit walks — with
   // an all-resident working set the map never changes and the pre-fix
   // race would not fire.

@@ -128,7 +128,7 @@ TEST(DiskManagerTest, HighWaterTracksPeakUsage) {
 
 class BufferPoolTest : public ::testing::Test {
  protected:
-  // Tier pinned off: these tests assert the single-tier frame-LRU model
+  // Tier pinned off: these tests assert the single-tier eviction model
   // (a re-fetch of an evicted page is a demand miss), which a compressed
   // second tier deliberately changes. The tier has its own suite.
   BufferPoolTest() : disk_(kPageSize), pool_(&disk_, 4, BufferPoolOptions{}) {}

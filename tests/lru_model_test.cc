@@ -1,10 +1,9 @@
-// BufferPool LRU conformance: the pool's hit/miss pattern must match a
-// reference LRU model over randomized fetch traces — the experiments'
+// BufferPool eviction conformance: the pool's hit/miss pattern must match a
+// reference CLOCK model over randomized fetch traces — the experiments'
 // cold/warm distinction depends on this being exact.
 
 #include <gtest/gtest.h>
 
-#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -15,33 +14,48 @@
 namespace segdb::io {
 namespace {
 
-// Reference LRU cache over page ids.
-class ModelLru {
+// Reference second-chance CLOCK over page ids, following the pool's rules
+// for one shard: free frames fill in frame order; every access (pin and
+// unpin alike) sets the page's reference bit; a miss with no free frame
+// sweeps from the hand — which starts at frame 0 — clearing set bits until
+// it meets a clear one, evicts that page and leaves the hand one past it.
+class ModelClock {
  public:
-  explicit ModelLru(size_t capacity) : capacity_(capacity) {}
+  explicit ModelClock(size_t capacity) : slots_(capacity) {}
 
   // Returns true on hit.
   bool Touch(PageId id) {
     auto it = where_.find(id);
     if (it != where_.end()) {
-      order_.erase(it->second);
-      order_.push_front(id);
-      where_[id] = order_.begin();
+      slots_[it->second].referenced = true;
       return true;
     }
-    if (order_.size() == capacity_) {
-      where_.erase(order_.back());
-      order_.pop_back();
+    size_t slot = used_;
+    if (used_ < slots_.size()) {
+      ++used_;
+    } else {
+      while (slots_[hand_].referenced) {
+        slots_[hand_].referenced = false;
+        hand_ = (hand_ + 1) % slots_.size();
+      }
+      slot = hand_;
+      hand_ = (hand_ + 1) % slots_.size();
+      where_.erase(slots_[slot].id);
     }
-    order_.push_front(id);
-    where_[id] = order_.begin();
+    slots_[slot] = Slot{id, true};
+    where_[id] = slot;
     return false;
   }
 
  private:
-  size_t capacity_;
-  std::list<PageId> order_;
-  std::unordered_map<PageId, std::list<PageId>::iterator> where_;
+  struct Slot {
+    PageId id = kInvalidPageId;
+    bool referenced = false;
+  };
+  std::vector<Slot> slots_;
+  size_t used_ = 0;
+  size_t hand_ = 0;
+  std::unordered_map<PageId, size_t> where_;
 };
 
 TEST(LruModelTest, HitMissPatternMatchesReference) {
@@ -50,7 +64,8 @@ TEST(LruModelTest, HitMissPatternMatchesReference) {
   // Tier pinned off: this is the single-tier miss-pattern reference; with a
   // compressed tier, evicted-page re-fetches become promotions, not misses.
   BufferPool pool(&disk, kFrames, BufferPoolOptions{});
-  ModelLru model(kFrames);
+  ASSERT_EQ(pool.shard_count(), 1u);
+  ModelClock model(kFrames);
 
   std::vector<PageId> ids;
   for (int i = 0; i < 64; ++i) {
