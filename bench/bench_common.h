@@ -37,10 +37,7 @@
 #include "core/segment_index.h"
 #include "io/buffer_pool.h"
 #include "io/column_codec.h"
-#include "io/disk_manager.h"
-#include "util/random.h"
 #include "util/table_printer.h"
-#include "workload/generators.h"
 #include "workload/queries.h"
 
 namespace segdb::bench {
@@ -131,9 +128,6 @@ struct BenchRecord {
   // Column-codec telemetry: raw 40-byte-row bytes over encoded bytes for
   // every leaf region this process encoded (0 = not measured).
   double compression_ratio = 0;
-  // Compressed-tier promotions observed during the measured section
-  // (nonzero only for the *-tier experiments).
-  uint64_t compressed_hits = 0;
   // Serving/device telemetry (the E14 records). Zero or empty fields are
   // OMITTED from the JSON — same rule as wall_ns/queries_per_sec on cold
   // records, so a record only carries the measurements it actually made.
@@ -233,12 +227,8 @@ class JsonWriter {
       if (r.io_speedup > 0) {
         std::fprintf(f, "\"io_speedup\": %.3f, ", r.io_speedup);
       }
-      std::fprintf(
-          f,
-          "\"threads\": %u, \"compression_ratio\": %.4f, "
-          "\"compressed_hits\": %llu}",
-          r.threads, r.compression_ratio,
-          static_cast<unsigned long long>(r.compressed_hits));
+      std::fprintf(f, "\"threads\": %u, \"compression_ratio\": %.4f}",
+                   r.threads, r.compression_ratio);
     }
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);
@@ -287,64 +277,6 @@ inline std::vector<uint32_t> ParallelThreadCounts(bool scaling) {
   std::vector<uint32_t> counts;
   for (uint32_t t = 1; t <= 2 * hw || t <= 8; t *= 2) counts.push_back(t);
   return counts;
-}
-
-// Compressed-tier protocol (the *-tier records): a deliberately small
-// frame budget forces steady-state evictions over the query batch; with
-// the tier on, re-fetched pages promote from compressed RAM instead of
-// the device. One untimed pass populates pool + tier, the measured pass
-// counts device misses vs promotions. The tier_bytes == 0 control runs
-// the identical workload at the same frame budget, isolating the tier.
-template <typename Index>
-inline void RunTieredExperiment(const char* experiment, uint64_t seed,
-                                uint64_t query_seed, JsonWriter* json) {
-  std::string banner = std::string(experiment) + "t compressed-tier pool";
-  PrintHeader(banner.c_str(),
-              "small pool, repeated batch; promotions replace device reads");
-  const uint64_t N = Scaled(262144);
-  TablePrinter table({"tier_bytes", "avg_ios", "compressed_hits/query",
-                      "codec_ratio"});
-  for (const size_t tier_bytes : {size_t{0}, size_t{16} << 20}) {
-    io::SimDiskManager disk(4096);
-    io::BufferPool pool(&disk, 512, io::BufferPoolOptions{tier_bytes});
-    Rng rng(seed);
-    auto segs = workload::GenMapLayer(rng, N, 1 << 22);
-    Index index(&pool);
-    Check(index.BulkLoad(segs), "build");
-    Rng qrng(query_seed);
-    auto box = workload::ComputeBoundingBox(segs);
-    auto queries = workload::GenVsQueries(qrng, 64, box, 0.01);
-    for (int pass = 0; pass < 2; ++pass) {
-      if (pass == 1) pool.ResetStats();
-      for (const workload::VsQuery& q : queries) {
-        std::vector<geom::Segment> out;
-        Check(index.Query(core::VerticalSegmentQuery{q.x0, q.ylo, q.yhi},
-                          &out),
-              "query");
-      }
-    }
-    const io::BufferPoolStats stats = pool.stats();
-    const double per_query = 1.0 / static_cast<double>(queries.size());
-    table.AddRow(
-        {TablePrinter::Fmt(uint64_t{tier_bytes}),
-         TablePrinter::Fmt(static_cast<double>(stats.misses) * per_query),
-         TablePrinter::Fmt(static_cast<double>(stats.compressed_hits) *
-                           per_query),
-         TablePrinter::Fmt(CodecCompressionRatio())});
-    BenchRecord record;
-    record.experiment = std::string(experiment) +
-                        (tier_bytes == 0 ? "-tier0" : "-tier");
-    record.structure = index.name();
-    record.n = N;
-    record.page_size = 4096;
-    record.num_queries = queries.size();
-    record.avg_ios =
-        static_cast<double>(stats.misses) * per_query;
-    record.compression_ratio = CodecCompressionRatio();
-    record.compressed_hits = stats.compressed_hits;
-    json->Add(std::move(record));
-  }
-  PrintTable(table);
 }
 
 }  // namespace segdb::bench

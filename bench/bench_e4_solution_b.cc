@@ -107,12 +107,6 @@ void RunParallel(bench::JsonWriter* json, bool scaling) {
   bench::PrintTable(table);
 }
 
-void RunTiered(bench::JsonWriter* json) {
-  bench::RunTieredExperiment<core::TwoLevelIntervalIndex>(
-      "E4", /*seed=*/1004,
-      /*query_seed=*/23, json);
-}
-
 }  // namespace
 }  // namespace segdb
 
@@ -121,10 +115,7 @@ int main(int argc, char** argv) {
   // --scaling (tools/bench.sh --scaling): parallel-throughput sweep only,
   // with the thread counts extended past the hardware concurrency.
   const bool scaling = segdb::bench::HasFlag(argc, argv, "--scaling");
-  if (!scaling) {
-    segdb::RunCold(&json);
-    segdb::RunTiered(&json);
-  }
+  if (!scaling) segdb::RunCold(&json);
   segdb::RunParallel(&json, scaling);
   return 0;
 }

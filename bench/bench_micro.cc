@@ -260,7 +260,7 @@ BENCHMARK(BM_ScanKernelColumnar)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_ScanKernelSimd(benchmark::State& state) {
   if (geom::SimdFilterKernel() == nullptr) {
-    state.SkipWithError("SIMD kernel not compiled in or not supported");
+    state.SkipWithError("SIMD kernel not supported by this CPU");
     return;
   }
   ScanKernelColumnar(state, *geom::SimdFilterKernel());
@@ -346,7 +346,7 @@ BENCHMARK(BM_DecodeKernelScalar)
 
 void BM_DecodeKernelSimd(benchmark::State& state) {
   if (geom::SimdUnpackAdd() == nullptr) {
-    state.SkipWithError("SIMD kernel not compiled in or not supported");
+    state.SkipWithError("SIMD kernel not supported by this CPU");
     return;
   }
   DecodeKernelUnpack(state, geom::SimdUnpackAdd(), "simd");
@@ -439,7 +439,7 @@ void FetchLoop(benchmark::State& state, io::BufferPool* pool,
 void BM_PoolFetchHit(benchmark::State& state) {
   struct Fixture {
     io::SimDiskManager disk{4096};
-    io::BufferPool pool{&disk, 2048, io::BufferPoolOptions{}};
+    io::BufferPool pool{&disk, 2048};
     std::vector<io::PageId> ids = FillPool(&pool, 1024);
   };
   static Fixture fixture;
@@ -462,8 +462,7 @@ void BM_PoolFetchMiss(benchmark::State& state) {
       auto opened = io::FileDiskManager::Open(path, options);
       if (!opened.ok()) return;
       disk = std::move(opened.value());
-      pool = std::make_unique<io::BufferPool>(disk.get(), 1024,
-                                              io::BufferPoolOptions{});
+      pool = std::make_unique<io::BufferPool>(disk.get(), 1024);
       ids = FillPool(pool.get(), 10240);
     }
     ~Fixture() {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/validate.h"
 #include "geom/filter_kernel.h"
 #include "geom/predicates.h"
 #include "io/columnar_page_view.h"
@@ -28,6 +29,9 @@ Status FullScanIndex::Clear() {
 
 Status FullScanIndex::BulkLoad(std::span<const geom::Segment> segments) {
   SEGDB_IO_BOUND("scan");
+  for (const geom::Segment& s : segments) {
+    SEGDB_RETURN_IF_ERROR(core::ValidateSegment(s));
+  }
   // Build the new page list aside, then swap: a failed allocation
   // mid-build must leave the previous contents intact.
   std::vector<io::PageId> fresh;
@@ -58,6 +62,7 @@ Status FullScanIndex::BulkLoad(std::span<const geom::Segment> segments) {
 
 Status FullScanIndex::Insert(const geom::Segment& segment) {
   SEGDB_IO_BOUND("1");  // append to the last page, or allocate one
+  SEGDB_RETURN_IF_ERROR(core::ValidateSegment(segment));
   if (!pages_.empty()) {
     auto ref = pool_->Fetch(pages_.back());
     if (!ref.ok()) return ref.status();

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/segment_index.h"
+#include "core/validate.h"
 #include "io/buffer_pool.h"
 #include "itree/interval_tree.h"
 #include "util/check.h"
@@ -27,10 +28,14 @@ class IntervalStabIndex final : public core::SegmentIndex {
 
   Status BulkLoad(std::span<const geom::Segment> segments) override {
     SEGDB_IO_BOUND("scan");
+    for (const geom::Segment& s : segments) {
+      SEGDB_RETURN_IF_ERROR(core::ValidateSegment(s));
+    }
     return tree_.BulkLoad(segments);
   }
   Status Insert(const geom::Segment& segment) override {
     SEGDB_IO_BOUND("scan");  // amortized O(log_B n); rebuilds scan
+    SEGDB_RETURN_IF_ERROR(core::ValidateSegment(segment));
     return tree_.Insert(segment);
   }
   Status Erase(const geom::Segment& segment) override {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/validate.h"
 #include "geom/predicates.h"
 #include "util/math.h"
 #include "util/check.h"
@@ -146,6 +147,9 @@ Status RTreeIndex::FreeSubtree(io::PageId id) {
 
 Status RTreeIndex::BulkLoad(std::span<const Segment> segments) {
   SEGDB_IO_BOUND("scan");
+  for (const Segment& s : segments) {
+    SEGDB_RETURN_IF_ERROR(core::ValidateSegment(s));
+  }
   // Pack the replacement tree aside, then swap: a failed allocation
   // mid-pack must leave the previous contents intact and queryable.
   io::PageId fresh_root = io::kInvalidPageId;
@@ -373,6 +377,7 @@ Result<RTreeIndex::SplitResult> RTreeIndex::InsertRecursive(
 
 Status RTreeIndex::Insert(const Segment& segment) {
   SEGDB_IO_BOUND("log");  // one descent plus a split cascade
+  SEGDB_RETURN_IF_ERROR(core::ValidateSegment(segment));
   Entry entry{};
   entry.rect = BoundsOf(segment);
   entry.child = io::kInvalidPageId;

@@ -5,7 +5,9 @@
 
 #include "util/check.h"
 
-#if defined(SEGDB_SIMD) && (defined(__x86_64__) || defined(_M_X64))
+// Same platform rule as filter_kernel.cc: AVX2 on x86-64 under GCC or
+// Clang, chosen at run time by __builtin_cpu_supports.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SEGDB_SIMD_X86 1
 #include <immintrin.h>
 #endif

@@ -17,9 +17,9 @@
 // standalone codec decodes its final lanes through UnpackLaneBitsTail).
 //
 // Dispatch mirrors geom/filter_kernel.cc: a portable scalar core everywhere,
-// an explicit AVX2 gather+variable-shift path compiled only under
-// -DSEGDB_SIMD=ON (per-function target attribute, no global -mavx2) and
-// selected once at runtime via __builtin_cpu_supports.
+// and an explicit AVX2 gather+variable-shift path compiled into every
+// x86-64 GCC or Clang build (per-function target attribute, no global
+// -mavx2) and selected once at run time via __builtin_cpu_supports.
 #ifndef SEGDB_GEOM_DECODE_KERNEL_H_
 #define SEGDB_GEOM_DECODE_KERNEL_H_
 
@@ -80,8 +80,8 @@ using UnpackAddFn = void (*)(const uint8_t* packed, uint32_t count,
 // Portable core; always available.
 UnpackAddFn ScalarUnpackAdd();
 
-// Explicit AVX2 gather path, or nullptr when SEGDB_SIMD is off or the host
-// CPU lacks AVX2 (checked once at first call).
+// Explicit AVX2 gather path, or nullptr off x86-64 or when the host CPU
+// lacks AVX2 (checked once at first call).
 UnpackAddFn SimdUnpackAdd();
 
 // SIMD when available, scalar otherwise. Resolved once.

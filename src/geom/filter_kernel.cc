@@ -2,11 +2,13 @@
 
 #include "geom/segment.h"
 
-#if defined(SEGDB_SIMD) && (defined(__x86_64__) || defined(_M_X64))
+// The AVX2 path needs GCC or Clang: the target("avx2") attribute and
+// __builtin_cpu_supports, which picks it at run time, are theirs.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SEGDB_SIMD_X86 1
 #include <immintrin.h>
 #endif
-#if defined(SEGDB_SIMD) && defined(__aarch64__)
+#if defined(__aarch64__)
 #define SEGDB_SIMD_NEON 1
 #include <arm_neon.h>
 #endif

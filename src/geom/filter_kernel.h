@@ -26,11 +26,12 @@
 // interval check y1 <= yhi && ylo <= y2.
 //
 // Dispatch. The scalar core compiles everywhere and auto-vectorizes at the
-// target baseline (SSE2 on x86-64). With -DSEGDB_SIMD=ON, explicit AVX2
-// paths are compiled as well (per-function target attributes, no global
-// -mavx2) and selected at runtime via __builtin_cpu_supports; benches can
-// compare rows vs scalar-columnar vs SIMD through ScalarFilterKernel() /
-// SimdFilterKernel().
+// target baseline (SSE2 on x86-64). Every build on x86-64 under GCC or
+// Clang also compiles explicit AVX2 paths (per-function target attributes,
+// no global -mavx2), selected at run time via __builtin_cpu_supports; on
+// aarch64 a NEON stab path is compiled. No build option turns either off.
+// Benches compare rows vs scalar-columnar vs SIMD through
+// ScalarFilterKernel() / SimdFilterKernel().
 #ifndef SEGDB_GEOM_FILTER_KERNEL_H_
 #define SEGDB_GEOM_FILTER_KERNEL_H_
 
@@ -91,8 +92,8 @@ struct FilterKernel {
 // Portable auto-vectorizable core; always available.
 const FilterKernel& ScalarFilterKernel();
 
-// Explicit SIMD implementation, or nullptr when SEGDB_SIMD is off or the
-// host CPU lacks the required ISA (checked once at first call).
+// Explicit SIMD implementation, or nullptr when the platform has none or
+// the host CPU lacks the required ISA (checked once at first call).
 const FilterKernel* SimdFilterKernel();
 
 // SIMD when available, scalar otherwise. Resolved once.

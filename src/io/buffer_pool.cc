@@ -1,10 +1,8 @@
 #include "io/buffer_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
-#include "io/column_codec.h"
 #include "util/check.h"
 
 namespace segdb::io {
@@ -20,14 +18,6 @@ constexpr size_t kMinFramesPerShard = 64;
 size_t PickShardCount(size_t frame_count) {
   const size_t by_size = frame_count / kMinFramesPerShard;
   return std::max<size_t>(1, std::min(kMaxShards, by_size));
-}
-
-// Default compressed-tier budget for pools built through the two-argument
-// constructor. CI exercises the whole suite tier-on by exporting this.
-size_t EnvCompressedTierBytes() {
-  const char* env = std::getenv("SEGDB_COMPRESSED_TIER_BYTES");
-  if (env == nullptr || *env == '\0') return 0;
-  return static_cast<size_t>(std::strtoull(env, nullptr, 10));
 }
 
 }  // namespace
@@ -67,12 +57,8 @@ void PageRef::Release() {
   }
 }
 
-BufferPool::BufferPool(DiskManager* disk, size_t frame_count)
-    : BufferPool(disk, frame_count,
-                 BufferPoolOptions{EnvCompressedTierBytes()}) {}
-
 BufferPool::BufferPool(DiskManager* disk, size_t frame_count,
-                       BufferPoolOptions options)
+                       BufferPoolOptions /*options*/)
     : disk_(disk), page_size_(disk->page_size()) {
   SEGDB_DCHECK(frame_count > 0);
   for (size_t i = 0; i < frame_count; ++i) {
@@ -93,10 +79,6 @@ BufferPool::BufferPool(DiskManager* disk, size_t frame_count,
     ResetFrames(shard);
   }
   SEGDB_DCHECK(next == frame_count);
-  if (options.compressed_tier_bytes > 0) {
-    ctier_shard_budget_ =
-        (options.compressed_tier_bytes + shards_.size() - 1) / shards_.size();
-  }
 }
 
 void BufferPool::Unpin(size_t frame) {
@@ -175,8 +157,7 @@ Result<size_t> BufferPool::GrabFrame(Shard& shard) {
     if (sink_ != nullptr) {
       // NO-STEAL: an uncommitted dirty page never reaches the device. The
       // sink keeps the bytes in RAM until commit-time writeback (a crash
-      // before then correctly discards them). No tier stash either — tier
-      // entries must equal disk, which this page does not.
+      // before then correctly discards them).
       sink_->CaptureEviction(f.id, f.page);
       ++shard.stats.spills;
       shard.page_table.erase(f.id);
@@ -188,54 +169,11 @@ Result<size_t> BufferPool::GrabFrame(Shard& shard) {
     SEGDB_RETURN_IF_ERROR(disk_->WritePage(f.id, f.page));
     ++shard.stats.writebacks;
   }
-  // Stash AFTER the writeback succeeded (and only then): a tier entry must
-  // always equal the on-disk bytes, so a dropped or budget-evicted entry is
-  // never a data loss and a writeback fault leaves no stale stash behind.
-  StashCompressed(shard, f.id, f.page);
   shard.page_table.erase(f.id);
   f.id = kInvalidPageId;
   f.dirty.store(false, std::memory_order_relaxed);
   f.prefetched = false;
   return victim;
-}
-
-void BufferPool::StashCompressed(Shard& shard, PageId id, const Page& page) {
-  if (ctier_shard_budget_ == 0) return;
-  std::vector<uint8_t> bytes = CompressPage(page.data(), page_size_);
-  if (bytes.size() > ctier_shard_budget_) return;  // would never fit
-  auto [it, inserted] = shard.ctier.try_emplace(id);
-  if (!inserted) shard.ctier_bytes -= it->second.size();
-  shard.ctier_bytes += bytes.size();
-  it->second = std::move(bytes);
-  // A re-stash keeps its original FIFO slot; promoted-and-stashed-again ids
-  // get a fresh node while their stale one waits to be skipped.
-  if (inserted) shard.ctier_fifo.push_back(id);
-  ++shard.stats.compressed_stores;
-  while (shard.ctier_bytes > ctier_shard_budget_ && !shard.ctier_fifo.empty()) {
-    const PageId oldest = shard.ctier_fifo.front();
-    shard.ctier_fifo.pop_front();
-    auto vit = shard.ctier.find(oldest);
-    if (vit == shard.ctier.end()) continue;  // stale node
-    shard.ctier_bytes -= vit->second.size();
-    shard.ctier.erase(vit);
-    ++shard.stats.compressed_evictions;
-  }
-  // Stale nodes accumulate one per promote-then-restash cycle; compact the
-  // queue before it can grow past a small multiple of the live entry count.
-  if (shard.ctier_fifo.size() > 2 * shard.ctier.size() + 64) {
-    std::deque<PageId> live;
-    for (PageId pid : shard.ctier_fifo) {
-      if (shard.ctier.find(pid) != shard.ctier.end()) live.push_back(pid);
-    }
-    shard.ctier_fifo.swap(live);
-  }
-}
-
-void BufferPool::DropCompressed(Shard& shard, PageId id) {
-  auto it = shard.ctier.find(id);
-  if (it == shard.ctier.end()) return;
-  shard.ctier_bytes -= it->second.size();
-  shard.ctier.erase(it);  // its FIFO node goes stale and is skipped later
 }
 
 Result<PageRef> BufferPool::Fetch(PageId id) {
@@ -257,28 +195,6 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
       }
       Pin(f);
       return PageRef(this, it->second, id);
-    }
-    // Compressed-tier probe before the miss is charged: a promotion
-    // decompresses RAM-resident bytes instead of reading the device, so it
-    // is its own stats bucket, not a miss. The entry is moved out and
-    // erased BEFORE GrabFrame — the grab may stash its victim into this
-    // same map, and dropping our entry early is harmless because tier bytes
-    // are always a copy of disk (a failed grab just means the next fetch
-    // reads disk).
-    auto ct = shard.ctier.find(id);
-    if (ct != shard.ctier.end()) {
-      ++shard.stats.compressed_hits;
-      const std::vector<uint8_t> bytes = std::move(ct->second);
-      shard.ctier_bytes -= bytes.size();
-      shard.ctier.erase(ct);
-      Result<size_t> frame = GrabFrame(shard);
-      if (!frame.ok()) return frame.status();
-      Frame& f = frames_[frame.value()];
-      DecompressPage(bytes, f.page.data(), page_size_);
-      f.id = id;
-      Pin(f);
-      shard.page_table.emplace(id, frame.value());
-      return PageRef(this, frame.value(), id);
     }
     ++shard.stats.misses;
     Result<size_t> frame = GrabFrame(shard);
@@ -321,9 +237,6 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
     Pin(winner);
     return PageRef(this, it->second, id);
   }
-  // A racing fetcher may have installed the page and then evicted it into
-  // the tier while we read; the frame copy wins, keeping the two disjoint.
-  DropCompressed(shard, id);
   Frame& f = frames_[claimed];
   f.staging = false;
   f.referenced.store(true, std::memory_order_relaxed);
@@ -366,9 +279,6 @@ Status BufferPool::FreePage(PageId id) {
       shard.page_table.erase(it);
       FreeFrame(shard, frame);
     }
-    // A freed page's id can be re-allocated by NewPage; a stale tier entry
-    // would then resurrect the old bytes on the first eviction/fetch cycle.
-    DropCompressed(shard, id);
   }
   if (sink_ != nullptr) {
     // Defer the device-level free to the commit that owns this mutation:
@@ -402,10 +312,6 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
     // pages, or it would perturb the measured hit/miss pattern.
     if (shard.free_frames.empty()) continue;
     if (shard.page_table.find(id) != shard.page_table.end()) continue;
-    // Tier-resident pages are already one decompression away from a frame;
-    // staging them from disk would duplicate the bytes and break the
-    // tier/page-table disjointness invariant.
-    if (shard.ctier.find(id) != shard.ctier.end()) continue;
     // Spilled pages must not be staged either: the device bytes are stale
     // (the fresh bytes live in the sink until commit-time writeback).
     if (sink_ != nullptr && sink_->Contains(id)) continue;
@@ -447,7 +353,6 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
       FreeFrame(shard, c.frame);
       continue;
     }
-    DropCompressed(shard, c.id);
     Frame& f = frames_[c.frame];
     f.staging = false;
     f.prefetched = true;
@@ -490,12 +395,6 @@ Status BufferPool::EvictAll() {
     // Every frame is free now: restore the fresh-pool order, so an emptied
     // pool fills its frames exactly like a new one.
     ResetFrames(shard);
-    // A cold cache has no second tier either: dropping it here keeps the
-    // EvictAll/ResetStats measurement protocol tier-invariant, so the
-    // golden cold-miss counts hold with the tier on or off.
-    shard.ctier.clear();
-    shard.ctier_fifo.clear();
-    shard.ctier_bytes = 0;
   }
   return Status::OK();
 }
@@ -527,11 +426,6 @@ BufferPoolStats BufferPool::stats() const {
     total.writebacks += shard.stats.writebacks;
     total.prefetches += shard.stats.prefetches;
     total.spills += shard.stats.spills;
-    total.compressed_hits += shard.stats.compressed_hits;
-    total.compressed_stores += shard.stats.compressed_stores;
-    total.compressed_evictions += shard.stats.compressed_evictions;
-    total.compressed_resident_pages += shard.ctier.size();
-    total.compressed_resident_bytes += shard.ctier_bytes;
   }
   return total;
 }
@@ -647,37 +541,6 @@ Status BufferPool::CheckInvariants() const {
         return Status::Corruption("page-table entry in the wrong shard");
       }
     }
-    // Compressed tier: byte accounting, budget, shard placement,
-    // disjointness from the frame-resident set, and — the core guarantee —
-    // every entry decompresses to exactly the page's on-disk bytes.
-    uint64_t ctier_bytes = 0;
-    for (const auto& [id, bytes] : shard.ctier) {
-      ctier_bytes += bytes.size();
-      if (id % shards_.size() != s) {
-        return Status::Corruption("compressed-tier entry in the wrong shard");
-      }
-      if (shard.page_table.find(id) != shard.page_table.end()) {
-        return Status::Corruption(
-            "page resident in both a frame and the compressed tier");
-      }
-      Page on_disk(page_size_);
-      SEGDB_RETURN_IF_ERROR(disk_->PeekPage(id, &on_disk));
-      Page decoded(page_size_);
-      DecompressPage(bytes, decoded.data(), page_size_);
-      if (std::memcmp(decoded.data(), on_disk.data(), page_size_) != 0) {
-        return Status::Corruption(
-            "compressed-tier entry diverges from disk contents");
-      }
-    }
-    if (ctier_bytes != shard.ctier_bytes) {
-      return Status::Corruption("compressed-tier byte accounting mismatch");
-    }
-    if (ctier_shard_budget_ == 0 && !shard.ctier.empty()) {
-      return Status::Corruption("compressed tier populated while disabled");
-    }
-    if (shard.ctier_bytes > ctier_shard_budget_) {
-      return Status::Corruption("compressed tier exceeds its shard budget");
-    }
   }
   for (size_t i = 0; i < frames_.size(); ++i) {
     if (!owned[i]) return Status::Corruption("frame owned by no shard");
@@ -686,10 +549,9 @@ Status BufferPool::CheckInvariants() const {
     return Status::Corruption("page table and resident frames disagree");
   }
   const BufferPoolStats s = stats();
-  // A fetch resolves as exactly one of: frame hit, demand miss, or
-  // compressed-tier promotion. (Failed fetches keep their bucket — the
-  // device or tier was asked — matching the single-tier accounting.)
-  if (s.hits + s.misses + s.compressed_hits != s.fetches) {
+  // A fetch resolves as exactly one of: frame hit or demand miss. (A
+  // failed fetch keeps its miss: the device was asked.)
+  if (s.hits + s.misses != s.fetches) {
     return Status::Corruption("fetch/hit/miss accounting mismatch");
   }
   return Status::OK();

@@ -1,6 +1,7 @@
 // A CLOCK buffer pool over the simulated disk. All index structures access
 // pages through PageRef pins obtained here, so the pool's miss counter is
-// exactly the number of I/O operations in the paper's cost model.
+// exactly the number of I/O operations in the paper's cost model. The pool
+// has one tier of frames, and every fetch is a hit or a miss.
 //
 // Measurement protocol used by tests and benchmarks:
 //   build structure -> pool.FlushAll() -> pool.EvictAll() -> pool.ResetStats()
@@ -130,37 +131,21 @@ struct BufferPoolStats {
   uint64_t writebacks = 0;  // dirty evictions / flushes
   uint64_t prefetches = 0;  // pages staged by Prefetch (uncharged reads)
   uint64_t spills = 0;      // dirty evictions diverted to a WritebackSink
-  // Compressed-tier counters (zero when the tier is disabled). A fetch is
-  // exactly one of hit / miss / compressed_hit — a tier promotion avoids
-  // the disk read, so it is deliberately NOT a miss in the paper's cost
-  // model, and cold-protocol runs (EvictAll drops the tier too) are
-  // unaffected by the tier's existence.
-  uint64_t compressed_hits = 0;       // fetches served by decompressing
-  uint64_t compressed_stores = 0;     // evicted pages stashed compressed
-  uint64_t compressed_evictions = 0;  // tier entries dropped for budget
-  // Gauges sampled by stats() from the live tier, not reset by ResetStats.
-  uint64_t compressed_resident_pages = 0;
-  uint64_t compressed_resident_bytes = 0;
 };
 
-struct BufferPoolOptions {
-  // RAM budget (bytes, across all shards) for the compressed second tier:
-  // pages evicted from frames are kept compressed in memory and a later
-  // fetch decompresses them back instead of reading disk. 0 disables the
-  // tier — the pool is then bit-for-bit the single-tier pool.
-  size_t compressed_tier_bytes = 0;
-};
+// Construction options: none. The pool has one eviction policy and one
+// tier of frames. The struct stays because callers, perfbench among them,
+// pass BufferPoolOptions{}. Add a field only with a benchmark that shows
+// it earns its lines.
+struct BufferPoolOptions {};
 
 class BufferPool {
  public:
   // `frame_count` bounds resident pages; fetching past it evicts an
   // unpinned frame chosen by its shard's CLOCK hand. Pools under 128
-  // frames get a single shard. This two-argument form takes the compressed-
-  // tier budget from the SEGDB_COMPRESSED_TIER_BYTES environment variable
-  // (absent/0 = disabled) so whole test binaries can be re-run with the
-  // tier on without touching every pool construction.
-  BufferPool(DiskManager* disk, size_t frame_count);
-  BufferPool(DiskManager* disk, size_t frame_count, BufferPoolOptions options);
+  // frames get a single shard.
+  BufferPool(DiskManager* disk, size_t frame_count,
+             BufferPoolOptions options = {});
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -280,16 +265,6 @@ class BufferPool {
     // CLOCK hand: the position in `frames` the next sweep starts at.
     size_t hand SEGDB_GUARDED_BY(mu) = 0;
     BufferPoolStats stats SEGDB_GUARDED_BY(mu);
-    // Compressed second tier: evicted pages stashed as CompressPage bytes.
-    // Disjoint from page_table by invariant (a promotion removes the entry
-    // before the page re-enters a frame). ctier_fifo orders entries for
-    // budget eviction, oldest stash first; it may carry stale ids (promoted
-    // or freed entries leave their node behind), which eviction skips and a
-    // periodic compaction drops.
-    std::unordered_map<PageId, std::vector<uint8_t>> ctier
-        SEGDB_GUARDED_BY(mu);
-    std::deque<PageId> ctier_fifo SEGDB_GUARDED_BY(mu);
-    uint64_t ctier_bytes SEGDB_GUARDED_BY(mu) = 0;
   };
 
   Shard& ShardFor(PageId id) { return shards_[id % shards_.size()]; }
@@ -299,10 +274,8 @@ class BufferPool {
     f.referenced.store(true, std::memory_order_relaxed);
   }
   void Unpin(size_t frame);
-  // Takes a free frame of `shard`, else evicts the CLOCK victim: writes it
-  // back if dirty, then stashes its bytes in the compressed tier (the stash
-  // comes AFTER a successful writeback, so tier entries always equal disk).
-  // The frame comes back unmapped, unpinned and clean.
+  // Takes a free frame of `shard`, else evicts the CLOCK victim, writing it
+  // back first if dirty. The frame comes back unmapped, unpinned and clean.
   Result<size_t> GrabFrame(Shard& shard) SEGDB_REQUIRES(shard.mu);
   // Marks a grabbed frame as claimed for `id`: pinned by the claimer,
   // `staging`, not in the page table. The caller holds the frame's shard
@@ -315,12 +288,6 @@ class BufferPool {
   void FreeFrame(Shard& shard, size_t frame) SEGDB_REQUIRES(shard.mu);
   // Every frame free, in construction order, and the hand at the start.
   void ResetFrames(Shard& shard) SEGDB_REQUIRES(shard.mu);
-  // Compresses `page` into the shard's tier under `id`, evicting oldest
-  // entries past the per-shard budget. No-op when the tier is disabled.
-  void StashCompressed(Shard& shard, PageId id, const Page& page)
-      SEGDB_REQUIRES(shard.mu);
-  // Drops `id` from the shard's tier if present (promotion, FreePage).
-  void DropCompressed(Shard& shard, PageId id) SEGDB_REQUIRES(shard.mu);
 
   DiskManager* disk_;
   const uint32_t page_size_;  // hoisted off the disk for the fetch path
@@ -328,9 +295,6 @@ class BufferPool {
   // stable while other threads touch them.
   std::deque<Frame> frames_;
   std::vector<Shard> shards_;
-  // Per-shard slice of BufferPoolOptions::compressed_tier_bytes (rounded
-  // up); 0 disables the tier. Const after construction.
-  size_t ctier_shard_budget_ = 0;
   // Set/cleared only while quiescent; read by the concurrent fetch path.
   // Not an atomic on purpose: attaching a sink mid-storm is outside the
   // pool's contract, same as every other writer-path operation.

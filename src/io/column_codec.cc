@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <vector>
 
 namespace segdb::io {
 
@@ -314,71 +315,6 @@ void DecodeColumn(const uint8_t* in, size_t in_bytes, uint32_t n,
                                 static_cast<uint64_t>(UnZigZag(zz)));
     out[i] = prev;
   }
-}
-
-std::vector<uint8_t> CompressPage(const uint8_t* page, uint32_t page_size) {
-  std::vector<uint8_t> out;
-  out.reserve(64);
-  out.push_back(0);  // format tag: zero-run stream
-  uint32_t i = 0;
-  while (i < page_size) {
-    uint32_t zeros = 0;
-    while (i + zeros < page_size && page[i + zeros] == 0 && zeros < 65535) {
-      ++zeros;
-    }
-    uint32_t lit = 0;
-    while (i + zeros + lit < page_size && lit < 65535 &&
-           !(page[i + zeros + lit] == 0 &&
-             // A lone zero inside literals costs less than a new chunk;
-             // only break the literal run for a worthwhile zero run.
-             i + zeros + lit + 4 <= page_size &&
-             page[i + zeros + lit + 1] == 0 &&
-             page[i + zeros + lit + 2] == 0 &&
-             page[i + zeros + lit + 3] == 0)) {
-      ++lit;
-    }
-    const uint16_t z16 = static_cast<uint16_t>(zeros);
-    const uint16_t l16 = static_cast<uint16_t>(lit);
-    out.push_back(static_cast<uint8_t>(z16 & 0xff));
-    out.push_back(static_cast<uint8_t>(z16 >> 8));
-    out.push_back(static_cast<uint8_t>(l16 & 0xff));
-    out.push_back(static_cast<uint8_t>(l16 >> 8));
-    out.insert(out.end(), page + i + zeros, page + i + zeros + lit);
-    i += zeros + lit;
-    if (out.size() > page_size) {
-      // Incompressible: fall back to a raw copy, bounded at page_size + 1.
-      out.assign(1, 1);
-      out.insert(out.end(), page, page + page_size);
-      return out;
-    }
-  }
-  return out;
-}
-
-void DecompressPage(const std::vector<uint8_t>& in, uint8_t* page,
-                    uint32_t page_size) {
-  SEGDB_CHECK(!in.empty());
-  if (in[0] == 1) {
-    SEGDB_CHECK(in.size() == size_t{page_size} + 1);
-    std::memcpy(page, in.data() + 1, page_size);
-    return;
-  }
-  SEGDB_CHECK(in[0] == 0);
-  size_t src = 1;
-  uint32_t dst = 0;
-  while (src < in.size()) {
-    SEGDB_CHECK(src + 4 <= in.size());
-    const uint32_t zeros = in[src] | (uint32_t{in[src + 1]} << 8);
-    const uint32_t lit = in[src + 2] | (uint32_t{in[src + 3]} << 8);
-    src += 4;
-    SEGDB_CHECK(uint64_t{dst} + zeros + lit <= page_size);
-    SEGDB_CHECK(src + lit <= in.size());
-    std::memset(page + dst, 0, zeros);
-    std::memcpy(page + dst + zeros, in.data() + src, lit);
-    src += lit;
-    dst += zeros + lit;
-  }
-  SEGDB_CHECK(dst == page_size) << "compressed page truncated";
 }
 
 CodecStats GlobalCodecStats() {

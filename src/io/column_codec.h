@@ -45,15 +45,13 @@
 // is zeroed first, widths and references are the canonical minima, and
 // slack bytes stay zero. Re-encoding unchanged lanes reproduces the region
 // byte-for-byte — BufferPool::CheckInvariants' clean-frame-vs-disk compare
-// depends on this, and zeroed slack is what makes CompressPage (below)
-// effective on partially filled pages.
+// depends on this.
 #ifndef SEGDB_IO_COLUMN_CODEC_H_
 #define SEGDB_IO_COLUMN_CODEC_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "geom/decode_kernel.h"
 #include "util/check.h"
@@ -178,17 +176,6 @@ size_t EncodeColumn(const int64_t* values, uint32_t n, bool allow_delta,
 // encoded size (the decoder never reads past it).
 void DecodeColumn(const uint8_t* in, size_t in_bytes, uint32_t n,
                   int64_t* out);
-
-// --- Whole-page compressor (the buffer pool's compressed-in-RAM tier) ----
-
-// Zero-run suppression: packed regions zero their slack and minimal-width
-// columns leave long zero tails, so evicted pages shrink well below the
-// page size without any external library. Output byte 0 is a format tag:
-//   1: raw page copy (incompressible input; bounded at page_size + 1)
-//   0: a sequence of { u16 zero_run_len, u16 literal_len, literal bytes }
-std::vector<uint8_t> CompressPage(const uint8_t* page, uint32_t page_size);
-void DecompressPage(const std::vector<uint8_t>& in, uint8_t* page,
-                    uint32_t page_size);
 
 // --- Codec telemetry ------------------------------------------------------
 

@@ -18,7 +18,7 @@
 // view per comparison) stay O(1): Get extracts one lane from the packed
 // bits. strips() — the bulk-scan entry the filter kernels consume — decodes
 // the region once into a checked-out thread-local scratch (geom decode
-// kernels, AVX2 behind SEGDB_SIMD) and serves lane pointers from it; Get
+// kernels, AVX2 where the CPU has it) and serves lane pointers from it; Get
 // switches to the decoded lanes from then on. The mutable view decodes
 // eagerly, applies Set/WriteRange to the scratch, and re-encodes on
 // destruction iff anything changed — the encode is canonical (pure function

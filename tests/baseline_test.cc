@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "baseline/endpoint_pst_index.h"
 #include "baseline/full_scan_index.h"
+#include "baseline/interval_stab_index.h"
 #include "baseline/oracle.h"
 #include "baseline/rtree_index.h"
 #include "core/two_level_interval_index.h"
@@ -207,6 +210,67 @@ TEST_F(BaselineTest, EndpointPstDiverges) {
   // is the paper's argument for needing a real segment structure.
   EXPECT_GT(false_pos + false_neg, 0u);
   EXPECT_GT(agree, 0u);
+}
+
+TEST_F(BaselineTest, RejectsMalformedSegmentsUnchanged) {
+  // The paged baselines guard their mutations like the two-level indexes
+  // (CoreIndexTest.RejectsMalformedSegmentsUnchanged, same segments and
+  // checks): a non-canonical segment or a coordinate outside +/-kMaxCoord
+  // is InvalidArgument before any page is touched, and the index is left
+  // as it was.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<Segment> bad = {
+      Segment{10, 0, 0, 0, 100},                            // x1 > x2
+      Segment{5, 9, 5, 1, 101},                             // y1 > y2
+      Segment::Make({0, 0}, {int64_t{1} << 40, 0}, 102),    // past the codec
+      Segment::Make({-(int64_t{1} << 31), 0}, {0, 0}, 103),
+      Segment::Make({0, 0}, {10, geom::kMaxCoord + 1}, 104),
+      Segment::Make({kMin, 0}, {0, 0}, 105),
+      Segment::Make({0, 0}, {kMax, 0}, 106),
+      Segment::Make({0, kMin}, {10, 0}, 107),
+  };
+  const std::vector<Segment> good = {
+      Segment::Make({0, 0}, {100, 0}, 1),
+      Segment::Make({50, 10}, {50, 30}, 2),
+      Segment::Make({20, -50}, {80, -20}, 3),
+  };
+  const std::vector<
+      std::function<std::unique_ptr<core::SegmentIndex>(io::BufferPool*)>>
+      factories = {
+          [](io::BufferPool* pool) {
+            return std::make_unique<FullScanIndex>(pool);
+          },
+          [](io::BufferPool* pool) {
+            return std::make_unique<RTreeIndex>(pool);
+          },
+          [](io::BufferPool* pool) {
+            return std::make_unique<IntervalStabIndex>(pool);
+          },
+      };
+  for (const auto& make : factories) {
+    for (const Segment& s : bad) {
+      for (const bool bulk : {true, false}) {
+        auto index = make(&pool_);
+        ASSERT_TRUE(index->BulkLoad(good).ok());
+        const uint64_t pages = index->page_count();
+        std::vector<Segment> with_bad = good;
+        with_bad.push_back(s);
+        const Status st = bulk ? index->BulkLoad(with_bad) : index->Insert(s);
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+            << index->name() << " id " << s.id
+            << (bulk ? " via BulkLoad" : " via Insert");
+        EXPECT_EQ(index->size(), good.size()) << index->name();
+        EXPECT_EQ(index->page_count(), pages) << index->name();
+        EXPECT_TRUE(index->CheckInvariants().ok()) << index->name();
+        ASSERT_TRUE(index->Insert(Segment::Make({0, 40}, {50, 60}, 4)).ok());
+        std::vector<Segment> out;
+        ASSERT_TRUE(index->Query(VerticalSegmentQuery::Line(50), &out).ok());
+        EXPECT_EQ(Ids(out), (std::vector<uint64_t>{1, 2, 3, 4}))
+            << index->name();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Unit coverage for io/column_codec.h: packed-region encode/decode (the
 // on-page format every segment leaf now uses), the capacity/footprint laws
 // the leaf builders rely on, the standalone column codec with its
-// guaranteed raw fallback, and the zero-run page compressor backing the
-// buffer pool's compressed tier. The adversarial-input sweeps live in
+// guaranteed raw fallback, and the unpack kernels (scalar against the
+// active one). The adversarial-input sweeps live in
 // differential_fuzz_test.cc; this file pins the deterministic contracts.
 
 #include <gtest/gtest.h>
@@ -178,39 +178,8 @@ TEST(ColumnCodecTest, StandaloneColumnDeltaBeatsForOnSortedRuns) {
   CheckColumnRoundTrip(values, /*allow_delta=*/true);
 }
 
-TEST(ColumnCodecTest, PageCompressorRoundTripAndBounds) {
-  constexpr uint32_t kPage = 1024;
-  Rng rng(7003);
-  std::vector<std::vector<uint8_t>> pages;
-  pages.emplace_back(kPage, 0);  // all zero: the best case
-  // Packed-page shape: a dense prefix, then a zero tail.
-  std::vector<uint8_t> half(kPage, 0);
-  for (uint32_t i = 0; i < kPage / 3; ++i) {
-    half[i] = static_cast<uint8_t>(rng.Next());
-  }
-  pages.push_back(std::move(half));
-  // Incompressible noise: must take the raw escape, bounded at page + 1.
-  std::vector<uint8_t> noise(kPage);
-  for (auto& b : noise) b = static_cast<uint8_t>(rng.Next() | 1);
-  pages.push_back(std::move(noise));
-  // Alternating short runs stress the run/literal switch heuristic.
-  std::vector<uint8_t> ladder(kPage, 0);
-  for (uint32_t i = 0; i < kPage; i += 9) ladder[i] = 7;
-  pages.push_back(std::move(ladder));
-
-  for (const auto& page : pages) {
-    const std::vector<uint8_t> packed = CompressPage(page.data(), kPage);
-    ASSERT_LE(packed.size(), size_t{kPage} + 1);
-    std::vector<uint8_t> out(kPage, 0x5A);
-    DecompressPage(packed, out.data(), kPage);
-    ASSERT_EQ(out, page);
-  }
-  const auto zero_packed = CompressPage(pages[0].data(), kPage);
-  EXPECT_LT(zero_packed.size(), size_t{16});
-}
-
 TEST(ColumnCodecTest, UnpackKernelsAgreeScalarVsActive) {
-  // The AVX2 gather path (when compiled and supported) must match the
+  // The AVX2 gather path (when the CPU supports it) must match the
   // scalar extraction bit-for-bit across widths, including the remainder
   // lanes after the last full SIMD step.
   Rng rng(7004);

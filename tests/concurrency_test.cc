@@ -216,7 +216,7 @@ TEST(ConcurrencyTest, CrossShardEvictionStorm) {
 TEST(ConcurrencyTest, MissDoesNotBlockItsShard) {
   io::SimDiskManager base(256);
   GatedDisk disk(&base);
-  io::BufferPool pool(&disk, 16, io::BufferPoolOptions{});
+  io::BufferPool pool(&disk, 16);
   ASSERT_EQ(pool.shard_count(), 1u);
   const auto ids = FillPages(&pool, 32);
   ASSERT_TRUE(pool.EvictAll().ok());
@@ -266,7 +266,7 @@ TEST(ConcurrencyTest, FileDeviceReadStorm) {
   const std::string path = TempPath("concurrency_file_storm.segdb");
   auto file = OpenFileDevice(path);
   ASSERT_NE(file, nullptr);
-  io::BufferPool pool(file.get(), 64, io::BufferPoolOptions{});
+  io::BufferPool pool(file.get(), 64);
   const auto ids = FillPages(&pool, 512);  // working set 8x the frames
   ASSERT_TRUE(pool.EvictAll().ok());
   pool.ResetStats();
@@ -291,7 +291,7 @@ TEST(ConcurrencyTest, FileDeviceReadStormWithReadFaults) {
   plan.read_fault_rate = 0.05;
   io::FaultInjectingDiskManager faulty(file.get(), plan);
   faulty.set_enabled(false);
-  io::BufferPool pool(&faulty, 64, io::BufferPoolOptions{});
+  io::BufferPool pool(&faulty, 64);
   const auto ids = FillPages(&pool, 512);
   ASSERT_TRUE(pool.EvictAll().ok());
   pool.ResetStats();

@@ -118,49 +118,6 @@ TEST_P(DifferentialFuzzTest, SurvivesOnePercentFaultRegime) {
   EXPECT_EQ(stats.retried_ok, stats.faulted_ops) << cfg.label;
 }
 
-// Tier'd pool: the same reliable-device stream must be answer-identical
-// when evicted pages round-trip through the compressed second tier. A
-// tiny frame count plus a generous tier budget maximizes stash/promote
-// traffic under the differential oracle.
-TEST_P(DifferentialFuzzTest, CompressedTierIsAnswerInvariant) {
-  const Config cfg = config();
-  FuzzOptions options;
-  options.seed = 20260805;  // same stream as TenThousandOpsNoFaults
-  options.ops = 6000;
-  options.supports_erase = cfg.supports_erase;
-  options.pool_frames = 64;
-  options.compressed_tier_bytes = 8u << 20;
-  FuzzStats stats;
-  const Status s =
-      RunDifferentialFuzz(cfg.label, cfg.factory, options, &stats);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(stats.executed, options.ops);
-  EXPECT_EQ(stats.faulted_ops, 0u);
-}
-
-// Fault regime through the tier: injected read/alloc faults now land on a
-// pool whose misses may be promotions, so fault-atomicity (non-OK status,
-// audit-clean structure, successful paused retry) must hold across the
-// stash/promote path too.
-TEST_P(DifferentialFuzzTest, CompressedTierSurvivesFaultRegime) {
-  const Config cfg = config();
-  FuzzOptions options;
-  options.seed = 8152026;
-  options.ops = 4000;
-  options.supports_erase = cfg.supports_erase;
-  options.mutation_alloc_fault_rate = 0.01;
-  options.query_read_fault_rate = 0.01;
-  options.pool_frames = 64;
-  options.compressed_tier_bytes = 8u << 20;
-  FuzzStats stats;
-  const Status s =
-      RunDifferentialFuzz(cfg.label, cfg.factory, options, &stats);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(stats.executed, options.ops);
-  EXPECT_GT(stats.faulted_ops, 0u) << cfg.label;
-  EXPECT_EQ(stats.retried_ok, stats.faulted_ops) << cfg.label;
-}
-
 INSTANTIATE_TEST_SUITE_P(Indexes, DifferentialFuzzTest,
                          ::testing::Range<size_t>(0, AllConfigs().size()),
                          [](const auto& info) {
@@ -343,16 +300,6 @@ void CodecFuzzRound(Rng& rng) {
     io::DecodeColumn(exact.data(), exact.size(), cap, out.data());
     ASSERT_EQ(out, col) << "allow_delta " << allow_delta;
   }
-
-  // The page compressor must round-trip the encoded region itself — this
-  // is exactly the byte stream the buffer pool's tier stashes.
-  const std::vector<uint8_t> packed =
-      io::CompressPage(region.data(), static_cast<uint32_t>(region.size()));
-  ASSERT_LE(packed.size(), region.size() + 1);
-  std::vector<uint8_t> unpacked(region.size(), 0xEE);
-  io::DecompressPage(packed, unpacked.data(),
-                     static_cast<uint32_t>(region.size()));
-  ASSERT_EQ(unpacked, region);
 }
 
 TEST(CodecFuzzTest, RoundTripMatchesUncompressedOracle) {

@@ -165,7 +165,7 @@ TEST(EpochConcurrencyTest, ReadersNeverSeeAReclaimedNode) {
 // progress through every drain.
 TEST(EpochConcurrencyTest, EngineBulkLoadSwapsUnderQueryStorm) {
   io::SimDiskManager disk(1024);
-  io::BufferPool pool(&disk, 512, io::BufferPoolOptions{});
+  io::BufferPool pool(&disk, 512);
   Result<std::unique_ptr<DurableEngine>> created = DurableEngine::Create(
       &pool, &disk,
       [](io::BufferPool* p) {

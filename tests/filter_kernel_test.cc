@@ -2,8 +2,8 @@
 // __int128 predicates in geom/predicates.h, under randomized workloads and
 // the adversarial query ordinates the tree actually produces (sentinel
 // rays/lines and unbounded INT64/4-style ranges). Both the scalar core and
-// the runtime-dispatched SIMD kernel (when compiled in and supported by the
-// host) are checked against the same oracles.
+// the runtime-dispatched SIMD kernel (when the host CPU supports it) are
+// checked against the same oracles.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "geom/decode_kernel.h"
 #include "geom/filter_kernel.h"
 #include "geom/predicates.h"
 #include "geom/segment.h"
@@ -186,6 +187,16 @@ TEST(FilterKernelTest, ActiveKernelMatchesDispatch) {
     EXPECT_EQ(&active, &ScalarFilterKernel());
   }
   EXPECT_NE(active.name, nullptr);
+  // The explicit kernels are compiled into every build, so only the CPU
+  // decides: on x86-64 they exist exactly when it has AVX2, and aarch64
+  // always has the NEON stab path.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  const bool avx2 = __builtin_cpu_supports("avx2");
+  EXPECT_EQ(SimdFilterKernel() != nullptr, avx2);
+  EXPECT_EQ(SimdUnpackAdd() != nullptr, avx2);
+#elif defined(__aarch64__)
+  EXPECT_NE(SimdFilterKernel(), nullptr);
+#endif
 }
 
 }  // namespace

@@ -87,8 +87,7 @@ class Fuzzer {
         fault_mode_(options.mutation_alloc_fault_rate > 0 ||
                     options.query_read_fault_rate > 0),
         disk_(MakeBaseDevice(options), io::FaultPlan{}),
-        pool_(&disk_, options.pool_frames,
-              io::BufferPoolOptions{options.compressed_tier_bytes}),
+        pool_(&disk_, options.pool_frames),
         rng_(options.seed) {
     disk_.set_enabled(false);  // reliable until an op arms it
     index_ = factory(&pool_);
@@ -351,7 +350,7 @@ class CrashTrial {
         crash_at_(crash_at),
         disk_(std::make_unique<io::SimDiskManager>(options.page_size),
               io::FaultPlan{}),
-        pool_(&disk_, options.pool_frames, io::BufferPoolOptions{}),
+        pool_(&disk_, options.pool_frames),
         rng_(options.seed) {}
 
   Status Run(CrashFuzzStats* stats, uint64_t* device_ops_out);
@@ -691,8 +690,7 @@ Status CrashTrial::VerifyCrash(CrashFuzzStats* stats) {
   // device, and every pre-crash op ran fault-free), so data pages must
   // come out bit-identical — the strongest form of "recovered". ---
   io::SimDiskManager ref_disk(options_.page_size);
-  io::BufferPool ref_pool(&ref_disk, options_.pool_frames,
-                          io::BufferPoolOptions{});
+  io::BufferPool ref_pool(&ref_disk, options_.pool_frames);
   core::DurableEngineOptions eopts;
   eopts.checkpoint_every = options_.checkpoint_every;
   Result<std::unique_ptr<core::DurableEngine>> ref_created =

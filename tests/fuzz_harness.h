@@ -70,10 +70,6 @@ struct FuzzOptions {
   // device, so fault placement per (seed, op) is identical across
   // backends and every reproducer line stays valid.
   std::string backend_file;
-  // Compressed second-tier budget for the index's pool (0 = off). Answers
-  // must be tier-invariant; with faults on, this routes every injected
-  // read/alloc fault through the stash/promotion path as well.
-  size_t compressed_tier_bytes = 0;
 };
 
 struct FuzzStats {

@@ -128,10 +128,7 @@ TEST(DiskManagerTest, HighWaterTracksPeakUsage) {
 
 class BufferPoolTest : public ::testing::Test {
  protected:
-  // Tier pinned off: these tests assert the single-tier eviction model
-  // (a re-fetch of an evicted page is a demand miss), which a compressed
-  // second tier deliberately changes. The tier has its own suite.
-  BufferPoolTest() : disk_(kPageSize), pool_(&disk_, 4, BufferPoolOptions{}) {}
+  BufferPoolTest() : disk_(kPageSize), pool_(&disk_, 4) {}
 
   SimDiskManager disk_;
   BufferPool pool_;

@@ -61,9 +61,7 @@ class ModelClock {
 TEST(LruModelTest, HitMissPatternMatchesReference) {
   constexpr size_t kFrames = 16;
   SimDiskManager disk(256);
-  // Tier pinned off: this is the single-tier miss-pattern reference; with a
-  // compressed tier, evicted-page re-fetches become promotions, not misses.
-  BufferPool pool(&disk, kFrames, BufferPoolOptions{});
+  BufferPool pool(&disk, kFrames);
   ASSERT_EQ(pool.shard_count(), 1u);
   ModelClock model(kFrames);
 

@@ -7,12 +7,12 @@
 #
 # Produces:
 #   BENCH_micro.json  — google-benchmark CPU microbenchmarks
-#   BENCH_e3.json     — Solution A: cold I/O + tier stats + throughput
-#   BENCH_e4.json     — Solution B: cold I/O + tier stats + throughput
+#   BENCH_e3.json     — Solution A: cold I/O + warm throughput
+#   BENCH_e4.json     — Solution B: cold I/O + warm throughput
 #   BENCH_e14.json    — file backend: batched vs sync cold reads + serving
 #                       latency percentiles (p50/p95/p99, queue depth)
 #
-# --scaling skips the cold/tier sections and sweeps the parallel batch
+# --scaling skips the cold sections and sweeps the parallel batch
 # throughput — and the serving-layer client count — with thread counts
 # extended past the hardware concurrency, writing BENCH_e3_scaling.json /
 # BENCH_e4_scaling.json / BENCH_e14_scaling.json (untracked: the curve is

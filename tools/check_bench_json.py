@@ -182,7 +182,7 @@ def main() -> None:
     if not isinstance(benches, list) or not benches:
         fail("benchmarks missing or empty")
 
-    allowed_skip = "SIMD kernel not compiled in or not supported"
+    allowed_skip = "SIMD kernel not supported by this CPU"
     names = []
     for b in benches:
         name = b.get("name")

@@ -169,8 +169,8 @@ SAFETY_COMMENT_RE = re.compile(r"//.*\bSAFETY:")
 # ConstColumnarPageView (or the strips() API feeding the filter kernels).
 STRIP_ACCESS_RE = re.compile(
     r"\b(ParsePackedRegionHeader|PackedRegionLane|EncodeColumnarRegion|"
-    r"DecodeColumnarRegion|PackLaneBits|UnpackLaneBitsTail|UnpackLaneBits|"
-    r"CompressPage|DecompressPage)\s*\(")
+    r"DecodeColumnarRegion|PackLaneBits|UnpackLaneBitsTail|UnpackLaneBits)"
+    r"\s*\(")
 # The layers that own the packed format: the codec itself and the decode
 # kernels it dispatches to.
 STRIP_ACCESS_OWNERS = ("src/io/", "src/geom/decode_kernel.")

@@ -328,17 +328,11 @@ class StripAccessTest(unittest.TestCase):
             "auto info = io::ParsePackedRegionHeader(bytes, cap);\n")
         self.assertEqual(rules_hit(violations), ["strip-access"])
 
-    def test_page_compressor_outside_owners_rejected(self):
-        violations = segdb_lint.lint_text(
-            "src/segtree/multislab_segment_tree.h",
-            "auto packed = io::CompressPage(page.data(), page.size());\n")
-        self.assertEqual(rules_hit(violations), ["strip-access"])
-
     def test_io_layer_allowed(self):
         self.assertEqual(
             segdb_lint.lint_text(
                 "src/io/buffer_pool.cc",
-                "auto packed = CompressPage(f.page.data(), page_size_);\n"),
+                "EncodeColumnarRegion(f.page.data(), cap, lanes);\n"),
             [])
 
     def test_decode_kernel_allowed(self):
