@@ -27,6 +27,7 @@
 #include "io/disk_manager.h"
 #include "io/file_disk_manager.h"
 #include "itree/interval_set.h"
+#include "util/crc32.h"
 #include "util/random.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -479,6 +480,59 @@ void BM_PoolFetchMiss(benchmark::State& state) {
   FetchLoop(state, fixture.pool.get(), fixture.ids);
 }
 BENCHMARK(BM_PoolFetchMiss)->Threads(1)->Threads(4)->UseRealTime();
+
+// The WAL's checksum over one page-sized buffer (bytes/s): every chain
+// page and every page image record pays one of these per commit.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
+  Rng rng(41);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::Crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(4096);
+
+// A durable commit's pool work (durable_b's shape: 32,768 frames, every
+// page resident): dirty 4 pages, then CollectDirty and FlushAll. With dirty
+// lists this costs the 4 pages, not a walk over every frame.
+void BM_CommitCollectFlush(benchmark::State& state) {
+  struct Fixture {
+    io::SimDiskManager disk{4096};
+    io::BufferPool pool{&disk, 32768};
+    std::vector<io::PageId> ids = FillPool(&pool, 32768);
+  };
+  static Fixture fixture;
+  if (fixture.ids.empty()) {
+    state.SkipWithError("pool fixture failed");
+    return;
+  }
+  Rng rng(43);
+  std::vector<io::PageImage> images;
+  for (auto _ : state) {
+    for (int i = 0; i < 4; ++i) {
+      auto ref = fixture.pool.Fetch(
+          fixture.ids[rng.Uniform(fixture.ids.size())]);
+      if (!ref.ok()) {
+        state.SkipWithError("fetch failed");
+        return;
+      }
+      ref.value().page().WriteAt<uint64_t>(0, rng.Next());
+      ref.value().MarkDirty();
+    }
+    images.clear();
+    fixture.pool.CollectDirty(&images);
+    if (!fixture.pool.FlushAll().ok()) {
+      state.SkipWithError("flush failed");
+      return;
+    }
+    benchmark::DoNotOptimize(images.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CommitCollectFlush);
 
 }  // namespace
 }  // namespace segdb

@@ -660,9 +660,11 @@ Status BPlusTree<Record, Compare>::Erase(const Record& record) {
       const Record r = LeafRecord(lp, slot);
       if (cmp_(r, record) > 0) return Status::NotFound("no match");
       if (std::memcmp(&r, &record, sizeof(Record)) == 0) {
-        std::vector<Record> recs(count);
-        ReadLeafRecords(lp, 0, recs.data(), count);
-        recs.erase(recs.begin() + slot);
+        // Assemble prefix + suffix directly (vector::erase trips a GCC-12
+        // -Wstringop-overflow false positive here in Release builds).
+        std::vector<Record> recs(count - 1);
+        ReadLeafRecords(lp, 0, recs.data(), slot);
+        ReadLeafRecords(lp, slot + 1, recs.data() + slot, count - 1 - slot);
         WriteLeafRecords(&lp, 0, recs.data(), count - 1);
         SetCount(lp, count - 1);
         leaf_ref.MarkDirty();

@@ -22,9 +22,12 @@
 // checking (tests/crash_recovery_fuzz_test.cc).
 //
 // Concurrency contract: mutations are single-writer (like every index in
-// src/core); Query is safe from any number of threads concurrently with
-// one mutator. Post-commit writeback failures are absorbed — the dirty
-// pages simply ride along into the next commit's image set — but a WAL
+// src/core). Query is safe from any number of threads concurrently with
+// BulkLoad, which builds aside and swaps. It is NOT safe beside Insert or
+// Erase: those mutate the published index in place, and no reader/writer
+// gate orders them against a Query yet, so callers must keep queries and
+// point mutations apart. Post-commit writeback failures are absorbed — the
+// dirty pages simply ride along into the next commit's image set — but a WAL
 // commit failure poisons the engine (the log may be part-written, which is
 // exactly a crash: recover, don't retry).
 #ifndef SEGDB_CORE_DURABLE_ENGINE_H_

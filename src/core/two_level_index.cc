@@ -189,17 +189,22 @@ Status TwoLevelIndex::BuildSubtreeAt(int32_t idx,
       boundaries.push_back(xs[r]);
     }
   }
+  // At most one boundary per rank. The 32-bit count also bounds the
+  // vector sizes below for GCC, which otherwise cannot rule out a
+  // wrapped size once this function is inlined.
+  SEGDB_DCHECK(boundaries.size() <= fanout_);
+  const uint32_t nb = static_cast<uint32_t>(boundaries.size());
   Node& node_init = nodes_[idx];
   node_init.is_leaf = false;
   node_init.boundaries = boundaries;
-  node_init.per_boundary.resize(boundaries.size());
-  node_init.children.assign(boundaries.size() + 1, -1);
+  node_init.per_boundary.resize(nb);
+  node_init.children.assign(size_t{nb} + 1, -1);
 
   // Route every segment.
-  std::vector<std::vector<Segment>> per_slab(boundaries.size() + 1);
-  std::vector<std::vector<pst::PointRecord>> c_points(boundaries.size());
-  std::vector<std::vector<Segment>> l_sets(boundaries.size());
-  std::vector<std::vector<Segment>> r_sets(boundaries.size());
+  std::vector<std::vector<Segment>> per_slab(size_t{nb} + 1);
+  std::vector<std::vector<pst::PointRecord>> c_points(nb);
+  std::vector<std::vector<Segment>> l_sets(nb);
+  std::vector<std::vector<Segment>> r_sets(nb);
   std::vector<Segment> long_set;
   for (const Segment& s : segments) {
     uint32_t first, last;

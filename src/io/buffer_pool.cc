@@ -47,7 +47,14 @@ void PageRef::MarkDirty() {
   SEGDB_DCHECK(valid());
   // The pin's release-store in Unpin orders this (and any raw page writes)
   // before a future evictor's acquire-load of the pin count.
-  pool_->frames_[frame_].dirty.store(true, std::memory_order_relaxed);
+  if (pool_->frames_[frame_].dirty.exchange(true, std::memory_order_relaxed)) {
+    return;  // already dirty, so already listed
+  }
+  // The clean->dirty edge: list the frame for the commit path. The pin
+  // keeps the frame on this page, so the page id names its shard.
+  BufferPool::Shard& shard = pool_->ShardFor(page_id_);
+  util::MutexLock lock(&shard.mu);
+  pool_->ListDirty(shard, frame_);
 }
 
 void PageRef::Release() {
@@ -120,6 +127,15 @@ void BufferPool::FreeFrame(Shard& shard, size_t frame) {
 void BufferPool::ResetFrames(Shard& shard) {
   shard.free_frames.assign(shard.frames.rbegin(), shard.frames.rend());
   shard.hand = 0;
+  for (size_t idx : shard.dirty_frames) frames_[idx].listed = false;
+  shard.dirty_frames.clear();
+}
+
+void BufferPool::ListDirty(Shard& shard, size_t frame) {
+  Frame& f = frames_[frame];
+  if (f.listed) return;
+  f.listed = true;
+  shard.dirty_frames.push_back(frame);
 }
 
 Result<size_t> BufferPool::GrabFrame(Shard& shard) {
@@ -209,6 +225,7 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
       // commit writeback.
       f.id = id;
       f.dirty.store(true, std::memory_order_relaxed);
+      ListDirty(shard, claimed);
       Pin(f);
       shard.page_table.emplace(id, claimed);
       return PageRef(this, claimed, id);
@@ -261,6 +278,7 @@ Result<PageRef> BufferPool::NewPage() {
   f.page.Zero();
   f.id = id.value();
   f.dirty.store(true, std::memory_order_relaxed);
+  ListDirty(shard, frame.value());
   Pin(f);
   shard.page_table[id.value()] = frame.value();
   return PageRef(this, frame.value(), id.value());
@@ -364,14 +382,31 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
 Status BufferPool::FlushAll() {
   for (Shard& shard : shards_) {
     util::MutexLock lock(&shard.mu);
-    for (size_t idx : shard.frames) {
+    // Frame order: the device sees the writes in the order a walk over
+    // every frame would issue them, which fault plans depend on.
+    std::vector<size_t>& list = shard.dirty_frames;
+    std::sort(list.begin(), list.end());
+    Status status;
+    size_t keep = 0;
+    for (size_t idx : list) {
       Frame& f = frames_[idx];
-      if (f.id != kInvalidPageId && f.dirty.load(std::memory_order_relaxed)) {
-        SEGDB_RETURN_IF_ERROR(disk_->WritePage(f.id, f.page));
-        f.dirty.store(false, std::memory_order_relaxed);
-        ++shard.stats.writebacks;
+      if (status.ok() && f.dirty.load(std::memory_order_relaxed)) {
+        status = disk_->WritePage(f.id, f.page);
+        if (status.ok()) {
+          f.dirty.store(false, std::memory_order_relaxed);
+          ++shard.stats.writebacks;
+        }
+      }
+      // Stale and written entries leave the list; after a failed write the
+      // frames still dirty stay listed for the next flush.
+      if (f.dirty.load(std::memory_order_relaxed)) {
+        list[keep++] = idx;
+      } else {
+        f.listed = false;
       }
     }
+    list.resize(keep);
+    SEGDB_RETURN_IF_ERROR(status);
   }
   return Status::OK();
 }
@@ -402,10 +437,9 @@ Status BufferPool::EvictAll() {
 void BufferPool::CollectDirty(std::vector<PageImage>* out) const {
   for (const Shard& shard : shards_) {
     util::MutexLock lock(&shard.mu);
-    for (size_t idx : shard.frames) {
+    for (size_t idx : shard.dirty_frames) {
       const Frame& f = frames_[idx];
-      if (f.id == kInvalidPageId || f.staging) continue;
-      if (!f.dirty.load(std::memory_order_relaxed)) continue;
+      if (!f.dirty.load(std::memory_order_relaxed)) continue;  // stale
       PageImage image;
       image.id = f.id;
       image.bytes.assign(f.page.data(), f.page.data() + f.page.size());
@@ -440,6 +474,7 @@ void BufferPool::ResetStats() {
 Status BufferPool::CheckInvariants() const {
   std::vector<bool> owned(frames_.size(), false);
   std::vector<bool> listed(frames_.size(), false);
+  std::vector<bool> on_dirty_list(frames_.size(), false);
   size_t resident = 0;
   size_t table_total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -460,7 +495,14 @@ Status BufferPool::CheckInvariants() const {
       }
       listed[idx] = true;
     }
+    for (size_t idx : shard.dirty_frames) {
+      if (idx >= frames_.size() || on_dirty_list[idx]) {
+        return Status::Corruption("frame on no or several dirty-list slots");
+      }
+      on_dirty_list[idx] = true;
+    }
     size_t free_count = 0;
+    size_t dirty_listed = 0;
     for (size_t idx : shard.frames) {
       if (idx >= frames_.size() || owned[idx]) {
         return Status::Corruption("frame owned by no or several shards");
@@ -469,6 +511,13 @@ Status BufferPool::CheckInvariants() const {
       const Frame& f = frames_[idx];
       if (f.pin_count.load(std::memory_order_relaxed) < 0) {
         return Status::Corruption("frame with negative pin count");
+      }
+      if (f.listed != on_dirty_list[idx]) {
+        return Status::Corruption("frame's listed bit disagrees with the list");
+      }
+      if (on_dirty_list[idx]) ++dirty_listed;
+      if (f.dirty.load(std::memory_order_relaxed) && !on_dirty_list[idx]) {
+        return Status::Corruption("dirty frame missing from the dirty list");
       }
       if (f.id == kInvalidPageId) {
         if (f.pin_count.load(std::memory_order_relaxed) != 0) {
@@ -531,6 +580,9 @@ Status BufferPool::CheckInvariants() const {
     }
     if (free_count != shard.free_frames.size()) {
       return Status::Corruption("free list names a frame of another shard");
+    }
+    if (dirty_listed != shard.dirty_frames.size()) {
+      return Status::Corruption("dirty list names a frame of another shard");
     }
     table_total += shard.page_table.size();
     for (const auto& [id, idx] : shard.page_table) {

@@ -21,12 +21,22 @@
 // (quiescence). Stats are kept per shard and aggregated by stats(), so the
 // miss counter still equals the paper's I/O count.
 //
+// Dirty lists. Each shard lists the frames that went clean -> dirty since
+// its last FlushAll, so a commit's CollectDirty and FlushAll cost its dirty
+// pages, not the pool. A frame is appended on that edge — by MarkDirty,
+// NewPage, or a spilled page's re-entry in Fetch — and at most once
+// (Frame::listed). An entry whose frame was since spilled, written back,
+// freed or reused is stale; the walks skip it by the frame's dirty bit, and
+// FlushAll drops it.
+//
 // Lock discipline (compile-time checked on Clang, DESIGN.md section 12).
 // Each Shard::mu is a capability guarding that shard's page_table, free
-// list, CLOCK hand, stats, and the shard-owned frames' non-atomic metadata
-// (Frame::id, Frame::prefetched, Frame::staging). Shard mutexes are leaves
-// and are never nested — every public method locks at most one shard at a
-// time (the quiescent sweeps lock shards strictly one after another).
+// list, dirty list, CLOCK hand, stats, and the shard-owned frames'
+// non-atomic metadata (Frame::id, Frame::prefetched, Frame::staging,
+// Frame::listed). Shard mutexes are leaves and are never nested — every
+// public method locks at most one shard at a time (the quiescent sweeps
+// lock shards strictly one after another), and nothing that holds one
+// calls MarkDirty.
 // Three fields deliberately live OUTSIDE the capability as atomics:
 //   - Frame::pin_count: decremented lock-free by PageRef::Release from any
 //     thread (taking the shard lock on every unpin would serialize readers
@@ -35,9 +45,10 @@
 //   - Frame::referenced: the CLOCK reference bit, set on pin and unpin;
 //     the hand reads and clears it only for *unpinned* frames under the
 //     shard lock, and pins only grow under that lock, so no set is lost.
-//   - Frame::dirty: set by MarkDirty through a pinned PageRef without the
-//     shard lock; the pin itself keeps eviction away, and the unpin
-//     release-store publishes it to the next sweep.
+//   - Frame::dirty: set by MarkDirty through a pinned PageRef; the pin
+//     itself keeps eviction away, and the unpin release-store publishes it
+//     to the next sweep. Only the clean -> dirty edge takes the shard lock,
+//     to list the frame; marking a dirty frame again stays lock-free.
 #ifndef SEGDB_IO_BUFFER_POOL_H_
 #define SEGDB_IO_BUFFER_POOL_H_
 
@@ -79,7 +90,9 @@ class PageRef {
   Page& page();
   const Page& page() const;
 
-  // Marks the frame dirty so eviction/flush writes it back to disk.
+  // Marks the frame dirty so eviction/flush writes it back to disk. The
+  // clean -> dirty edge takes the frame's shard lock to put the frame on
+  // the shard's dirty list; a frame already dirty costs one atomic.
   void MarkDirty();
 
   // Drops the pin early (idempotent).
@@ -183,7 +196,8 @@ class BufferPool {
   // still charged at its first demand Fetch.
   void Prefetch(std::span<const PageId> ids);
 
-  // Writes back all dirty frames (pages stay resident). Quiescent only.
+  // Writes back all dirty frames (pages stay resident), walking only the
+  // dirty lists, each in frame order. Quiescent only.
   Status FlushAll();
 
   // Writes back and drops every unpinned frame — simulates a cold cache.
@@ -201,7 +215,8 @@ class BufferPool {
 
   // Copies every dirty resident frame into *out, ascending by page id (a
   // canonical order, so WAL byte streams are reproducible run-to-run).
-  // Quiescent only; spilled pages are the sink's to report.
+  // Walks only the dirty lists. Quiescent only; spilled pages are the
+  // sink's to report.
   void CollectDirty(std::vector<PageImage>* out) const;
 
   // Aggregates the per-shard counters. The sums reproduce exactly the
@@ -210,11 +225,11 @@ class BufferPool {
   void ResetStats();
 
   // Audits the pool: page-table/frame agreement, pin and CLOCK bookkeeping,
-  // stats consistency, and clean resident frames matching their on-disk
-  // contents (via DiskManager::PeekPage, so no I/O is counted). Takes each
-  // shard's mutex while auditing it, so it may run concurrently with the
-  // pure read path (Fetch/Release/Prefetch of clean pages) — PR 4 fixed
-  // the lock-free shard walk the thread-safety annotations flagged. It
+  // dirty lists (every dirty frame listed by its shard, no frame listed
+  // twice), stats consistency, and clean resident frames matching their
+  // on-disk contents (via DiskManager::PeekPage, so no I/O is counted).
+  // Takes each shard's mutex while auditing it, so it may run concurrently
+  // with the pure read path (Fetch/Release/Prefetch of clean pages). It
   // must still not overlap writers: the clean-frame-vs-disk byte compare
   // races with writes through a pinned PageRef, which no pool lock can
   // exclude.
@@ -222,10 +237,13 @@ class BufferPool {
 
  private:
   friend class PageRef;
+  // Tests only: brute-force walks over every frame, to check what the
+  // dirty lists report.
+  friend class BufferPoolPeer;
 
   // One cache line per frame: pins and unpins of neighbouring frames from
-  // different threads never share a line, and the FlushAll/CollectDirty
-  // walks stride evenly (a 40-byte frame walked a third slower).
+  // different threads never share a line, and the EvictAll and audit walks
+  // stride evenly (a 40-byte frame walked a third slower).
   struct alignas(64) Frame {
     explicit Frame(uint32_t page_size) : page(page_size) {}
     Page page;
@@ -248,6 +266,8 @@ class BufferPool {
     // frame on a failed read / lost race). Same guard story as
     // `prefetched`.
     bool staging = false;
+    // On its shard's dirty_frames. Same guard story as `prefetched`.
+    bool listed = false;
   };
 
   struct Shard {
@@ -262,6 +282,9 @@ class BufferPool {
     // Frames with no page and no claim, taken from the back. A fresh or
     // emptied shard holds `frames` reversed, so it fills in frame order.
     std::vector<size_t> free_frames SEGDB_GUARDED_BY(mu);
+    // The dirty list (see the file comment): global frame indices, each at
+    // most once, stale entries allowed.
+    std::vector<size_t> dirty_frames SEGDB_GUARDED_BY(mu);
     // CLOCK hand: the position in `frames` the next sweep starts at.
     size_t hand SEGDB_GUARDED_BY(mu) = 0;
     BufferPoolStats stats SEGDB_GUARDED_BY(mu);
@@ -286,8 +309,12 @@ class BufferPool {
   // Returns an unmapped frame (a released claim, a freed page) to the free
   // list: no id, no pin, clean.
   void FreeFrame(Shard& shard, size_t frame) SEGDB_REQUIRES(shard.mu);
-  // Every frame free, in construction order, and the hand at the start.
+  // Every frame free, in construction order, the hand at the start, and
+  // the dirty list empty.
   void ResetFrames(Shard& shard) SEGDB_REQUIRES(shard.mu);
+  // Puts a frame that just went dirty on its shard's dirty list, unless it
+  // is there already.
+  void ListDirty(Shard& shard, size_t frame) SEGDB_REQUIRES(shard.mu);
 
   DiskManager* disk_;
   const uint32_t page_size_;  // hoisted off the disk for the fetch path

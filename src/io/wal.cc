@@ -62,24 +62,82 @@ void WriteAnchorSlot(Page* page, uint32_t off, uint64_t generation,
   page->WriteAt<uint32_t>(off + 16, util::Crc32(page->data() + off, 16));
 }
 
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out->insert(out->end(), p, p + sizeof(v));
-}
+// Packs a batch's record stream into its chain pages as the records are
+// produced: bytes land in one reused page body, and each full body, and
+// the last partial one at Finish(), is stamped and written to the next of
+// the batch's ids.
+class ChainPageWriter {
+ public:
+  ChainPageWriter(DiskManager* disk, uint64_t generation, uint64_t start_seq,
+                  const std::vector<PageId>& ids, PageId next_head)
+      : disk_(disk),
+        generation_(generation),
+        start_seq_(start_seq),
+        ids_(ids),
+        next_head_(next_head),
+        capacity_(disk->page_size() - kPageHeaderBytes),
+        page_(disk->page_size()) {}
 
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out->insert(out->end(), p, p + sizeof(v));
-}
+  Status Append(const void* data, size_t n) {
+    const uint8_t* src = static_cast<const uint8_t*>(data);
+    while (n > 0) {
+      const uint32_t take =
+          static_cast<uint32_t>(std::min<size_t>(n, capacity_ - used_));
+      std::memcpy(page_.data() + kPageHeaderBytes + used_, src, take);
+      used_ += take;
+      src += take;
+      n -= take;
+      if (used_ == capacity_) SEGDB_RETURN_IF_ERROR(WritePage());
+    }
+    return Status::OK();
+  }
 
-void AppendRecord(std::vector<uint8_t>* out, uint8_t type, uint64_t lsn,
-                  const uint8_t* payload, size_t payload_len) {
-  out->push_back(type);
-  AppendU64(out, lsn);
-  AppendU32(out, static_cast<uint32_t>(payload_len));
-  AppendU32(out, util::Crc32(payload, payload_len));
-  out->insert(out->end(), payload, payload + payload_len);
-}
+  // A record header: type u8 | lsn u64 | payload_len u32 | payload_crc u32.
+  Status AppendHeader(uint8_t type, uint64_t lsn, uint32_t payload_len,
+                      uint32_t payload_crc) {
+    uint8_t header[kRecordHeaderBytes];
+    header[0] = type;
+    std::memcpy(header + 1, &lsn, sizeof(lsn));
+    std::memcpy(header + 9, &payload_len, sizeof(payload_len));
+    std::memcpy(header + 13, &payload_crc, sizeof(payload_crc));
+    return Append(header, sizeof(header));
+  }
+
+  // Writes the last, partly filled page, if any.
+  Status Finish() { return used_ == 0 ? Status::OK() : WritePage(); }
+
+  size_t pages_written() const { return written_; }
+
+ private:
+  Status WritePage() {
+    SEGDB_CHECK(written_ < ids_.size());
+    std::memset(page_.data() + kPageHeaderBytes + used_, 0,
+                capacity_ - used_);
+    page_.WriteAt<uint32_t>(kOffMagic, kPageMagic);
+    page_.WriteAt<uint32_t>(kOffCrc, 0);
+    page_.WriteAt<uint64_t>(kOffGeneration, generation_);
+    page_.WriteAt<uint64_t>(kOffSeq, start_seq_ + written_);
+    page_.WriteAt<PageId>(kOffNext, written_ + 1 < ids_.size()
+                                        ? ids_[written_ + 1]
+                                        : next_head_);
+    page_.WriteAt<uint32_t>(kOffUsed, used_);
+    page_.WriteAt<uint32_t>(kOffCrc, util::Crc32(page_.data(), page_.size()));
+    SEGDB_RETURN_IF_ERROR(disk_->WritePage(ids_[written_], page_));
+    ++written_;
+    used_ = 0;
+    return Status::OK();
+  }
+
+  DiskManager* const disk_;
+  const uint64_t generation_;
+  const uint64_t start_seq_;
+  const std::vector<PageId>& ids_;
+  const PageId next_head_;
+  const uint32_t capacity_;
+  Page page_;
+  uint32_t used_ = 0;
+  size_t written_ = 0;
+};
 
 Status Poisoned() {
   return Status::FailedPrecondition(
@@ -306,34 +364,23 @@ Result<uint64_t> WriteAheadLog::Commit(std::span<const PageImage> images,
 
 Status WriteAheadLog::WriteBatch(const std::vector<PendingCommit*>& batch,
                                  const BatchIo& io, BatchResult* out) {
-  // Serialize the whole batch into one flat record stream. Image records
-  // first, then the owning commit record, per committer in queue order.
-  std::vector<uint8_t> stream;
-  uint64_t lsn = io.start_lsn;
-  uint64_t records = 0;
-  for (PendingCommit* p : batch) {
+  // The batch's record stream: image records first, then the owning
+  // commit record, per committer in queue order. Size it first, so the
+  // page ids are allocated before any page is written.
+  uint64_t stream_bytes = 0;
+  for (const PendingCommit* p : batch) {
     for (const PageImage& image : p->images) {
-      std::vector<uint8_t> body;
-      body.reserve(sizeof(PageId) + image.bytes.size());
-      AppendU32(&body, image.id);
-      body.insert(body.end(), image.bytes.begin(), image.bytes.end());
-      AppendRecord(&stream, kRecordPageImage, lsn++, body.data(),
-                   body.size());
-      ++records;
+      stream_bytes += kRecordHeaderBytes + sizeof(PageId) + image.bytes.size();
     }
-    p->lsn = lsn;
-    AppendRecord(&stream, kRecordCommit, lsn++, p->payload.data(),
-                 p->payload.size());
-    ++records;
+    stream_bytes += kRecordHeaderBytes + p->payload.size();
   }
 
-  // Split into chain pages. The first lands on the pre-allocated
-  // next_write_page_ (already linked from the synced tail); continuation
-  // pages and the NEXT batch's head are allocated fresh, so no synced page
-  // is ever rewritten and a crash mid-batch can only leave CRC-invalid
-  // pages past the old tail.
+  // The first page lands on the pre-allocated next_write_page_ (already
+  // linked from the synced tail); continuation pages and the NEXT batch's
+  // head are allocated fresh, so no synced page is ever rewritten and a
+  // crash mid-batch can only leave CRC-invalid pages past the old tail.
   const uint32_t capacity = disk_->page_size() - kPageHeaderBytes;
-  const uint64_t n_pages = (stream.size() + capacity - 1) / capacity;
+  const uint64_t n_pages = (stream_bytes + capacity - 1) / capacity;
   SEGDB_CHECK(n_pages >= 1);  // a batch holds at least one commit record
   std::vector<PageId> ids;
   ids.reserve(n_pages);
@@ -346,23 +393,34 @@ Status WriteAheadLog::WriteBatch(const std::vector<PendingCommit*>& batch,
   Result<PageId> next_head = disk_->AllocatePage();
   if (!next_head.ok()) return next_head.status();
 
-  uint64_t off = 0;
-  for (uint64_t i = 0; i < n_pages; ++i) {
-    const uint32_t used = static_cast<uint32_t>(
-        std::min<uint64_t>(capacity, stream.size() - off));
-    Page page(disk_->page_size());
-    page.WriteAt<uint32_t>(kOffMagic, kPageMagic);
-    page.WriteAt<uint32_t>(kOffCrc, 0);
-    page.WriteAt<uint64_t>(kOffGeneration, io.generation);
-    page.WriteAt<uint64_t>(kOffSeq, io.start_seq + i);
-    page.WriteAt<PageId>(kOffNext,
-                         i + 1 < n_pages ? ids[i + 1] : next_head.value());
-    page.WriteAt<uint32_t>(kOffUsed, used);
-    std::memcpy(page.data() + kPageHeaderBytes, stream.data() + off, used);
-    page.WriteAt<uint32_t>(kOffCrc, util::Crc32(page.data(), page.size()));
-    SEGDB_RETURN_IF_ERROR(disk_->WritePage(ids[i], page));
-    off += used;
+  // Serialize straight into the chain pages. An image record's payload is
+  // its id followed by its bytes, checksummed in those two pieces.
+  ChainPageWriter writer(disk_, io.generation, io.start_seq, ids,
+                         next_head.value());
+  uint64_t lsn = io.start_lsn;
+  uint64_t records = 0;
+  for (PendingCommit* p : batch) {
+    for (const PageImage& image : p->images) {
+      const size_t n = image.bytes.size();
+      const uint32_t crc =
+          util::Crc32(image.bytes.data(), n,
+                      util::Crc32(&image.id, sizeof(PageId)));
+      SEGDB_RETURN_IF_ERROR(writer.AppendHeader(
+          kRecordPageImage, lsn++, static_cast<uint32_t>(sizeof(PageId) + n),
+          crc));
+      SEGDB_RETURN_IF_ERROR(writer.Append(&image.id, sizeof(PageId)));
+      SEGDB_RETURN_IF_ERROR(writer.Append(image.bytes.data(), n));
+      ++records;
+    }
+    p->lsn = lsn;
+    SEGDB_RETURN_IF_ERROR(writer.AppendHeader(
+        kRecordCommit, lsn++, static_cast<uint32_t>(p->payload.size()),
+        util::Crc32(p->payload.data(), p->payload.size())));
+    SEGDB_RETURN_IF_ERROR(writer.Append(p->payload.data(), p->payload.size()));
+    ++records;
   }
+  SEGDB_RETURN_IF_ERROR(writer.Finish());
+  SEGDB_CHECK(writer.pages_written() == n_pages);
   // The durability barrier: the batch's commits are acknowledged only once
   // every chain page above has reached stable storage.
   SEGDB_RETURN_IF_ERROR(disk_->Sync());

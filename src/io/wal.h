@@ -25,6 +25,14 @@
 // exactly at the torn tail. Records {type, lsn, payload_len, payload_crc,
 // payload} span page boundaries freely.
 //
+// Serialization. A batch's record stream is never materialized: the leader
+// sizes it, allocates its page ids, then writes record headers, image ids
+// and image bytes straight into one reused chain-page buffer, stamping
+// (header, zeroed tail, CRC) and writing each page as it fills. An image
+// record's payload CRC chains over the id, then the bytes, so the page
+// image is checksummed where it lies. Pages and records are byte-identical
+// to splitting one flat stream (wal_test pins a digest of them).
+//
 // Group commit. Concurrent committers queue behind a leader: the first
 // waiter becomes leader, optionally holds the door for
 // group_commit_window_us, then serializes every queued commit into ONE page
@@ -217,11 +225,11 @@ class WriteAheadLog {
     uint64_t end_lsn = 0;
   };
 
-  // Serializes the batch into a page run starting at io.start_page,
-  // allocates continuation pages plus the next pre-allocated head, writes
-  // every page, and issues the barrier. Runs WITHOUT mu_ — the single
-  // active leader is the only device writer. Assigns each pending commit's
-  // lsn as a side effect.
+  // Sizes the batch's record stream, allocates continuation pages plus the
+  // next pre-allocated head, serializes the records straight into a page
+  // run starting at io.start_page (writing each page as it fills), and
+  // issues the barrier. Runs WITHOUT mu_ — the single active leader is the
+  // only device writer. Assigns each pending commit's lsn as a side effect.
   Status WriteBatch(const std::vector<PendingCommit*>& batch,
                     const BatchIo& io, BatchResult* out);
 

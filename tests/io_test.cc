@@ -1,13 +1,50 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "io/buffer_pool.h"
 #include "io/disk_manager.h"
+#include "io/fault_injection.h"
 #include "io/page.h"
+#include "io/wal.h"
 
 namespace segdb::io {
+
+// Brute-force walks over every frame: the reference the pool's dirty
+// lists are checked against.
+class BufferPoolPeer {
+ public:
+  // The dirty frames' images in the order FlushAll writes them: shard by
+  // shard, each shard's frames in index order.
+  static std::vector<PageImage> DirtyInFlushOrder(const BufferPool& pool) {
+    std::vector<PageImage> out;
+    for (const BufferPool::Shard& shard : pool.shards_) {
+      for (size_t idx : shard.frames) {
+        const BufferPool::Frame& f = pool.frames_[idx];
+        if (f.id == kInvalidPageId || f.staging) continue;
+        if (!f.dirty.load(std::memory_order_relaxed)) continue;
+        PageImage image;
+        image.id = f.id;
+        image.bytes.assign(f.page.data(), f.page.data() + f.page.size());
+        out.push_back(std::move(image));
+      }
+    }
+    return out;
+  }
+
+  // What CollectDirty reports: the same images, sorted by page id.
+  static std::vector<PageImage> DirtyByFullWalk(const BufferPool& pool) {
+    std::vector<PageImage> out = DirtyInFlushOrder(pool);
+    std::sort(out.begin(), out.end(), [](const PageImage& a,
+                                         const PageImage& b) {
+      return a.id < b.id;
+    });
+    return out;
+  }
+};
+
 namespace {
 
 constexpr uint32_t kPageSize = 256;
@@ -318,6 +355,143 @@ TEST_F(BufferPoolTest, ColdCacheMeasurementProtocol) {
     ASSERT_TRUE(ref.ok());
   }
   EXPECT_EQ(pool_.stats().misses, 3u);  // every page is a cold read
+}
+
+// The dirty lists against a walk over every frame, through each way a frame
+// enters or leaves the dirty set: NewPage, MarkDirty (first and repeated),
+// dirty eviction written back and spilled, a spilled page's re-entry,
+// FreePage and reuse of its frame, EvictAll, and a FlushAll that fails
+// partway. 128 frames make two shards.
+TEST_F(BufferPoolTest, CollectDirtyMatchesFullWalk) {
+  FaultInjectingDiskManager faulty(&disk_, FaultPlan{});
+  BufferPool pool(&faulty, 128);
+  ASSERT_EQ(pool.shard_count(), 2u);
+  const auto expect_matches = [&pool](const char* step) {
+    std::vector<PageImage> listed;
+    pool.CollectDirty(&listed);
+    const std::vector<PageImage> walked = BufferPoolPeer::DirtyByFullWalk(pool);
+    ASSERT_EQ(listed.size(), walked.size()) << step;
+    for (size_t i = 0; i < listed.size(); ++i) {
+      EXPECT_EQ(listed[i].id, walked[i].id) << step;
+      EXPECT_EQ(listed[i].bytes, walked[i].bytes) << step;
+    }
+    const Status audit = pool.CheckInvariants();
+    EXPECT_TRUE(audit.ok()) << step << ": " << audit.ToString();
+  };
+  const auto dirty_count = [&pool] {
+    std::vector<PageImage> listed;
+    pool.CollectDirty(&listed);
+    return listed.size();
+  };
+  const auto touch = [&pool](PageId id, uint64_t value) {
+    Result<PageRef> ref = pool.Fetch(id);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    ref.value().page().WriteAt<uint64_t>(0, value);
+    ref.value().MarkDirty();
+    ref.value().MarkDirty();  // already dirty: no second listing
+  };
+
+  std::vector<PageId> ids;
+  for (int i = 0; i < 12; ++i) {
+    Result<PageRef> ref = pool.NewPage();
+    ASSERT_TRUE(ref.ok());
+    ref.value().page().WriteAt<uint64_t>(0, 100 + i);
+    ids.push_back(ref.value().page_id());
+  }
+  expect_matches("NewPage");
+  EXPECT_EQ(dirty_count(), 12u);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  expect_matches("FlushAll");
+  EXPECT_EQ(dirty_count(), 0u);
+
+  touch(ids[1], 201);
+  touch(ids[2], 202);
+  touch(ids[7], 207);
+  expect_matches("MarkDirty");
+  EXPECT_EQ(dirty_count(), 3u);
+
+  // Fill both shards with fresh dirty pages: the CLOCK hands evict and
+  // write back dirty frames, which are then reused by later NewPages.
+  for (int i = 0; i < 160; ++i) {
+    Result<PageRef> ref = pool.NewPage();
+    ASSERT_TRUE(ref.ok());
+    ids.push_back(ref.value().page_id());
+  }
+  EXPECT_GT(pool.stats().writebacks, 12u);
+  expect_matches("dirty eviction with write-back");
+  ASSERT_TRUE(pool.FlushAll().ok());
+  expect_matches("FlushAll after eviction");
+
+  // With a sink, a dirty eviction spills: the frame leaves the dirty set
+  // and its list entry goes stale. Re-fetching the page takes it back
+  // from the sink, dirty again.
+  DirtyPageSpill spill;
+  pool.set_writeback_sink(&spill);
+  touch(ids[0], 300);
+  touch(ids[3], 303);
+  for (size_t i = 12; i < ids.size(); ++i) {
+    Result<PageRef> ref = pool.Fetch(ids[i]);
+    ASSERT_TRUE(ref.ok());
+  }
+  ASSERT_GT(spill.spilled_pages(), 0u);
+  expect_matches("dirty eviction into the sink");
+  ASSERT_TRUE(spill.Contains(ids[0]));
+  touch(ids[0], 400);
+  EXPECT_FALSE(spill.Contains(ids[0]));
+  expect_matches("TakeSpilled re-entry");
+
+  // A freed dirty page's frame goes back to the free list, still listed
+  // but clean; NewPages take it again.
+  touch(ids[5], 505);
+  ASSERT_TRUE(pool.FreePage(ids[5]).ok());
+  expect_matches("FreePage");
+  for (int i = 0; i < 2; ++i) {
+    Result<PageRef> ref = pool.NewPage();
+    ASSERT_TRUE(ref.ok());
+    ids.push_back(ref.value().page_id());
+  }
+  expect_matches("frame reuse after FreePage");
+  pool.set_writeback_sink(nullptr);
+  ASSERT_TRUE(spill.FlushToDevice(&faulty).ok());
+  ASSERT_TRUE(pool.EvictAll().ok());
+  expect_matches("EvictAll");
+  EXPECT_EQ(dirty_count(), 0u);
+
+  // Eight dirty pages over both shards, and the k-th write fails: the
+  // first k - 1 pages in frame order reach the device, and the unwritten
+  // ones stay dirty, are still collected, and go out with the next flush.
+  // The pages take their frames in batch order and are dirtied in
+  // reverse, so the frames go dirty against frame order.
+  std::vector<PageId> batch(ids.begin() + 20, ids.begin() + 28);
+  for (PageId id : batch) ASSERT_TRUE(pool.Fetch(id).ok());
+  const auto on_disk = [this](PageId id) {
+    Page page(kPageSize);
+    EXPECT_TRUE(disk_.PeekPage(id, &page).ok());
+    return page.ReadAt<uint64_t>(0);
+  };
+  for (uint64_t k = 1; k <= batch.size(); ++k) {
+    for (size_t i = batch.size(); i-- > 0;) touch(batch[i], 1000 * k + i);
+    expect_matches("before the failing FlushAll");
+    const std::vector<PageImage> order =
+        BufferPoolPeer::DirtyInFlushOrder(pool);
+    ASSERT_EQ(order.size(), batch.size());
+    faulty.ScheduleFailAtOp(k);
+    EXPECT_FALSE(pool.FlushAll().ok());
+    expect_matches("failed FlushAll");
+    EXPECT_EQ(dirty_count(), batch.size() - (k - 1));
+    for (size_t i = 0; i < order.size(); ++i) {
+      uint64_t written = 0;
+      std::memcpy(&written, order[i].bytes.data(), sizeof(written));
+      EXPECT_EQ(on_disk(order[i].id) == written, i + 1 < k)
+          << "k " << k << " write " << i;
+    }
+    ASSERT_TRUE(pool.FlushAll().ok());
+    expect_matches("FlushAll after the failure");
+    EXPECT_EQ(dirty_count(), 0u);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(on_disk(batch[i]), 1000 * k + i) << "page " << i;
+    }
+  }
 }
 
 }  // namespace

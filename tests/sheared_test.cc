@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "baseline/oracle.h"
@@ -111,10 +112,17 @@ INSTANTIATE_TEST_SUITE_P(
                       Direction{2, -3},   // generic rational slope
                       Direction{-5, 2}),  // negative components
     [](const auto& info) {
-      auto n = [](int64_t v) {
-        return v < 0 ? "m" + std::to_string(-v) : std::to_string(v);
+      // Appends rather than `"m" + std::to_string(...)`: GCC 12 reports a
+      // -Wrestrict false positive on that concatenation in Release builds.
+      auto append = [](std::string* out, int64_t v) {
+        if (v < 0) out->push_back('m');
+        out->append(std::to_string(v < 0 ? -v : v));
       };
-      return "d" + n(info.param.dx) + "_" + n(info.param.dy);
+      std::string name = "d";
+      append(&name, info.param.dx);
+      name.push_back('_');
+      append(&name, info.param.dy);
+      return name;
     });
 
 TEST(ShearedBoundsTest, RejectsOversizedInput) {

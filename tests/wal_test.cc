@@ -20,6 +20,7 @@
 #include "io/page.h"
 #include "io/recovery.h"
 #include "io/wal.h"
+#include "util/crc32.h"
 #include "util/status.h"
 
 namespace segdb::io {
@@ -102,6 +103,62 @@ TEST(WalTest, RecordsSpanPageBoundaries) {
   EXPECT_EQ(chain.value().records[0].payload.size(),
             sizeof(PageId) + kPageSize);
   EXPECT_EQ(chain.value().records[0].payload[sizeof(PageId)], 0x5C);
+}
+
+// The on-device format, pinned byte for byte. Three commits of 1, 3 and 5
+// page images over 256-byte pages (224-byte bodies): the first commit's
+// stream is exactly two bodies long, so its commit record ends at a page
+// end; the others split record headers, image ids and image bytes across
+// page boundaries. The digest is a CRC-32 over every written chain page,
+// in chain order, captured from the serializer that defined the format
+// (one flat record stream split into page bodies). Any change to page
+// headers, record layout, split points, zeroed tails or checksums shows
+// up here.
+TEST(WalTest, ChainBytesMatchPinnedDigest) {
+  constexpr uint32_t kPinnedDigest = 0x34C309F0u;
+  SimDiskManager disk(kPageSize);
+  std::unique_ptr<WriteAheadLog> wal = MustCreate(&disk);
+  const auto image = [](PageId id) {
+    PageImage out;
+    out.id = id;
+    out.bytes.resize(kPageSize);
+    for (uint32_t i = 0; i < kPageSize; ++i) {
+      out.bytes[i] = static_cast<uint8_t>(id * 31u + i * 7u);
+    }
+    return out;
+  };
+  const auto payload = [](size_t n, uint8_t salt) {
+    std::vector<uint8_t> out(n);
+    for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>(salt + i);
+    return out;
+  };
+  const std::vector<PageImage> one = {image(3)};
+  const std::vector<PageImage> three = {image(5), image(6), image(9)};
+  const std::vector<PageImage> five = {image(10), image(11), image(12),
+                                       image(20), image(21)};
+  // 17 + 4 + 256 bytes of image record and 17 + 154 of commit record fill
+  // two 224-byte bodies exactly.
+  ASSERT_TRUE(wal->Commit(one, payload(154, 1)).ok());
+  Result<WriteAheadLog::ChainState> first =
+      WriteAheadLog::ReadChain(&disk, wal->anchor_page());
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first.value().pages.size(), 2u);
+  ASSERT_EQ(first.value().torn_tail_bytes, 0u);
+  ASSERT_TRUE(wal->Commit(three, payload(45, 2)).ok());
+  ASSERT_TRUE(wal->Commit(five, payload(45, 3)).ok());
+
+  Result<WriteAheadLog::ChainState> chain =
+      WriteAheadLog::ReadChain(&disk, wal->anchor_page());
+  ASSERT_TRUE(chain.ok());
+  ASSERT_EQ(chain.value().records.size(), 12u);
+  uint32_t digest = 0;
+  for (PageId id : chain.value().pages) {
+    Page page(kPageSize);
+    ASSERT_TRUE(disk.PeekPage(id, &page).ok());
+    digest = util::Crc32(page.data(), page.size(), digest);
+  }
+  EXPECT_EQ(chain.value().pages.size(), 13u);
+  EXPECT_EQ(digest, kPinnedDigest) << "got 0x" << std::hex << digest;
 }
 
 TEST(WalTest, CrcRejectsEveryFlippedChainPageByte) {
