@@ -1,6 +1,6 @@
 // CPU microbenchmarks (google-benchmark): exact predicates, page
 // serialization, buffer-pool hits and misses at 1 and 4 threads, index
-// build throughput and in-memory query latency.
+// build throughput, in-memory query latency and the line-PST query layer.
 // These complement the I/O-count experiments (E1-E11): the paper's model
 // charges only block transfers, but a practical release should also show
 // the constant factors are sane.
@@ -27,6 +27,7 @@
 #include "io/disk_manager.h"
 #include "io/file_disk_manager.h"
 #include "itree/interval_set.h"
+#include "pst/line_pst.h"
 #include "util/crc32.h"
 #include "util/random.h"
 #include "workload/generators.h"
@@ -402,6 +403,50 @@ void BM_DecodeKernelRegion(benchmark::State& state) {
   state.SetLabel(label);
 }
 BENCHMARK(BM_DecodeKernelRegion)->Arg(0)->Arg(1);
+
+// Line-PST layer: one LinePst::Query per iteration over 2^15 line-based
+// segments, every page resident, cycling 256 pre-generated queries of 1%
+// of the set's extent on the base line (the fan's bounding box is ~800x
+// taller), each centered on a stored segment where it reaches so that it
+// reports. The two fence walks, the node scans and the report traversal
+// are all in the timed loop. Arg: fanout (2 = the paper's binary PST,
+// 0 = auto, B-proportional).
+void BM_LinePstQuery(benchmark::State& state) {
+  Rng rng(51);
+  const auto segs = workload::GenLineBasedSorted(rng, 1 << 15, 0, 1 << 20);
+  io::SimDiskManager disk(4096);
+  io::BufferPool pool(&disk, 1 << 14);
+  pst::LinePstOptions opts;
+  opts.fanout = static_cast<uint32_t>(state.range(0));
+  pst::LinePst pst(&pool, 0, pst::Direction::kRight, opts);
+  if (!pst.BulkLoad(segs).ok()) {
+    state.SkipWithError("build failed");
+    return;
+  }
+  const int64_t h = (segs.back().y1 - segs.front().y1) / 100;
+  std::vector<workload::VsQuery> queries;
+  for (int q = 0; q < 256; ++q) {
+    const geom::Segment& s = segs[rng.Uniform(segs.size())];
+    const int64_t d = rng.UniformInt(0, s.x2 - s.x1);
+    const int64_t y = s.y1 + (s.y2 - s.y1) * d / (s.x2 - s.x1);
+    queries.push_back({s.x1 + d, y - h / 2, y + h / 2});
+  }
+  std::vector<geom::Segment> out;
+  uint64_t results = 0;
+  size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    const auto& q = queries[i];
+    benchmark::DoNotOptimize(pst.Query(q.x0, q.ylo, q.yhi, &out).ok());
+    benchmark::DoNotOptimize(out.data());
+    results += out.size();
+    i = (i + 1) % queries.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["results_per_query"] = benchmark::Counter(
+      static_cast<double>(results), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_LinePstQuery)->Arg(2)->Arg(0);
 
 // Buffer-pool layer: one Fetch and Release per iteration, over uniformly
 // random pages, each thread with its own sequence. Real time, so the

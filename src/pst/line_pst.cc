@@ -675,50 +675,58 @@ Status LinePst::Query(int64_t qx, int64_t ylo, int64_t yhi,
   // against (cqx, [ylo, yhi]). Stored segments satisfy x1 <= base_x <= cqx,
   // so the kernel's span test x1 <= cqx <= x2 is exactly the old
   // "Reach(s) < cqx" skip; below/in-range/above reproduce the CompareYAtX
-  // signs (filter_kernel.h). Below/above lanes tighten the fences with the
-  // same BaseCompare max/min as before; in-range lanes are bulk-gathered
-  // when reporting instead of being push_back-ed one at a time.
+  // signs (filter_kernel.h). A node's array is in base order (the bulk
+  // build keeps the sorted order, Insert places by lower_bound, Erase
+  // removes a slot; CheckSubtree audits it), so the last below lane is the
+  // base-order maximum of the node's below lanes and the first above lane
+  // the minimum of its above lanes: one BaseCompare per fence tightens it
+  // exactly as a max/min over every lane would. In-range lanes are
+  // bulk-gathered, in node order and in the caller's frame, onto *dst.
   auto scan_node = [&](const io::Page& p, const NodeHeader& hdr,
-                       bool report) {
+                       std::vector<geom::Segment>* dst) {
     const io::ConstColumnarPageView view(p, SegOff(0), cap_);
     geom::ResultBuffer& scratch = geom::GetThreadFilterScratch();
     uint8_t* cls = scratch.ReserveClasses(hdr.count);
     geom::ActiveFilterKernel().classify_vs(view.strips(), hdr.count, cqx,
                                            ylo, yhi, cls);
-    uint32_t* idx = report ? scratch.ReserveIndices(hdr.count) : nullptr;
+    uint32_t* idx = scratch.ReserveIndices(hdr.count);
     uint32_t hits = 0;
+    uint32_t last_below = hdr.count;
+    uint32_t first_above = hdr.count;
     for (uint32_t i = 0; i < hdr.count; ++i) {
       switch (cls[i]) {
-        case geom::kLaneBelow: {
-          const geom::Segment s = view.Get(i);
-          if (!st.have_lf || BaseCompare(s, st.lf) > 0) {
-            st.lf = s;
-            st.have_lf = true;
-          }
+        case geom::kLaneBelow:
+          last_below = i;
           break;
-        }
-        case geom::kLaneAbove: {
-          const geom::Segment s = view.Get(i);
-          if (!st.have_rf || BaseCompare(s, st.rf) < 0) {
-            st.rf = s;
-            st.have_rf = true;
-          }
+        case geom::kLaneAbove:
+          if (first_above == hdr.count) first_above = i;
           break;
-        }
         case geom::kLaneInRange:
-          if (report) idx[hits++] = i;
+          idx[hits++] = i;
           break;
         default:
           break;
       }
     }
-    if (report && hits > 0) {
-      const size_t first = out->size();
-      view.AppendMatches(idx, hits, out);
-      if (direction_ == Direction::kLeft) {
-        for (size_t j = first; j < out->size(); ++j) {
-          (*out)[j] = Original((*out)[j]);
-        }
+    if (last_below != hdr.count) {
+      const geom::Segment s = view.Get(last_below);
+      if (!st.have_lf || BaseCompare(s, st.lf) > 0) {
+        st.lf = s;
+        st.have_lf = true;
+      }
+    }
+    if (first_above != hdr.count) {
+      const geom::Segment s = view.Get(first_above);
+      if (!st.have_rf || BaseCompare(s, st.rf) < 0) {
+        st.rf = s;
+        st.have_rf = true;
+      }
+    }
+    const size_t first = dst->size();
+    view.AppendMatches(idx, hits, dst);
+    if (direction_ == Direction::kLeft) {
+      for (size_t j = first; j < dst->size(); ++j) {
+        (*dst)[j] = Original((*dst)[j]);
       }
     }
   };
@@ -749,6 +757,28 @@ Status LinePst::Query(int64_t qx, int64_t ylo, int64_t yhi,
   // else. `toward_left` walks at the left (below->in-range) boundary by
   // following the child containing the current left fence; the right walk
   // is symmetric.
+  //
+  // Each node is classified once per query. A walk keeps the in-range
+  // lanes of every node it scans in `walked_hits`, one run per node in
+  // `walked`; the second walk skips a node the first one scanned, and
+  // Report appends a walked node's run where it would have scanned it.
+  // Classes depend only on (cqx, ylo, yhi) and a fence update is an
+  // idempotent max/min, so every prune decision, every fetch and the
+  // output sequence are those of scanning the node each time. A walk
+  // visits one node per level, so the linear lookup covers at most twice
+  // the height.
+  struct WalkedNode {
+    io::PageId id;
+    size_t begin, end;  // its in-range lanes in walked_hits
+  };
+  std::vector<WalkedNode> walked;
+  std::vector<geom::Segment> walked_hits;
+  auto find_walked = [&](io::PageId id) -> const WalkedNode* {
+    for (const WalkedNode& w : walked) {
+      if (w.id == id) return &w;
+    }
+    return nullptr;
+  };
   auto fence_walk = [&](bool toward_left) -> Status {
     io::PageId cur = root_;
     while (cur != io::kInvalidPageId) {
@@ -756,7 +786,11 @@ Status LinePst::Query(int64_t qx, int64_t ylo, int64_t yhi,
       if (!ref.ok()) return ref.status();
       const io::Page& p = ref.value().page();
       const NodeHeader hdr = p.ReadAt<NodeHeader>(0);
-      scan_node(p, hdr, /*report=*/false);
+      if (find_walked(cur) == nullptr) {
+        const size_t begin = walked_hits.size();
+        scan_node(p, hdr, &walked_hits);
+        walked.push_back(WalkedNode{cur, begin, walked_hits.size()});
+      }
       // Descend toward the answer run's boundary. Separators are real
       // segments: whenever one reaches the query abscissa its side of the
       // range is decidable exactly; otherwise the current fence decides.
@@ -816,7 +850,12 @@ Status LinePst::Query(int64_t qx, int64_t ylo, int64_t yhi,
     if (!ref.ok()) return ref.status();
     const io::Page& p = ref.value().page();
     const NodeHeader hdr = p.ReadAt<NodeHeader>(0);
-    scan_node(p, hdr, /*report=*/true);
+    if (const WalkedNode* w = find_walked(id)) {
+      out->insert(out->end(), walked_hits.begin() + w->begin,
+                  walked_hits.begin() + w->end);
+    } else {
+      scan_node(p, hdr, out);
+    }
     for (uint32_t i = hdr.num_children; i > 0; --i) {
       if (child_admissible(p, hdr, i - 1)) {
         stack.push_back(p.ReadAt<io::PageId>(ChildOff(i - 1)));

@@ -32,6 +32,10 @@
 // entirely below/above the query range — base-order-dominates the
 // subtree's separator interval. At most the two boundary subtrees per
 // level stay undecided, matching the paper's two-nodes-per-level queue.
+// Each node is classified once per query: the report traversal reuses the
+// in-range segments of the nodes the fence walks scanned, and a node's
+// fences come from its last below and first above segment in base order,
+// one comparison each.
 //
 // Insertions (semi-dynamic case, Lemma 3(iii)): heap push-down with
 // BB[alpha]-style partial rebuilding of unbalanced subtrees, amortizing to

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "io/buffer_pool.h"
 #include "io/disk_manager.h"
 #include "pst/line_pst.h"
+#include "util/crc32.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -340,6 +342,97 @@ TEST(LinePstIoTest, PackedFanoutBeatsBinary) {
   const uint64_t binary = measure(2);
   const uint64_t packed = measure(0);
   EXPECT_LT(packed, binary);
+}
+
+// The answer *sequence* and the fetch count of every query, pinned. Set-
+// based checks above accept any order and any number of page visits; this
+// digest fixes both, per direction and fanout, over a churned tree (bulk
+// load, inserts, erases) and a query mix of 1%-height segments, rays,
+// lines and queries on the base line itself. A CRC-32 is chained over each
+// query's output segments in output order, then over its Fetch delta. The
+// constants come from a query that classified a node again at every
+// visit, so reusing a walk's scan must change neither order nor fetches.
+TEST(LinePstIoTest, QueryOrderAndFetchesMatchPinnedDigest) {
+  constexpr int64_t kBaseX = 1000;
+  constexpr int64_t kMaxReach = 100000;
+  constexpr int64_t kInf = geom::kMaxCoord + 1;
+  // Slopes span [-32, 32], so the set's y-extent is about 64 * kMaxReach.
+  constexpr int64_t kHeight = 64 * kMaxReach / 100;
+  struct Case {
+    Direction direction;
+    uint32_t fanout;
+    uint32_t digest;
+  };
+  const Case cases[] = {{Direction::kRight, 2, 0x00BA153Cu},
+                        {Direction::kRight, 0, 0xF1DE0AD5u},
+                        {Direction::kLeft, 2, 0x7D2EC96Eu},
+                        {Direction::kLeft, 0, 0xC156722Du}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.direction == Direction::kRight ? "kRight"
+                                                               : "kLeft") +
+                 " fanout " + std::to_string(c.fanout));
+    io::SimDiskManager disk(4096);
+    io::BufferPool pool(&disk, 4096);  // every page stays resident
+    Rng rng(27);
+    // Canonical (right-extending) NCT set; kLeft stores its mirror image.
+    const std::vector<Segment> canon =
+        workload::GenLineBasedSorted(rng, 21000, kBaseX, kMaxReach);
+    const auto stored = [&](const Segment& s) {
+      return c.direction == Direction::kRight ? s : geom::MirrorX(s, kBaseX);
+    };
+    std::vector<uint32_t> order(canon.size());
+    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (uint32_t i = static_cast<uint32_t>(order.size()) - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.Uniform(i + 1)]);
+    }
+    std::vector<Segment> loaded;
+    for (uint32_t i = 0; i < 20000; ++i) {
+      loaded.push_back(stored(canon[order[i]]));
+    }
+    LinePstOptions opts;
+    opts.fanout = c.fanout;
+    LinePst pst(&pool, kBaseX, c.direction, opts);
+    ASSERT_TRUE(pst.BulkLoad(loaded).ok());
+    for (uint32_t i = 20000; i < 21000; ++i) {
+      ASSERT_TRUE(pst.Insert(stored(canon[order[i]])).ok());
+    }
+    for (uint32_t i = 0; i < 500; ++i) {
+      ASSERT_TRUE(pst.Erase(loaded[i]).ok());
+    }
+    ASSERT_TRUE(pst.CheckInvariants().ok());
+    ASSERT_EQ(pst.size(), 20500u);
+
+    uint32_t digest = 0;
+    uint64_t results = 0;
+    Rng qrng(28);
+    for (int q = 0; q < 256; ++q) {
+      // Center the query on a random segment where it reaches, so the
+      // 1%-height queries report something; every 16th sits on the base.
+      const Segment& s = canon[qrng.Uniform(canon.size())];
+      const int64_t d = q % 16 == 0 ? 0 : qrng.UniformInt(0, s.x2 - kBaseX);
+      const int64_t y = s.y1 + (s.y2 - s.y1) * d / (s.x2 - s.x1);
+      int64_t ylo = y - kHeight / 2, yhi = y + kHeight / 2;
+      switch (q % 8) {
+        case 5: yhi = kInf; break;   // upward ray
+        case 6: ylo = -kInf; break;  // downward ray
+        case 7: ylo = -kInf, yhi = kInf; break;  // line
+        default: break;
+      }
+      const int64_t qx =
+          c.direction == Direction::kRight ? kBaseX + d : kBaseX - d;
+      const uint64_t before = pool.stats().fetches;
+      std::vector<Segment> out;
+      ASSERT_TRUE(pst.Query(qx, ylo, yhi, &out).ok());
+      const uint64_t fetches = pool.stats().fetches - before;
+      results += out.size();
+      digest = util::Crc32(out.data(), out.size() * sizeof(Segment), digest);
+      digest = util::Crc32(&fetches, sizeof(fetches), digest);
+    }
+    EXPECT_GT(results, 0u);
+    EXPECT_EQ(digest, c.digest)
+        << "got 0x" << std::hex << digest << std::dec << " over " << results
+        << " results";
+  }
 }
 
 }  // namespace
