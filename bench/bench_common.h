@@ -4,8 +4,7 @@
 // evict everything (cold cache), reset counters, run one query, read the
 // miss counter — misses are exactly the I/O operations of the paper's cost
 // model, and stay exact under the sharded pool (per-shard counters sum to
-// the serial trace) and under read-ahead (staged pages are charged on
-// first demand fetch). Each experiment averages over a query batch and
+// the serial trace). Each experiment averages over a query batch and
 // prints one table row per parameter point; EXPERIMENTS.md records the
 // expected shapes.
 //

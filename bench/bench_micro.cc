@@ -26,7 +26,7 @@
 #include "io/buffer_pool.h"
 #include "io/disk_manager.h"
 #include "io/file_disk_manager.h"
-#include "itree/interval_set.h"
+#include "pst/point_pst.h"
 #include "pst/line_pst.h"
 #include "util/crc32.h"
 #include "util/random.h"
@@ -158,24 +158,27 @@ void BM_SweepValidate(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepValidate)->Arg(1 << 12)->Arg(1 << 15);
 
+// Stabbing intervals [lo, hi] stored as points (lo, hi): the 3-sided query
+// lo <= q, hi >= q that the two-level indexes' C_i structures run.
 void BM_IntervalStab(benchmark::State& state) {
   io::SimDiskManager disk(4096);
   io::BufferPool pool(&disk, 1 << 14);
-  itree::IntervalSet set(&pool);
+  pst::PointPst index(&pool);
   Rng rng(9);
-  std::vector<itree::Interval> ivs;
+  std::vector<pst::PointRecord> ivs;
   for (uint64_t i = 0; i < (1u << 15); ++i) {
     const int64_t lo = rng.UniformInt(0, 1 << 20);
-    ivs.push_back(itree::Interval{lo, lo + rng.UniformInt(0, 500), i});
+    ivs.push_back(pst::PointRecord{lo, lo + rng.UniformInt(0, 500), i});
   }
-  if (!set.BulkLoad(ivs).ok()) {
+  if (!index.BulkLoad(ivs).ok()) {
     state.SkipWithError("build failed");
     return;
   }
   for (auto _ : state) {
-    std::vector<itree::Interval> out;
+    std::vector<pst::PointRecord> out;
+    const int64_t q = rng.UniformInt(0, 1 << 20);
     benchmark::DoNotOptimize(
-        set.Stab(rng.UniformInt(0, 1 << 20), &out).ok());
+        index.Query3Sided(-(geom::kMaxCoord + 1), q, q, &out).ok());
     benchmark::DoNotOptimize(out.size());
   }
 }

@@ -152,11 +152,10 @@ class BPlusTree {
   // Internal:      [u8 is_leaf][u8 pad3][u32 count]
   //                [PageId child x (count+1)][Record sep x count]
   // The leaf record region goes through PageRecordLayout: row-major for
-  // generic records, columnar strips for segment-like records with a
-  // specialization. Either layout fills exactly leaf_capacity_ *
-  // sizeof(Record) bytes, so capacities and page counts are layout-
-  // independent. Internal separators stay row-major — they are binary-
-  // searched individually, never scanned.
+  // generic records, compressed columnar strips for G's fragments (their
+  // specialization), whose Capacity() gives leaf_capacity_. Internal
+  // separators stay row-major — they are binary-searched individually,
+  // never scanned.
   // Separator semantics: sep[i] is a copy of the smallest record in
   // child[i+1]'s subtree; search descends into the first child i with
   // key < sep[i] (or the last child).

@@ -14,7 +14,6 @@ Status TwoLevelBinaryIndex::Query(const VerticalSegmentQuery& q,
   SEGDB_IO_BOUND("log", "t/B");
   if (q.ylo > q.yhi) return Status::InvalidArgument("ylo > yhi");
   int32_t cur = root_;
-  std::vector<io::PageId> ahead;  // read-ahead hint for the next descent step
   while (cur >= 0) {
     const Node& node = nodes_[cur];
     SEGDB_RETURN_IF_ERROR(FetchMeta(node));
@@ -27,7 +26,6 @@ Status TwoLevelBinaryIndex::Query(const VerticalSegmentQuery& q,
     const uint32_t slab = q.x0 < blx ? 0 : 1;
     SEGDB_RETURN_IF_ERROR(QuerySlab(node, slab, q, out));
     cur = node.children[slab];
-    ReadAhead(cur, &ahead);
   }
   return Status::OK();
 }

@@ -696,19 +696,6 @@ Status TwoLevelIndex::QuerySlab(const Node& node, uint32_t k,
   return Status::OK();
 }
 
-void TwoLevelIndex::ReadAhead(int32_t child,
-                              std::vector<io::PageId>* ahead) const {
-  if (child < 0) return;
-  const Node& next = nodes_[child];
-  ahead->clear();
-  ahead->push_back(next.meta_page);
-  if (next.is_leaf) {
-    ahead->insert(ahead->end(), next.leaf_pages.begin(),
-                  next.leaf_pages.end());
-  }
-  pool_->Prefetch(*ahead);
-}
-
 uint64_t TwoLevelIndex::page_count() const {
   uint64_t total = 0;
   std::vector<int32_t> stack;  // live nodes only

@@ -26,10 +26,10 @@
 //
 // The shell owns everything except the query loop: the node arena, the
 // split and routing, fault-atomic build-aside and unwind, weight-balanced
-// partial rebuilding, leaf pages, read-ahead, page_count(), height() and
-// the audit. Each solution writes its own Query loop from the shared steps
-// below, and only Solution B's searches G, so the I/O-cost checker derives
-// Theorem 1's class for A and Theorem 2's for B.
+// partial rebuilding, leaf pages, page_count(), height() and the audit.
+// Each solution writes its own Query loop from the shared steps below, and
+// only Solution B's searches G, so the I/O-cost checker derives Theorem 1's
+// class for A and Theorem 2's for B.
 //
 // First-level nodes are mirrored to one disk page each and that page is
 // fetched on every visit, so buffer-pool misses equal the paper's I/O
@@ -120,9 +120,6 @@ class TwoLevelIndex : public SegmentIndex {
   // x0 strictly inside slab k: R_{k-1} and L_k.
   Status QuerySlab(const Node& node, uint32_t k, const VerticalSegmentQuery& q,
                    std::vector<geom::Segment>* out) const;
-  // Hints the child's pages before its PSTs are searched; staged pages are
-  // charged on first Fetch, so I/O counts stay exact.
-  void ReadAhead(int32_t child, std::vector<io::PageId>* ahead) const;
 
   io::BufferPool* const pool_;
   std::vector<Node> nodes_;

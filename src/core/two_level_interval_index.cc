@@ -28,7 +28,6 @@ Status TwoLevelIntervalIndex::Query(const VerticalSegmentQuery& q,
   SEGDB_IO_BOUND("log", "sqrt", "t/B");
   if (q.ylo > q.yhi) return Status::InvalidArgument("ylo > yhi");
   int32_t cur = root_;
-  std::vector<io::PageId> ahead;  // read-ahead hint for the next descent step
   while (cur >= 0) {
     const Node& node = nodes_[cur];
     SEGDB_RETURN_IF_ERROR(FetchMeta(node));
@@ -48,7 +47,6 @@ Status TwoLevelIntervalIndex::Query(const VerticalSegmentQuery& q,
     SEGDB_RETURN_IF_ERROR(QuerySlab(node, k, q, out));
     if (node.g) SEGDB_RETURN_IF_ERROR(node.g->Query(q.x0, q.ylo, q.yhi, out));
     cur = node.children[k];
-    ReadAhead(cur, &ahead);
   }
   return Status::OK();
 }

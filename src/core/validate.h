@@ -5,8 +5,7 @@
 //   * unique ids,
 //   * the NCT invariant (no proper crossings), via the plane sweep.
 // The two-level indexes (Solutions A and B) and the paged baselines (full
-// scan, R-tree, interval-tree stab) run ValidateSegment on every segment
-// they are given. They do not check ids or the NCT invariant (the sweep
+// scan, R-tree) run ValidateSegment on every segment they are given. They do not check ids or the NCT invariant (the sweep
 // costs more than the build), so call ValidateForIndexing at ingestion
 // boundaries, as the examples do.
 #ifndef SEGDB_CORE_VALIDATE_H_

@@ -13,8 +13,7 @@
 // (56), because shift + width <= 7 + 56 <= 63. The load may touch up to 7
 // bytes past the lane's last data byte; callers must guarantee those bytes
 // are readable (in-page packed regions reserve worst-case slot space, so the
-// tail of any column lands inside the region — see io/column_codec.h; the
-// standalone codec decodes its final lanes through UnpackLaneBitsTail).
+// tail of any column lands inside the region — see io/column_codec.h).
 //
 // Dispatch mirrors geom/filter_kernel.cc: a portable scalar core everywhere,
 // and an explicit AVX2 gather+variable-shift path compiled into every
@@ -40,21 +39,6 @@ inline uint64_t UnpackLaneBits(const uint8_t* packed, uint32_t i,
   const uint64_t bit = uint64_t{i} * width;
   uint64_t word;
   std::memcpy(&word, packed + (bit >> 3), sizeof(word));
-  word >>= (bit & 7);
-  return word & ((uint64_t{1} << width) - 1);
-}
-
-// Overrun-free variant for buffers without tail slack: assembles the lane
-// from only the bytes below `packed_bytes`. Slow path — used by the
-// standalone codec for the last few lanes of a tightly-sized buffer.
-inline uint64_t UnpackLaneBitsTail(const uint8_t* packed, size_t packed_bytes,
-                                   uint32_t i, uint32_t width) {
-  const uint64_t bit = uint64_t{i} * width;
-  const size_t first = bit >> 3;
-  uint64_t word = 0;
-  const size_t avail = packed_bytes > first ? packed_bytes - first : 0;
-  const size_t take = avail < sizeof(word) ? avail : sizeof(word);
-  std::memcpy(&word, packed + first, take);
   word >>= (bit & 7);
   return word & ((uint64_t{1} << width) - 1);
 }

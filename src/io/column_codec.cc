@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <vector>
 
 namespace segdb::io {
 
@@ -163,157 +162,6 @@ void DecodeColumnarRegion(const uint8_t* region, uint32_t capacity,
                                 info.width[c], info.ref[c], out);
         break;
     }
-  }
-}
-
-namespace {
-
-// Zig-zag mapping for delta lanes: small signed deltas become small
-// unsigned offsets without needing a second reference field.
-uint64_t ZigZag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);
-}
-
-int64_t UnZigZag(uint64_t u) {
-  return static_cast<int64_t>(u >> 1) ^ -static_cast<int64_t>(u & 1);
-}
-
-// Packs n pre-computed unsigned offsets at `width` bits into `payload`.
-// ColumnMaxBytes reserves 8n payload bytes, which covers the packer's
-// 7-byte RMW tail whenever payload_bytes + 7 <= 8n; tiny columns take a
-// padded detour instead of widening the public contract.
-void PackOffsets(const uint64_t* offsets, uint32_t n, uint32_t width,
-                 uint8_t* payload, size_t payload_bytes) {
-  if (payload_bytes + 7 <= uint64_t{8} * n) {
-    std::memset(payload, 0, payload_bytes);
-    for (uint32_t i = 0; i < n; ++i) {
-      geom::PackLaneBits(payload, i, width, offsets[i]);
-    }
-  } else {
-    std::vector<uint8_t> tmp(payload_bytes + 8, 0);
-    for (uint32_t i = 0; i < n; ++i) {
-      geom::PackLaneBits(tmp.data(), i, width, offsets[i]);
-    }
-    std::memcpy(payload, tmp.data(), payload_bytes);
-  }
-}
-
-}  // namespace
-
-size_t EncodeColumn(const int64_t* values, uint32_t n, bool allow_delta,
-                    uint8_t* out) {
-  ColumnPlan plan = PlanColumn(values, n);
-  std::vector<uint64_t> offsets(n);
-  if (plan.tag == ColumnTag::kFor) {
-    for (uint32_t i = 0; i < n; ++i) {
-      offsets[i] = static_cast<uint64_t>(values[i]) -
-                   static_cast<uint64_t>(plan.ref);
-    }
-  }
-  // Delta-then-FOR: zig-zagged consecutive differences, anchor (lane 0's
-  // absolute value) in the header ref, lane 0 packed as zero. Wins on
-  // sorted or clustered columns where deltas span a strictly narrower
-  // range than the values.
-  if (allow_delta && n >= 2 && plan.tag == ColumnTag::kFor) {
-    uint64_t max_zz = 0;
-    for (uint32_t i = 1; i < n; ++i) {
-      const int64_t d =
-          static_cast<int64_t>(static_cast<uint64_t>(values[i]) -
-                               static_cast<uint64_t>(values[i - 1]));
-      max_zz = std::max(max_zz, ZigZag(d));
-    }
-    const uint32_t zz_width =
-        static_cast<uint32_t>(std::bit_width(max_zz));
-    if (zz_width >= 1 && zz_width < plan.width &&
-        zz_width <= geom::kMaxUnpackWidth) {
-      plan.tag = ColumnTag::kDelta;
-      plan.width = zz_width;
-      plan.ref = values[0];
-      offsets[0] = 0;
-      for (uint32_t i = 1; i < n; ++i) {
-        offsets[i] = ZigZag(
-            static_cast<int64_t>(static_cast<uint64_t>(values[i]) -
-                                 static_cast<uint64_t>(values[i - 1])));
-      }
-    }
-  }
-  std::memcpy(out, &plan.ref, 8);
-  out[8] = static_cast<uint8_t>(plan.width);
-  out[9] = static_cast<uint8_t>(plan.tag);
-  uint8_t* payload = out + 10;
-  size_t payload_bytes = 0;
-  switch (plan.tag) {
-    case ColumnTag::kConst:
-      break;
-    case ColumnTag::kRaw64:
-      payload_bytes = uint64_t{8} * n;
-      std::memcpy(payload, values, payload_bytes);
-      break;
-    default:  // kFor / kDelta share the packed-offset payload
-      payload_bytes = (uint64_t{plan.width} * n + 7) / 8;
-      PackOffsets(offsets.data(), n, plan.width, payload, payload_bytes);
-      break;
-  }
-  return 10 + payload_bytes;
-}
-
-void DecodeColumn(const uint8_t* in, size_t in_bytes, uint32_t n,
-                  int64_t* out) {
-  SEGDB_CHECK(in_bytes >= 10) << "column too short for its header";
-  if (n == 0) return;
-  int64_t ref;
-  std::memcpy(&ref, in, 8);
-  const uint32_t width = in[8];
-  const ColumnTag tag = static_cast<ColumnTag>(in[9]);
-  const uint8_t* payload = in + 10;
-  const size_t payload_bytes = in_bytes - 10;
-  switch (tag) {
-    case ColumnTag::kConst:
-      std::fill(out, out + n, ref);
-      return;
-    case ColumnTag::kRaw64:
-      SEGDB_CHECK(payload_bytes >= uint64_t{8} * n);
-      std::memcpy(out, payload, uint64_t{8} * n);
-      return;
-    default:
-      break;
-  }
-  SEGDB_CHECK(width >= 1 && width <= geom::kMaxUnpackWidth);
-  SEGDB_CHECK(payload_bytes >= (uint64_t{width} * n + 7) / 8);
-  // Fast path for every lane whose 8-byte extraction window stays inside
-  // the payload; exact tail assembly for the rest.
-  uint32_t safe = 0;
-  if (payload_bytes >= 8) {
-    const uint64_t safe_bits = (payload_bytes - 8) * 8 + 1;
-    safe = static_cast<uint32_t>(
-        std::min<uint64_t>(n, safe_bits / width));
-  }
-  if (tag == ColumnTag::kFor) {
-    for (uint32_t i = 0; i < safe; ++i) {
-      out[i] = static_cast<int64_t>(
-          static_cast<uint64_t>(ref) +
-          geom::UnpackLaneBits(payload, i, width));
-    }
-    for (uint32_t i = safe; i < n; ++i) {
-      out[i] = static_cast<int64_t>(
-          static_cast<uint64_t>(ref) +
-          geom::UnpackLaneBitsTail(payload, payload_bytes, i, width));
-    }
-    return;
-  }
-  SEGDB_CHECK(tag == ColumnTag::kDelta);
-  // Lane 0 is the anchor (header ref, packed offset 0); lanes 1.. are
-  // zig-zagged deltas reconstructed by prefix summation.
-  int64_t prev = ref;
-  out[0] = prev;
-  for (uint32_t i = 1; i < n; ++i) {
-    const uint64_t zz =
-        i < safe ? geom::UnpackLaneBits(payload, i, width)
-                 : geom::UnpackLaneBitsTail(payload, payload_bytes, i, width);
-    prev = static_cast<int64_t>(static_cast<uint64_t>(prev) +
-                                static_cast<uint64_t>(UnZigZag(zz)));
-    out[i] = prev;
   }
 }
 

@@ -22,11 +22,10 @@
 // MirrorX maps x to 2*axis - x and Transpose swaps axes, so a stored lane
 // never exceeds 3 * kMaxCoord + 1). Any column's (max - min) is therefore
 // < 2^33 and its minimal FOR width is <= 33 < kCoordSlotBits. The encoder
-// CHECK-enforces the bound; out-of-domain coordinates are a caller bug, and
-// the standalone codec below (which accepts arbitrary int64s) keeps the
-// raw-64 fallback for them. Id lanes carry application ids with no domain
-// bound, so their slot stays 8 bytes and widths above
-// geom::kMaxUnpackWidth degrade to tag kRaw64 (plain 8-byte lanes).
+// CHECK-enforces the bound; out-of-domain coordinates are a caller bug.
+// Id lanes carry application ids with no domain bound, so their slot stays
+// 8 bytes and widths above geom::kMaxUnpackWidth degrade to tag kRaw64
+// (plain 8-byte lanes).
 //
 // == Fallback rule (small regions) ==
 //
@@ -49,7 +48,6 @@
 #ifndef SEGDB_IO_COLUMN_CODEC_H_
 #define SEGDB_IO_COLUMN_CODEC_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -67,13 +65,11 @@ inline constexpr uint32_t kLegacyBytesPerRecord = 40;
 
 // Per-column encodings. kConst and kFor are the only coordinate tags a
 // packed region produces; kRaw64 appears for id columns wider than
-// geom::kMaxUnpackWidth; kDelta exists at the standalone-codec level only
-// (prefix-sum decode forfeits O(1) random access, so regions never use it).
+// geom::kMaxUnpackWidth.
 enum class ColumnTag : uint8_t {
   kConst = 0,  // width 0: every lane equals ref
   kFor = 1,    // frame-of-reference bit-packed offsets from ref
   kRaw64 = 2,  // plain 8-byte lanes (ref 0, width 64)
-  kDelta = 3,  // delta-then-FOR (standalone codec only)
 };
 
 constexpr uint64_t PackedCoordSlotBytes(uint32_t capacity) {
@@ -155,27 +151,6 @@ void EncodeColumnarRegion(uint8_t* region, uint32_t capacity,
 // Decodes a packed region into column-major lanes (same layout as above).
 void DecodeColumnarRegion(const uint8_t* region, uint32_t capacity,
                           int64_t* lanes);
-
-// --- Standalone column codec (fuzz, benches, arbitrary int64 data) -------
-
-// Guaranteed encoding bound for any n int64 values: a 10-byte header plus
-// raw 8-byte lanes. EncodeColumn never emits more — the kRaw64 fallback is
-// what makes the codec safe on adversarial inputs.
-constexpr size_t ColumnMaxBytes(uint32_t n) {
-  return 10 + size_t{8} * n;
-}
-
-// Encodes n int64 values: picks kConst / kFor / kDelta (if allowed and
-// strictly narrower) / kRaw64, writes a 10-byte header {i64 ref, u8 width,
-// u8 tag} followed by the packed payload, and returns the bytes written
-// (<= ColumnMaxBytes(n)). `out` must have ColumnMaxBytes(n) bytes.
-size_t EncodeColumn(const int64_t* values, uint32_t n, bool allow_delta,
-                    uint8_t* out);
-
-// Decodes a column produced by EncodeColumn. `in_bytes` is the exact
-// encoded size (the decoder never reads past it).
-void DecodeColumn(const uint8_t* in, size_t in_bytes, uint32_t n,
-                  int64_t* out);
 
 // --- Codec telemetry ------------------------------------------------------
 

@@ -217,12 +217,11 @@ class ColumnarPageView : public ConstColumnarPageView {
 
 // Leaf-record serialization policy for page-resident record arrays (the
 // BPlusTree leaf level). The primary template keeps the row-major layout —
-// correct for any trivially-copyable record and used by all non-segment
-// trees. Specializations (geom::Segment below; segtree's GFragment next to
-// its definition) switch the region to compressed columnar strips, which
-// SHRINKS the region: Capacity(bytes) is how leaf builders learn the
-// higher fan-out, and RegionBytes(capacity) is where any trailing
-// row-major metadata (GFragment) starts.
+// correct for any trivially-copyable record. The specialization for G's
+// fragments (segtree::GFragment, next to its definition) switches the
+// region to compressed columnar strips, which SHRINKS the region:
+// Capacity(bytes) is how leaf builders learn the higher fan-out, and
+// RegionBytes(capacity) is where the trailing row-major metadata starts.
 template <typename Record>
 struct PageRecordLayout {
   static constexpr bool kColumnar = false;
@@ -258,40 +257,6 @@ struct PageRecordLayout {
                          uint32_t first, const Record* src, uint32_t count) {
     page->WriteArray(base + first * static_cast<uint32_t>(sizeof(Record)),
                      src, count);
-  }
-};
-
-template <>
-struct PageRecordLayout<geom::Segment> {
-  static constexpr bool kColumnar = true;
-
-  static uint32_t Capacity(uint32_t region_bytes) {
-    return ColumnarRegionCapacity(region_bytes);
-  }
-
-  static uint32_t RegionBytes(uint32_t capacity) {
-    return static_cast<uint32_t>(ColumnarRegionBytes(capacity));
-  }
-
-  static geom::Segment Read(const Page& page, uint32_t base,
-                            uint32_t capacity, uint32_t i) {
-    return ConstColumnarPageView(page, base, capacity).Get(i);
-  }
-
-  static void Write(Page* page, uint32_t base, uint32_t capacity, uint32_t i,
-                    const geom::Segment& s) {
-    ColumnarPageView(page, base, capacity).Set(i, s);
-  }
-
-  static void ReadRange(const Page& page, uint32_t base, uint32_t capacity,
-                        uint32_t first, geom::Segment* out, uint32_t count) {
-    ConstColumnarPageView(page, base, capacity).ReadRange(first, out, count);
-  }
-
-  static void WriteRange(Page* page, uint32_t base, uint32_t capacity,
-                         uint32_t first, const geom::Segment* src,
-                         uint32_t count) {
-    ColumnarPageView(page, base, capacity).WriteRange(first, src, count);
   }
 };
 

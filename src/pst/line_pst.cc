@@ -25,8 +25,7 @@ LinePst::LinePst(io::BufferPool* pool, int64_t base_x, Direction direction,
                  LinePstOptions options)
     : pool_(pool),
       base_x_(base_x),
-      direction_(direction),
-      imbalance_(options.imbalance) {
+      direction_(direction) {
   const uint32_t page = pool_->page_size();
   if (options.fanout != 0) {
     fanout_ = std::max<uint32_t>(2, options.fanout);
@@ -37,10 +36,7 @@ LinePst::LinePst(io::BufferPool* pool, int64_t base_x, Direction direction,
   }
   const uint32_t overhead = SegOff(0);
   SEGDB_DCHECK(overhead < page) << "page too small for LinePst fanout";
-  const uint32_t auto_cap = io::ColumnarRegionCapacity(page - overhead);
-  cap_ = options.segments_per_node != 0
-             ? std::min(options.segments_per_node, auto_cap)
-             : auto_cap;
+  cap_ = io::ColumnarRegionCapacity(page - overhead);
   SEGDB_DCHECK(cap_ >= 2) << "page too small for LinePst node";
 }
 
@@ -492,9 +488,11 @@ Status LinePst::InsertCanonical(geom::Segment g) {
           below += cs;
           max_child = std::max(max_child, cs);
         }
+        // A child may grow to twice its ideal share plus one node's
+        // capacity before this subtree is rebuilt.
         const double share =
             static_cast<double>(below) / static_cast<double>(hdr.num_children);
-        const double limit = cap_ + imbalance_ * share;
+        const double limit = cap_ + 2.0 * share;
         if (below >= 2 * static_cast<uint64_t>(cap_) &&
             static_cast<double>(max_child) > limit) {
           action = Action::kRebuild;

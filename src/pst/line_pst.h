@@ -61,12 +61,6 @@ struct LinePstOptions {
   // (the "packed" mode, Lemma 3). Use 2 for the paper's binary PST
   // (Lemma 2).
   uint32_t fanout = 0;
-  // Segments stored per node. 0 = auto from the page size.
-  uint32_t segments_per_node = 0;
-  // Partial-rebuild trigger: a child subtree may grow to
-  // (imbalance * ideal share + node capacity) before its parent subtree is
-  // rebuilt.
-  double imbalance = 2.0;
 };
 
 class LinePst {
@@ -188,7 +182,6 @@ class LinePst {
   io::BufferPool* pool_;
   const int64_t base_x_;
   const Direction direction_;
-  const double imbalance_;
   uint32_t fanout_ = 0;
   uint32_t cap_ = 0;
   io::PageId root_ = io::kInvalidPageId;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "baseline/full_scan_index.h"
-#include "baseline/interval_stab_index.h"
 #include "baseline/rtree_index.h"
 #include "btree/bplus_tree.h"
 #include "core/segment_index.h"
@@ -151,13 +150,6 @@ TEST(AuditChurnTest, TwoLevelIntervalIndexSmallFanout) {
   options.leaf_capacity = 8;
   core::TwoLevelIntervalIndex index(&pool, options);
   RunChurn(&index, &pool, ChurnWorkload(0xDEED), 4);
-}
-
-TEST(AuditChurnTest, IntervalStabIndex) {
-  io::SimDiskManager disk(4096);
-  io::BufferPool pool(&disk, 256);
-  baseline::IntervalStabIndex index(&pool);
-  RunChurn(&index, &pool, ChurnWorkload(0xFACE), 5);
 }
 
 TEST(AuditChurnTest, FullScanIndex) {

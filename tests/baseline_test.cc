@@ -8,7 +8,6 @@
 
 #include "baseline/endpoint_pst_index.h"
 #include "baseline/full_scan_index.h"
-#include "baseline/interval_stab_index.h"
 #include "baseline/oracle.h"
 #include "baseline/rtree_index.h"
 #include "core/two_level_interval_index.h"
@@ -245,7 +244,8 @@ TEST_F(BaselineTest, RejectsMalformedSegmentsUnchanged) {
             return std::make_unique<RTreeIndex>(pool);
           },
           [](io::BufferPool* pool) {
-            return std::make_unique<IntervalStabIndex>(pool);
+            return std::make_unique<StabFilterIndex>(
+                std::make_unique<core::TwoLevelIntervalIndex>(pool));
           },
       };
   for (const auto& make : factories) {

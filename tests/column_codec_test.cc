@@ -1,7 +1,6 @@
 // Unit coverage for io/column_codec.h: packed-region encode/decode (the
 // on-page format every segment leaf now uses), the capacity/footprint laws
-// the leaf builders rely on, the standalone column codec with its
-// guaranteed raw fallback, and the unpack kernels (scalar against the
+// the leaf builders rely on, and the unpack kernels (scalar against the
 // active one). The adversarial-input sweeps live in
 // differential_fuzz_test.cc; this file pins the deterministic contracts.
 
@@ -123,59 +122,6 @@ TEST(ColumnCodecTest, CapacityAndFootprintLaws) {
   EXPECT_FALSE(ColumnarRegionIsPacked(3));
   EXPECT_TRUE(ColumnarRegionIsPacked(4));
   EXPECT_EQ(ColumnarRegionBytes(3), 120u);
-}
-
-void CheckColumnRoundTrip(const std::vector<int64_t>& values,
-                          bool allow_delta) {
-  const uint32_t n = static_cast<uint32_t>(values.size());
-  std::vector<uint8_t> buf(ColumnMaxBytes(n), 0xEE);
-  const size_t used = EncodeColumn(values.data(), n, allow_delta, buf.data());
-  ASSERT_LE(used, ColumnMaxBytes(n));
-  // Decode from an exact-size copy: the decoder must not read past
-  // in_bytes (ASan-checked in the fuzz job).
-  const std::vector<uint8_t> exact(buf.begin(), buf.begin() + used);
-  std::vector<int64_t> out(n, ~int64_t{0});
-  DecodeColumn(exact.data(), exact.size(), n, out.data());
-  ASSERT_EQ(out, values);
-}
-
-TEST(ColumnCodecTest, StandaloneColumnAdversarialValues) {
-  const int64_t kMin = std::numeric_limits<int64_t>::min();
-  const int64_t kMax = std::numeric_limits<int64_t>::max();
-  const std::vector<std::vector<int64_t>> cases = {
-      {},                                  // empty
-      {kMin},                              // single extreme
-      {kMax, kMin, kMax, kMin},            // full-range alternation
-      {0, 0, 0, 0, 0, 0, 0},               // constant zero
-      {42, 42, 42},                        // constant nonzero
-      {-geom::kMaxCoord, geom::kMaxCoord}, // coordinate sentinels
-      {1, -1, 2, -2, 3, -3, 4, -4},        // alternating sign
-      {kMin, kMin + 1, kMin + 2},          // near-min ramp (delta-friendly)
-      {kMax - 2, kMax - 1, kMax},          // near-max ramp
-  };
-  for (const auto& values : cases) {
-    CheckColumnRoundTrip(values, /*allow_delta=*/true);
-    CheckColumnRoundTrip(values, /*allow_delta=*/false);
-  }
-}
-
-TEST(ColumnCodecTest, StandaloneColumnDeltaBeatsForOnSortedRuns) {
-  // Sorted x-coordinates with small gaps: FOR needs the full-range width,
-  // delta needs only the gap width.
-  std::vector<int64_t> values;
-  int64_t v = -1000000000;
-  Rng rng(7002);
-  for (int i = 0; i < 512; ++i) {
-    values.push_back(v);
-    v += static_cast<int64_t>(rng.Uniform(100));
-  }
-  std::vector<uint8_t> buf(ColumnMaxBytes(512));
-  const size_t with_delta =
-      EncodeColumn(values.data(), 512, /*allow_delta=*/true, buf.data());
-  const size_t without =
-      EncodeColumn(values.data(), 512, /*allow_delta=*/false, buf.data());
-  EXPECT_LT(with_delta, without);
-  CheckColumnRoundTrip(values, /*allow_delta=*/true);
 }
 
 TEST(ColumnCodecTest, UnpackKernelsAgreeScalarVsActive) {

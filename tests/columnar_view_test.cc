@@ -1,19 +1,15 @@
 // Round-trip coverage for the columnar (struct-of-arrays) page layout:
-// ColumnarPageView strip encoding, the PageRecordLayout codecs (Segment and
-// GFragment specializations, row-major primary), and a BPlusTree-level
-// check that bulk-loaded leaves decode identically through the codec.
+// ColumnarPageView strip encoding and the PageRecordLayout codecs (the
+// GFragment specialization and the row-major primary).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
-#include "btree/bplus_tree.h"
 #include "geom/predicates.h"
 #include "geom/segment.h"
-#include "io/buffer_pool.h"
 #include "io/columnar_page_view.h"
-#include "io/disk_manager.h"
 #include "io/page.h"
 #include "segtree/multislab_segment_tree.h"
 #include "util/random.h"
@@ -170,19 +166,6 @@ TEST(PageRecordLayoutTest, RowMajorPrimaryRoundTrip) {
   EXPECT_EQ(PageRecordLayout<Pair>::Read(p, 16, 8, 2).b, 6u);
 }
 
-TEST(PageRecordLayoutTest, SegmentSpecializationIsColumnar) {
-  static_assert(PageRecordLayout<geom::Segment>::kColumnar);
-  const std::vector<geom::Segment> segs = MakeSegments(11, 5);
-  Page p(kPageSize);
-  PageRecordLayout<geom::Segment>::WriteRange(&p, 8, 11, 0, segs.data(), 11);
-  // The codec and a directly-constructed view must agree bit-for-bit.
-  const ConstColumnarPageView view(p, 8, 11);
-  for (uint32_t i = 0; i < 11; ++i) {
-    EXPECT_EQ(PageRecordLayout<geom::Segment>::Read(p, 8, 11, i), segs[i]);
-    EXPECT_EQ(view.Get(i), segs[i]);
-  }
-}
-
 TEST(PageRecordLayoutTest, GFragmentSpecializationRoundTrip) {
   using segtree::GFragment;
   static_assert(PageRecordLayout<GFragment>::kColumnar);
@@ -211,46 +194,6 @@ TEST(PageRecordLayoutTest, GFragmentSpecializationRoundTrip) {
     EXPECT_EQ(out.slot_right, in[i].slot_right);
     EXPECT_EQ(out.flags, in[i].flags);
   }
-}
-
-// BPlusTree stores Segment leaves through the columnar codec; everything the
-// tree reports must round-trip exactly, including after in-place updates.
-struct SegCompare {
-  int operator()(const geom::Segment& a, const geom::Segment& b) const {
-    if (a.id != b.id) return a.id < b.id ? -1 : 1;
-    return 0;
-  }
-};
-
-TEST(ColumnarBTreeTest, BulkLoadAndMutateRoundTrip) {
-  SimDiskManager disk(512);  // small pages force multi-leaf trees
-  BufferPool pool(&disk, 64);
-  btree::BPlusTree<geom::Segment, SegCompare> tree(&pool, SegCompare{});
-  std::vector<geom::Segment> segs = MakeSegments(300, 21);
-  for (uint32_t i = 0; i < segs.size(); ++i) segs[i].id = i;  // sorted key
-  ASSERT_TRUE(tree.BulkLoad(segs).ok());
-  auto all = tree.CollectAll();
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all.value(), segs);
-
-  // Inserts (leaf splits) and erases still decode correctly.
-  std::vector<geom::Segment> extra = MakeSegments(50, 22);
-  for (uint32_t i = 0; i < extra.size(); ++i) {
-    extra[i].id = 1000 + i;
-    ASSERT_TRUE(tree.Insert(extra[i]).ok());
-  }
-  for (uint32_t i = 0; i < segs.size(); i += 3) {
-    ASSERT_TRUE(tree.Erase(segs[i]).ok());
-  }
-  std::vector<geom::Segment> expect;
-  for (uint32_t i = 0; i < segs.size(); ++i) {
-    if (i % 3 != 0) expect.push_back(segs[i]);
-  }
-  expect.insert(expect.end(), extra.begin(), extra.end());
-  all = tree.CollectAll();
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all.value(), expect);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
 }  // namespace

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "baseline/full_scan_index.h"
-#include "baseline/interval_stab_index.h"
+#include "baseline/oracle.h"
 #include "baseline/rtree_index.h"
 #include "core/two_level_binary_index.h"
 #include "core/two_level_interval_index.h"
@@ -59,11 +59,15 @@ std::vector<Config> AllConfigs() {
   configs.push_back({"full-scan", [](io::BufferPool* pool) {
                        return std::make_unique<baseline::FullScanIndex>(pool);
                      }});
-  configs.push_back({"interval-stab", [](io::BufferPool* pool) {
-                       return std::make_unique<baseline::IntervalStabIndex>(
-                           pool);
-                     }});
-  // The R-tree has no deletion path: erase steps degrade to queries.
+  // Neither the stab-and-filter wrapper nor the R-tree has a deletion
+  // path: erase steps degrade to queries.
+  configs.push_back({"stab-filter",
+                     [](io::BufferPool* pool) {
+                       return std::make_unique<baseline::StabFilterIndex>(
+                           std::make_unique<core::TwoLevelIntervalIndex>(
+                               pool));
+                     },
+                     /*supports_erase=*/false});
   configs.push_back({"rtree",
                      [](io::BufferPool* pool) {
                        return std::make_unique<baseline::RTreeIndex>(pool);
@@ -214,7 +218,7 @@ void FillColumn(Rng& rng, int shape, int64_t* out, uint32_t n) {
       for (uint32_t i = 0; i < n; ++i) out[i] = rng.UniformInt(-1000, 1000);
       for (uint32_t i = 1; i < n; ++i) out[i] = out[0];
       break;
-    case 2:  // sorted ramp with small gaps (delta-friendly)
+    case 2:  // sorted ramp with small gaps
       if (n > 0) {
         out[0] = rng.UniformInt(-geom::kMaxCoord, geom::kMaxCoord);
         for (uint32_t i = 1; i < n; ++i) {
@@ -253,8 +257,8 @@ void FillColumn(Rng& rng, int shape, int64_t* out, uint32_t n) {
 
 // Shapes legal for a coordinate column: the region codec guarantees the
 // 34-bit slot bound only over the stored-coordinate domain (|v| <= 3 *
-// kMaxCoord); shapes 3/4 exceed it and are reserved for the id column and
-// the standalone codec, which both carry a raw64 fallback.
+// kMaxCoord); shapes 3/4 exceed it and are reserved for the id column,
+// which carries a raw64 fallback.
 int CoordShape(Rng& rng) {
   const int pick = static_cast<int>(rng.Uniform(4));
   return pick == 3 ? 5 : pick;
@@ -285,21 +289,6 @@ void CodecFuzzRound(Rng& rng) {
   io::EncodeColumnarRegion(again.data(), cap, decoded.data());
   ASSERT_EQ(std::memcmp(region.data(), again.data(), region.size()), 0)
       << "non-canonical re-encode at cap " << cap;
-
-  // Standalone column codec under the same distributions, both with and
-  // without the delta candidate, decoding from an exact-size buffer.
-  std::vector<int64_t> col(cap);
-  FillColumn(rng, static_cast<int>(rng.Uniform(5)), col.data(), cap);
-  for (const bool allow_delta : {true, false}) {
-    std::vector<uint8_t> buf(io::ColumnMaxBytes(cap));
-    const size_t used =
-        io::EncodeColumn(col.data(), cap, allow_delta, buf.data());
-    ASSERT_LE(used, buf.size());
-    const std::vector<uint8_t> exact(buf.begin(), buf.begin() + used);
-    std::vector<int64_t> out(cap, ~int64_t{0});
-    io::DecodeColumn(exact.data(), exact.size(), cap, out.data());
-    ASSERT_EQ(out, col) << "allow_delta " << allow_delta;
-  }
 }
 
 TEST(CodecFuzzTest, RoundTripMatchesUncompressedOracle) {

@@ -84,6 +84,16 @@ TEST_P(PointPstTest, MatchesOracleOnRandomPoints) {
     ASSERT_TRUE(pst.Query3Sided(xlo, xhi, ylo, &out).ok());
     EXPECT_EQ(Ids(out), OracleIds(pts, xlo, xhi, ylo));
   }
+  // The C_i structures' shape: intervals [x, y] meeting [a, b] are the
+  // points with x <= b and y >= a, so xlo lies below every key.
+  constexpr int64_t kNoXlo = -(geom::kMaxCoord + 1);
+  for (int q = 0; q < 80; ++q) {
+    const int64_t a = rng.UniformInt(-6000, 6000);
+    const int64_t b = a + rng.UniformInt(0, 3000);
+    std::vector<PointRecord> out;
+    ASSERT_TRUE(pst.Query3Sided(kNoXlo, b, a, &out).ok());
+    EXPECT_EQ(Ids(out), OracleIds(pts, kNoXlo, b, a));
+  }
 }
 
 TEST_P(PointPstTest, DuplicateCoordinatesAllReported) {
@@ -136,6 +146,36 @@ INSTANTIATE_TEST_SUITE_P(Fanouts, PointPstTest, ::testing::Values(2u, 0u),
                          [](const auto& info) {
                            return "fan" + std::to_string(info.param);
                          });
+
+// Stabbing 40,000 short intervals, stored as points (lo, hi) and queried
+// as x <= q, y >= q with the packed default fan-out, must stay a handful
+// of cold pages per query. This pins LinePst::Query's fence walks: without
+// them the fences of this one-sided query are found too late and the
+// report traversal may touch O(n) nodes.
+TEST(PointPstIoTest, StabbingIoLogarithmic) {
+  io::SimDiskManager disk(1024);
+  io::BufferPool pool(&disk, 512);
+  PointPst pst(&pool);
+  Rng rng(123);
+  std::vector<PointRecord> ivs;
+  for (uint64_t i = 0; i < 40000; ++i) {
+    const int64_t lo = rng.UniformInt(0, 1 << 20);
+    ivs.push_back(PointRecord{lo, lo + rng.UniformInt(0, 100), i});
+  }
+  ASSERT_TRUE(pst.BulkLoad(ivs).ok());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  uint64_t total = 0;
+  const int kQ = 25;
+  for (int q = 0; q < kQ; ++q) {
+    ASSERT_TRUE(pool.EvictAll().ok());
+    pool.ResetStats();
+    const int64_t p = rng.UniformInt(0, 1 << 20);
+    std::vector<PointRecord> out;
+    ASSERT_TRUE(pst.Query3Sided(-(geom::kMaxCoord + 1), p, p, &out).ok());
+    total += pool.stats().misses + out.size() / 16;
+  }
+  EXPECT_LT(static_cast<double>(total) / kQ, 25.0);
+}
 
 }  // namespace
 }  // namespace segdb::pst

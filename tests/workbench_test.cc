@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "baseline/full_scan_index.h"
-#include "baseline/interval_stab_index.h"
 #include "baseline/oracle.h"
 #include "baseline/rtree_index.h"
 #include "core/two_level_binary_index.h"
@@ -50,9 +49,7 @@ TEST_P(WorkbenchTest, LockStepOperations) {
   core::TwoLevelBinaryIndex solution_a(&pool);
   core::TwoLevelIntervalIndex solution_b(&pool);
   baseline::FullScanIndex scan(&pool);
-  baseline::IntervalStabIndex itree_stab(&pool);
-  std::vector<SegmentIndex*> all = {&oracle, &solution_a, &solution_b, &scan,
-                                    &itree_stab};
+  std::vector<SegmentIndex*> all = {&oracle, &solution_a, &solution_b, &scan};
 
   // A pool of NCT segments to draw from; "alive" tracks what is stored.
   auto universe = workload::GenMapLayer(rng, 1200, 150000);

@@ -9,8 +9,8 @@ sources. Wired into tools/lint.sh, the CMake `segdb-lint` target, ctest
 Rules
 -----
 layering        src/ is a DAG of layers (util <- geom <- io <- {btree,
-                pst, itree, segtree} <- core <- baseline; workload sits
-                beside core). A quoted #include may only point at the
+                pst, segtree} <- core <- baseline; workload sits beside
+                core). A quoted #include may only point at the
                 file's own layer or a layer it is allowed to depend on —
                 no back-edges, ever. New top-level src/ directories must
                 be added to ALLOWED_DEPS or the linter rejects them.
@@ -73,11 +73,9 @@ ALLOWED_DEPS = {
     "io": {"geom", "util"},
     "btree": {"io", "geom", "util"},
     "pst": {"io", "geom", "util"},
-    "itree": {"pst", "btree", "io", "geom", "util"},
     "segtree": {"btree", "io", "geom", "util"},
-    "core": {"pst", "itree", "segtree", "btree", "io", "geom", "util"},
-    "baseline": {"core", "pst", "itree", "segtree", "btree", "io", "geom",
-                 "util"},
+    "core": {"pst", "segtree", "btree", "io", "geom", "util"},
+    "baseline": {"core", "pst", "segtree", "btree", "io", "geom", "util"},
     "workload": {"geom", "util"},
 }
 
@@ -169,7 +167,7 @@ SAFETY_COMMENT_RE = re.compile(r"//.*\bSAFETY:")
 # ConstColumnarPageView (or the strips() API feeding the filter kernels).
 STRIP_ACCESS_RE = re.compile(
     r"\b(ParsePackedRegionHeader|PackedRegionLane|EncodeColumnarRegion|"
-    r"DecodeColumnarRegion|PackLaneBits|UnpackLaneBitsTail|UnpackLaneBits)"
+    r"DecodeColumnarRegion|PackLaneBits|UnpackLaneBits)"
     r"\s*\(")
 # The layers that own the packed format: the codec itself and the decode
 # kernels it dispatches to.

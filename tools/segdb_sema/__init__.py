@@ -12,8 +12,8 @@ the fault-atomicity contract rest on (DESIGN.md sections 14 and 17):
                        IgnoreError()'d on every path; StatusCode::kIoError
                        is never converted to OK without a retry loop.
   fault atomicity      mutation methods (Insert/Erase/BulkLoad and their
-                       helpers under src/{core,btree,itree,segtree,
-                       baseline}) write member state only after the last
+                       helpers under src/{core,btree,segtree,baseline})
+                       write member state only after the last
                        allocation-fallible call, after SEGDB_COMMIT_POINT(),
                        or under a `// SEMA-OK:` documented rollback.
   blocking-under-lock  no call that transitively reaches device I/O, a

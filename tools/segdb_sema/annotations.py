@@ -85,8 +85,8 @@ class Facts:
         # Declared lock-order edges: (before, after, rel, line).
         self.acquired_edges: list[tuple[str, str, str, int]] = []
         # Member name -> set of candidate PascalCase type names (a global
-        # union over classes: `impl_` is a LinePst in PointPst but a
-        # PointPst in IntervalSet, so every candidate is kept and call
+        # union over classes: `pool_` is a BufferPool in the indexes but a
+        # ThreadPool in QueryEngine, so every candidate is kept and call
         # resolution picks the ones defining the called method).
         self.member_types: dict[str, set[tuple[str, str]]] = {}
         # using Alias = SomeClass<...>;

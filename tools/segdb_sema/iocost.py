@@ -50,10 +50,9 @@ from segdb_sema import annotations, checks, cppast, model
 ENTRY_NAMES = frozenset({
     "BulkLoad", "BulkLoadWithPositions", "Insert", "Erase", "Query",
     "Query3Sided", "QuerySegment", "QueryLine", "QueryViaEndpoints",
-    "Stab", "Intersect",
 })
-ENTRY_DIRS = ("src/core/", "src/pst/", "src/itree/", "src/segtree/",
-              "src/btree/", "src/baseline/")
+ENTRY_DIRS = ("src/core/", "src/pst/", "src/segtree/", "src/btree/",
+              "src/baseline/")
 
 _TERMS = ("1", "log", "sqrt", "t/B", "scan")
 # t is subsumed by a when the annotation term is an upper bound for it.

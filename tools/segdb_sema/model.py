@@ -26,8 +26,7 @@ QUIESCE_CALLS = {"EvictAll", "FlushAll"}
 # Mutation entry points the fault-atomicity family analyzes (plus their
 # transitive callees that also live in the mutation directories).
 MUTATION_ROOTS = {"Insert", "Erase", "BulkLoad", "BulkLoadWithPositions"}
-MUTATION_DIRS = ("src/core/", "src/btree/", "src/itree/", "src/segtree/",
-                 "src/baseline/")
+MUTATION_DIRS = ("src/core/", "src/btree/", "src/segtree/", "src/baseline/")
 
 # Names every analysis knows even when the declaring header is not part
 # of the analyzed file set (fixtures, single-file runs).
