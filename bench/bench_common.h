@@ -36,6 +36,8 @@
 #include "core/segment_index.h"
 #include "io/buffer_pool.h"
 #include "io/column_codec.h"
+#include "io/disk_manager.h"
+#include "util/random.h"
 #include "util/table_printer.h"
 #include "workload/queries.h"
 
@@ -75,6 +77,35 @@ inline QueryCost MeasureQueries(io::BufferPool* pool,
     cost.avg_ios /= static_cast<double>(queries.size());
     cost.avg_output /= static_cast<double>(queries.size());
   }
+  return cost;
+}
+
+// What updates cost later queries (E7, E12): the cold protocol over one
+// fixed sample of 256 queries of 1% height, run on an index after its
+// write phase and on a fresh index bulk-loaded with the same final set.
+struct UpdatedColdCost {
+  double after_writes = 0;  // cold I/O per query after the writes
+  double fresh = 0;         // the same after a fresh BulkLoad
+};
+
+inline std::vector<workload::VsQuery> UpdatedColdSample(
+    const workload::BoundingBox& box) {
+  Rng rng(909);
+  return workload::GenVsQueries(rng, 256, box, 0.01);
+}
+
+// The fresh index gets its own disk and a pool of the same size as `pool`.
+template <typename Index>
+UpdatedColdCost MeasureUpdatedCold(io::BufferPool* pool, const Index& index,
+                                   std::span<const geom::Segment> final_set,
+                                   std::span<const workload::VsQuery> queries) {
+  UpdatedColdCost cost;
+  cost.after_writes = MeasureQueries(pool, index, queries).avg_ios;
+  io::SimDiskManager disk(pool->page_size());
+  io::BufferPool fresh_pool(&disk, pool->frame_count());
+  Index fresh(&fresh_pool);
+  Check(fresh.BulkLoad(final_set), "fresh bulk load");
+  cost.fresh = MeasureQueries(&fresh_pool, fresh, queries).avg_ios;
   return cost;
 }
 

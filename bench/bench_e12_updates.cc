@@ -1,8 +1,12 @@
 // E12 (extension) — full update workloads: the paper's Theorem 1 claims
 // deletions too; segdb implements them across the stack (lazy removal +
-// amortized repacking; tombstoned delta for the cascaded G). This
-// experiment measures amortized deletion cost and steady-state mixed
-// churn (insert+delete at constant size), and verifies space comes back.
+// amortized repacking; G buffers inserts and tombstones in one delta in
+// both layouts and rebuilds itself). This experiment measures amortized
+// deletion cost and steady-state mixed churn (insert+delete at constant
+// size), and verifies space comes back. The last three columns show what
+// the updates cost later queries: cold I/O per query after the churn,
+// after a fresh BulkLoad of the surviving set, and their ratio (near 1:
+// the updates left queries as cheap as a fresh build).
 
 #include "baseline/oracle.h"
 #include "bench/bench_common.h"
@@ -47,10 +51,20 @@ void MeasureChurn(const char* label, TablePrinter* table, uint64_t N) {
       static_cast<double>(pool.stats().misses + pool.stats().writebacks) /
       static_cast<double>(churn_ops);
 
+  // The churn ends with every even-indexed segment erased.
+  std::vector<geom::Segment> survivors;
+  for (size_t i = 1; i < segs.size(); i += 2) survivors.push_back(segs[i]);
+  const bench::UpdatedColdCost cold = bench::MeasureUpdatedCold(
+      &pool, index, survivors,
+      bench::UpdatedColdSample(workload::ComputeBoundingBox(segs)));
+
   table->AddRow({label, TablePrinter::Fmt(N), TablePrinter::Fmt(del_ios),
                  TablePrinter::Fmt(churn_ios),
                  TablePrinter::Fmt(pages_full),
-                 TablePrinter::Fmt(pages_half)});
+                 TablePrinter::Fmt(pages_half),
+                 TablePrinter::Fmt(cold.after_writes),
+                 TablePrinter::Fmt(cold.fresh),
+                 TablePrinter::Fmt(cold.after_writes / cold.fresh)});
 }
 
 void Run() {
@@ -58,7 +72,8 @@ void Run() {
       "E12 deletions and mixed churn (update extension of Theorem 1)",
       "amortized I/Os per delete / per churn op; space after deleting half");
   TablePrinter table({"index", "N", "del_ios", "churn_ios", "pages_full",
-                      "pages_half"});
+                      "pages_half", "cold_ios", "fresh_cold_ios",
+                      "cold_ratio"});
   for (uint64_t n : {uint64_t{1} << 13, uint64_t{1} << 15}) {
     const uint64_t N = bench::Scaled(n);
     MeasureChurn<core::TwoLevelBinaryIndex>("A(binary)", &table, N);

@@ -4,6 +4,10 @@
 // Expectation: amortized I/Os per insert grow logarithmically in N and
 // stay far below the rebuild-from-scratch cost; queries remain correct
 // throughout (checked against the oracle sample).
+// The last three columns show what the inserts cost later queries: cold
+// I/O per query after the inserts, after a fresh BulkLoad of the same
+// set, and their ratio. A ratio near 1 means the inserts left queries as
+// cheap as a fresh build.
 
 #include "bench/bench_common.h"
 #include "baseline/oracle.h"
@@ -60,14 +64,20 @@ void MeasureInserts(const char* label, TablePrinter* table, uint64_t N) {
       std::abort();
     }
   }
+  const bench::UpdatedColdCost cold = bench::MeasureUpdatedCold(
+      &pool, index, segs, bench::UpdatedColdSample(box));
   table->AddRow({label, TablePrinter::Fmt(N), TablePrinter::Fmt(ios),
-                 TablePrinter::Fmt(touches)});
+                 TablePrinter::Fmt(touches),
+                 TablePrinter::Fmt(cold.after_writes),
+                 TablePrinter::Fmt(cold.fresh),
+                 TablePrinter::Fmt(cold.after_writes / cold.fresh)});
 }
 
 void Run() {
   bench::PrintHeader("E7 semi-dynamic insertion (Theorems 1(iii), 2(iii))",
                      "amortized physical I/Os and page touches per insert");
-  TablePrinter table({"index", "N", "amortized_ios", "page_touches"});
+  TablePrinter table({"index", "N", "amortized_ios", "page_touches",
+                      "cold_ios", "fresh_cold_ios", "cold_ratio"});
   for (uint64_t n : {uint64_t{1} << 13, uint64_t{1} << 15,
                      uint64_t{1} << 16}) {
     const uint64_t N = bench::Scaled(n);

@@ -272,26 +272,6 @@ void BM_ScanKernelSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanKernelSimd)->Arg(1 << 10)->Arg(1 << 14);
 
-void BM_ScanKernelStabColumnar(benchmark::State& state) {
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  const ScanWorkload w(n);
-  const io::ConstColumnarPageView view(w.cols, 0, n);
-  const geom::SegmentStrips strips = view.strips();
-  geom::ResultBuffer& scratch = geom::GetThreadFilterScratch();
-  size_t qi = 0;
-  for (auto _ : state) {
-    const auto& q = w.queries[qi];
-    uint32_t* idx = scratch.ReserveIndices(n);
-    benchmark::DoNotOptimize(
-        geom::ActiveFilterKernel().filter_stab(strips, n, q.x0, idx));
-    qi = (qi + 1) % w.queries.size();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-  state.SetLabel(geom::ActiveFilterKernel().name);
-}
-BENCHMARK(BM_ScanKernelStabColumnar)->Arg(1 << 14);
-
 // --- decode_kernel: bit-packed column decode, scalar vs SIMD -------------
 // The compressed-page hot loop: UnpackLaneBits-style FOR decode of one
 // column (ref + width-bit payloads) into int64 lanes. The raw baseline is

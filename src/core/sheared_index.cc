@@ -3,7 +3,6 @@
 #include "util/check.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 namespace segdb::core {
@@ -34,9 +33,14 @@ Point ShearedIndex::Backward(Point p) const {
 }
 
 Status ShearedIndex::ValidateInput(const Segment& s) const {
-  const int64_t budget =
-      geom::kMaxCoord / (std::abs(dx_) + std::abs(dy_));
-  // Range comparisons, not std::abs: |INT64_MIN| is not representable.
+  // Coordinates up to kMaxCoord / (|dx| + |dy|) keep the shear inside the
+  // domain. A direction component outside the domain leaves no budget
+  // (the quotient would be 0), and inside it negation cannot overflow.
+  int64_t budget = 0;
+  if (geom::InDomain(dx_) && geom::InDomain(dy_)) {
+    budget = geom::kMaxCoord /
+             ((dx_ < 0 ? -dx_ : dx_) + (dy_ < 0 ? -dy_ : dy_));
+  }
   const auto outside = [budget](int64_t v) {
     return v < -budget || v > budget;
   };

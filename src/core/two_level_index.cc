@@ -398,12 +398,6 @@ Status TwoLevelIndex::InsertAtNode(int32_t idx, const Segment& s) {
       if (into_r) node.per_boundary[last].r->Erase(s).IgnoreError();
       return in_g;
     }
-    if (node.g->NeedsRebuild()) {
-      // Amortized repack after the insert committed. Rebuild is atomic
-      // (build-aside), so a failure here is absorbed: the delta trigger
-      // persists and the next update re-runs it.
-      node.g->Rebuild().IgnoreError();
-    }
   }
   return Status::OK();
 }
@@ -566,11 +560,11 @@ Status TwoLevelIndex::Erase(const Segment& segment) {
       break;
     }
     // A crossing segment may live in up to three structures (L, R, G). G
-    // goes first: its erase is the only one that can allocate (a
-    // fractional-cascading tombstone), so once it succeeds the remaining
-    // steps are plain LinePst erases that cannot re-fault. Rollbacks
-    // reinsert what was already removed so a faulted erase leaves the
-    // segment fully stored and retryable.
+    // goes first: its erase is the only one that can allocate (a delta
+    // tombstone; a rebuild it triggers absorbs its own failure), so once
+    // it succeeds the remaining steps are plain LinePst erases that cannot
+    // re-fault. Rollbacks reinsert what was already removed so a faulted
+    // erase leaves the segment fully stored and retryable.
     bool from_l = false, from_g = false;
     if (last > first) {
       if (node.g == nullptr) return removed;
@@ -602,9 +596,6 @@ Status TwoLevelIndex::Erase(const Segment& segment) {
       }
       removed = Status::OK();
     }
-    // Amortized repack of G: absorb a failure here — the erase itself has
-    // committed, and the rebuild trigger persists until a later op retries.
-    if (from_g && node.g->NeedsRebuild()) node.g->Rebuild().IgnoreError();
     break;
   }
   if (!removed.ok()) return removed;

@@ -46,7 +46,9 @@ struct TwoLevelIntervalOptions {
   uint32_t pst_fanout = 0;
   // Leaf capacity in segments: 0 = one page's worth.
   uint32_t leaf_capacity = 0;
-  // Use fractional cascading in G (Section 4.3). Off reproduces Lemma 4.
+  // Build G's lists with fractional-cascading bridges (Section 4.3); off
+  // reproduces Lemma 4's search per level. Updates take G's one
+  // delta-and-rebuild path either way.
   bool fractional_cascading = true;
 };
 

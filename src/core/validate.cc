@@ -7,23 +7,14 @@
 
 namespace segdb::core {
 
-namespace {
-
-// A range comparison, not std::abs: |INT64_MIN| is not representable.
-bool InDomain(int64_t v) {
-  return v >= -geom::kMaxCoord && v <= geom::kMaxCoord;
-}
-
-}  // namespace
-
 Status ValidateSegment(const geom::Segment& s) {
   if (s.x1 > s.x2 || (s.x1 == s.x2 && s.y1 > s.y2)) {
     return Status::InvalidArgument("segment " + std::to_string(s.id) +
                                    " is not in canonical form (use "
                                    "Segment::Make)");
   }
-  if (!InDomain(s.x1) || !InDomain(s.y1) || !InDomain(s.x2) ||
-      !InDomain(s.y2)) {
+  if (!geom::InDomain(s.x1) || !geom::InDomain(s.y1) ||
+      !geom::InDomain(s.x2) || !geom::InDomain(s.y2)) {
     return Status::InvalidArgument("segment " + std::to_string(s.id) +
                                    " exceeds the coordinate bound");
   }

@@ -8,10 +8,6 @@
 #define SEGDB_SIMD_X86 1
 #include <immintrin.h>
 #endif
-#if defined(__aarch64__)
-#define SEGDB_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace segdb::geom {
 namespace {
@@ -89,18 +85,6 @@ uint32_t FilterVsScalar(const SegmentStrips& s, uint32_t count, int64_t qx,
   return n;
 }
 
-uint32_t FilterStabScalar(const SegmentStrips& s, uint32_t count, int64_t qx,
-                          uint32_t* out_idx) {
-  uint32_t n = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    const int64_t x1 = StripLane(s.x1, i);
-    const int64_t x2 = StripLane(s.x2, i);
-    out_idx[n] = i;
-    n += ((x1 <= qx) & (qx <= x2)) ? 1u : 0u;
-  }
-  return n;
-}
-
 void ClassifyVsScalar(const SegmentStrips& s, uint32_t count, int64_t qx,
                       int64_t ylo, int64_t yhi, uint8_t* out_class) {
   ylo = ClampQueryY(ylo);
@@ -110,8 +94,8 @@ void ClassifyVsScalar(const SegmentStrips& s, uint32_t count, int64_t qx,
   }
 }
 
-constexpr FilterKernel kScalarKernel{FilterVsScalar, FilterStabScalar,
-                                     ClassifyVsScalar, "scalar"};
+constexpr FilterKernel kScalarKernel{FilterVsScalar, ClassifyVsScalar,
+                                     "scalar"};
 
 // --- AVX2 ---------------------------------------------------------------
 
@@ -205,33 +189,6 @@ SEGDB_AVX2 uint32_t FilterVsAvx2(const SegmentStrips& s, uint32_t count,
   return n;
 }
 
-SEGDB_AVX2 uint32_t FilterStabAvx2(const SegmentStrips& s, uint32_t count,
-                                   int64_t qx, uint32_t* out_idx) {
-  const __m256i vqx = _mm256_set1_epi64x(qx);
-  uint32_t n = 0;
-  uint32_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i x1 = Load4(s.x1, i);
-    const __m256i x2 = Load4(s.x2, i);
-    const __m256i miss = _mm256_or_si256(_mm256_cmpgt_epi64(x1, vqx),
-                                         _mm256_cmpgt_epi64(vqx, x2));
-    unsigned hits =
-        ~static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(miss))) &
-        0xfu;
-    while (hits != 0) {
-      out_idx[n++] = i + static_cast<uint32_t>(__builtin_ctz(hits));
-      hits &= hits - 1;
-    }
-  }
-  for (; i < count; ++i) {
-    const int64_t x1 = StripLane(s.x1, i);
-    const int64_t x2 = StripLane(s.x2, i);
-    out_idx[n] = i;
-    n += ((x1 <= qx) & (qx <= x2)) ? 1u : 0u;
-  }
-  return n;
-}
-
 SEGDB_AVX2 void ClassifyVsAvx2(const SegmentStrips& s, uint32_t count,
                                int64_t qx, int64_t ylo, int64_t yhi,
                                uint8_t* out_class) {
@@ -281,46 +238,9 @@ SEGDB_AVX2 void ClassifyVsAvx2(const SegmentStrips& s, uint32_t count,
   }
 }
 
-constexpr FilterKernel kAvx2Kernel{FilterVsAvx2, FilterStabAvx2,
-                                   ClassifyVsAvx2, "avx2"};
+constexpr FilterKernel kAvx2Kernel{FilterVsAvx2, ClassifyVsAvx2, "avx2"};
 
 #endif  // SEGDB_SIMD_X86
-
-// --- NEON ---------------------------------------------------------------
-
-#ifdef SEGDB_SIMD_NEON
-
-// A64 NEON has 64-bit compares but no 64-bit multiply; only the stab
-// kernel (pure compares) gets an explicit path — the VS kernels fall back
-// to the scalar core, which the compiler already vectorizes where it can.
-uint32_t FilterStabNeon(const SegmentStrips& s, uint32_t count, int64_t qx,
-                        uint32_t* out_idx) {
-  const int64x2_t vqx = vdupq_n_s64(qx);
-  uint32_t n = 0;
-  uint32_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    int64x2_t x1, x2;
-    std::memcpy(&x1, s.x1 + static_cast<size_t>(i) * 8, 16);
-    std::memcpy(&x2, s.x2 + static_cast<size_t>(i) * 8, 16);
-    const uint64x2_t hit = vandq_u64(vcleq_s64(x1, vqx), vcleq_s64(vqx, x2));
-    out_idx[n] = i;
-    n += vgetq_lane_u64(hit, 0) != 0 ? 1u : 0u;
-    out_idx[n] = i + 1;
-    n += vgetq_lane_u64(hit, 1) != 0 ? 1u : 0u;
-  }
-  for (; i < count; ++i) {
-    const int64_t x1 = StripLane(s.x1, i);
-    const int64_t x2 = StripLane(s.x2, i);
-    out_idx[n] = i;
-    n += ((x1 <= qx) & (qx <= x2)) ? 1u : 0u;
-  }
-  return n;
-}
-
-constexpr FilterKernel kNeonKernel{FilterVsScalar, FilterStabNeon,
-                                   ClassifyVsScalar, "neon"};
-
-#endif  // SEGDB_SIMD_NEON
 
 }  // namespace
 
@@ -331,8 +251,6 @@ const FilterKernel* SimdFilterKernel() {
   static const FilterKernel* kernel =
       __builtin_cpu_supports("avx2") ? &kAvx2Kernel : nullptr;
   return kernel;
-#elif defined(SEGDB_SIMD_NEON)
-  return &kNeonKernel;
 #else
   return nullptr;
 #endif

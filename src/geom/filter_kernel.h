@@ -26,12 +26,12 @@
 // interval check y1 <= yhi && ylo <= y2.
 //
 // Dispatch. The scalar core compiles everywhere and auto-vectorizes at the
-// target baseline (SSE2 on x86-64). Every build on x86-64 under GCC or
-// Clang also compiles explicit AVX2 paths (per-function target attributes,
-// no global -mavx2), selected at run time via __builtin_cpu_supports; on
-// aarch64 a NEON stab path is compiled. No build option turns either off.
-// Benches compare rows vs scalar-columnar vs SIMD through
-// ScalarFilterKernel() / SimdFilterKernel().
+// target baseline (SSE2 on x86-64, NEON on aarch64). Every build on x86-64
+// under GCC or Clang also compiles explicit AVX2 paths (per-function target
+// attributes, no global -mavx2), selected at run time via
+// __builtin_cpu_supports; no build option turns them off. Other platforms
+// run the scalar core. Benches compare rows vs scalar-columnar vs SIMD
+// through ScalarFilterKernel() / SimdFilterKernel().
 #ifndef SEGDB_GEOM_FILTER_KERNEL_H_
 #define SEGDB_GEOM_FILTER_KERNEL_H_
 
@@ -73,10 +73,6 @@ using FilterVsFn = uint32_t (*)(const SegmentStrips& s, uint32_t count,
                                 int64_t qx, int64_t ylo, int64_t yhi,
                                 uint32_t* out_idx);
 
-// Lanes whose x-span contains qx (exactly geom::IntersectsVerticalLine).
-using FilterStabFn = uint32_t (*)(const SegmentStrips& s, uint32_t count,
-                                  int64_t qx, uint32_t* out_idx);
-
 // Per-lane kLane* classes at (qx, [ylo, yhi]), written to out_class.
 using ClassifyVsFn = void (*)(const SegmentStrips& s, uint32_t count,
                               int64_t qx, int64_t ylo, int64_t yhi,
@@ -84,7 +80,6 @@ using ClassifyVsFn = void (*)(const SegmentStrips& s, uint32_t count,
 
 struct FilterKernel {
   FilterVsFn filter_vs = nullptr;
-  FilterStabFn filter_stab = nullptr;
   ClassifyVsFn classify_vs = nullptr;
   const char* name = "";
 };
@@ -92,8 +87,8 @@ struct FilterKernel {
 // Portable auto-vectorizable core; always available.
 const FilterKernel& ScalarFilterKernel();
 
-// Explicit SIMD implementation, or nullptr when the platform has none or
-// the host CPU lacks the required ISA (checked once at first call).
+// Explicit SIMD (AVX2) implementation, or nullptr when the platform has
+// none or the host CPU lacks AVX2 (checked once at first call).
 const FilterKernel* SimdFilterKernel();
 
 // SIMD when available, scalar otherwise. Resolved once.

@@ -1,7 +1,5 @@
 #include "geom/nct.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <unordered_set>
 
@@ -21,8 +19,8 @@ Status ValidateNct(std::span<const Segment> segments) {
       return Status::InvalidArgument("segment " + std::to_string(s.id) +
                                      " is not in canonical form");
     }
-    if (std::max({std::abs(s.x1), std::abs(s.y1), std::abs(s.x2),
-                  std::abs(s.y2)}) > kMaxCoord) {
+    if (!InDomain(s.x1) || !InDomain(s.y1) || !InDomain(s.x2) ||
+        !InDomain(s.y2)) {
       return Status::InvalidArgument("segment " + std::to_string(s.id) +
                                      " exceeds the coordinate bound");
     }

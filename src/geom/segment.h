@@ -14,6 +14,12 @@ namespace segdb::geom {
 // intermediate products within __int128.
 inline constexpr int64_t kMaxCoord = int64_t{1} << 30;
 
+// True when -kMaxCoord <= v <= kMaxCoord: the one coordinate-domain test.
+// A range comparison, not std::abs: |INT64_MIN| is not representable.
+inline constexpr bool InDomain(int64_t v) {
+  return v >= -kMaxCoord && v <= kMaxCoord;
+}
+
 struct Point {
   int64_t x = 0;
   int64_t y = 0;

@@ -230,9 +230,7 @@ size_t DirtyPageSpill::deferred_free_count() const {
 
 WriteAheadLog::WriteAheadLog(DiskManager* disk, PageId anchor,
                              const WalOptions& options)
-    : disk_(disk), anchor_(anchor), options_(options) {
-  SEGDB_CHECK(options_.segment_pages >= 1);
-}
+    : disk_(disk), anchor_(anchor), options_(options) {}
 
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Create(
     DiskManager* disk, const WalOptions& options) {
@@ -337,11 +335,6 @@ Result<uint64_t> WriteAheadLog::Commit(std::span<const PageImage> images,
         stats_.syncs += 1;
         stats_.records += result.records;
         stats_.pages_written += result.pages_written.size();
-        segment_fill_ += result.pages_written.size();
-        while (segment_fill_ >= options_.segment_pages) {
-          segment_fill_ -= options_.segment_pages;
-          ++stats_.segments;
-        }
       } else {
         // The device may hold any prefix of the batch; that is exactly a
         // crash. Refuse all further commits — the caller recovers.
@@ -489,7 +482,6 @@ Status WriteAheadLog::Checkpoint() {
     next_write_page_ = fresh_head;
     next_seq_ = 0;
     chain_pages_.clear();
-    segment_fill_ = 0;
     ++stats_.checkpoints;
   } else if (device_touched) {
     // In-memory tail state no longer matches whichever anchor slot the

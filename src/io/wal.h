@@ -64,10 +64,6 @@
 namespace segdb::io {
 
 struct WalOptions {
-  // Chain pages per logical segment (rotation bookkeeping: stats().segments
-  // counts completed segments; segment-granular truncation is the next
-  // rung on top of whole-log checkpoints).
-  uint32_t segment_pages = 64;
   // How long a lone leader holds the door for other committers to join its
   // batch before writing, in microseconds. 0 = write immediately (a batch
   // still forms from everything queued while a previous leader was busy).
@@ -81,7 +77,6 @@ struct WalStats {
   uint64_t syncs = 0;          // durability barriers issued (== batches)
   uint64_t records = 0;        // records appended (images + commits)
   uint64_t pages_written = 0;  // chain pages written
-  uint64_t segments = 0;       // completed segment_pages-sized groups
   uint64_t checkpoints = 0;
 };
 
@@ -252,7 +247,6 @@ class WriteAheadLog {
   uint64_t next_seq_ SEGDB_GUARDED_BY(mu_) = 0;
   uint64_t next_lsn_ SEGDB_GUARDED_BY(mu_) = 0;
   std::vector<PageId> chain_pages_ SEGDB_GUARDED_BY(mu_);
-  uint64_t segment_fill_ SEGDB_GUARDED_BY(mu_) = 0;
   WalStats stats_ SEGDB_GUARDED_BY(mu_);
 };
 

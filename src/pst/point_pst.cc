@@ -1,7 +1,6 @@
 #include "pst/point_pst.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "util/check.h"
@@ -32,7 +31,7 @@ Status PointPst::BulkLoad(std::span<const PointRecord> points) {
   std::vector<geom::Segment> encoded;
   encoded.reserve(points.size());
   for (const PointRecord& p : points) {
-    if (std::abs(p.x) > geom::kMaxCoord || std::abs(p.y) > geom::kMaxCoord) {
+    if (!geom::InDomain(p.x) || !geom::InDomain(p.y)) {
       return Status::InvalidArgument("point " + std::to_string(p.id) +
                                      " exceeds the coordinate bound");
     }
@@ -43,8 +42,7 @@ Status PointPst::BulkLoad(std::span<const PointRecord> points) {
 
 Status PointPst::Insert(const PointRecord& point) {
   SEGDB_IO_BOUND("scan");  // amortized O(log_B n); see LinePst::Insert
-  if (std::abs(point.x) > geom::kMaxCoord ||
-      std::abs(point.y) > geom::kMaxCoord) {
+  if (!geom::InDomain(point.x) || !geom::InDomain(point.y)) {
     return Status::InvalidArgument("point " + std::to_string(point.id) +
                                    " exceeds the coordinate bound");
   }
@@ -53,8 +51,7 @@ Status PointPst::Insert(const PointRecord& point) {
 
 Status PointPst::Erase(const PointRecord& point) {
   SEGDB_IO_BOUND("scan");  // amortized O(log_B n); see LinePst::Erase
-  if (std::abs(point.x) > geom::kMaxCoord ||
-      std::abs(point.y) > geom::kMaxCoord) {
+  if (!geom::InDomain(point.x) || !geom::InDomain(point.y)) {
     return Status::NotFound("point outside the coordinate bound");
   }
   return impl_.Erase(Encode(point));

@@ -41,7 +41,9 @@ struct PointRecord {
 
 class PointPst {
  public:
-  // Keys must satisfy |x|, |y| <= geom::kMaxCoord.
+  // Keys must satisfy geom::InDomain on both coordinates: BulkLoad and
+  // Insert reject others with InvalidArgument and Erase reports NotFound,
+  // leaving the structure unchanged.
   explicit PointPst(io::BufferPool* pool, LinePstOptions options = {});
 
   uint64_t size() const { return impl_.size(); }

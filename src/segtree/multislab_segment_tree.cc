@@ -29,12 +29,23 @@ bool CrossedRange(const std::vector<int64_t>& boundaries, const Segment& s,
   return *last > *first;
 }
 
+// Removes the records of out[from..] that `drop` selects, in order.
+template <typename Pred>
+void EraseFrom(std::vector<Segment>* out, size_t from, Pred drop) {
+  out->erase(std::remove_if(out->begin() + static_cast<ptrdiff_t>(from),
+                            out->end(), drop),
+             out->end());
+}
+
 }  // namespace
 
 MultislabSegmentTree::MultislabSegmentTree(io::BufferPool* pool,
                                            std::vector<int64_t> boundaries,
                                            MultislabOptions options)
-    : pool_(pool), boundaries_(std::move(boundaries)), options_(options) {
+    : pool_(pool),
+      boundaries_(std::move(boundaries)),
+      options_(options),
+      delta_(pool_, GFragmentIdCompare{}) {
   SEGDB_DCHECK(boundaries_.size() >= 2);
   SEGDB_DCHECK(std::is_sorted(boundaries_.begin(), boundaries_.end()));
   SEGDB_DCHECK(std::adjacent_find(boundaries_.begin(), boundaries_.end()) ==
@@ -42,11 +53,6 @@ MultislabSegmentTree::MultislabSegmentTree(io::BufferPool* pool,
   SEGDB_DCHECK(options_.bridge_d >= 1);
   // Inner slabs 1..b-1 (slab t lies between s_{t-1} and s_t).
   root_ = BuildDirectory(1, static_cast<uint32_t>(boundaries_.size()) - 1);
-  if (options_.fractional_cascading) {
-    delta_ = std::make_unique<
-        btree::BPlusTree<GFragment, GFragmentIdCompare>>(
-        pool_, GFragmentIdCompare{});
-  }
 }
 
 MultislabSegmentTree::~MultislabSegmentTree() { Clear().IgnoreError(); }
@@ -71,13 +77,12 @@ int32_t MultislabSegmentTree::BuildDirectory(uint32_t lo, uint32_t hi) {
 uint64_t MultislabSegmentTree::page_count() const {
   uint64_t total = 0;
   for (const GNode& n : nodes_) total += n.list->page_count();
-  if (delta_) total += delta_->page_count();
-  return total;
+  return total + delta_.page_count();
 }
 
 Status MultislabSegmentTree::Clear() {
   for (GNode& n : nodes_) SEGDB_RETURN_IF_ERROR(n.list->Clear());
-  if (delta_) SEGDB_RETURN_IF_ERROR(delta_->Clear());
+  SEGDB_RETURN_IF_ERROR(delta_.Clear());
   size_ = 0;
   return Status::OK();
 }
@@ -135,7 +140,7 @@ Status MultislabSegmentTree::Build(std::span<const Segment> segments) {
   // BuildLists constructs every new list aside and commits only on full
   // success, so a failed (re)build leaves the previous contents intact.
   SEGDB_RETURN_IF_ERROR(BuildLists(std::move(per_node)));
-  if (delta_) SEGDB_RETURN_IF_ERROR(delta_->Clear());
+  SEGDB_RETURN_IF_ERROR(delta_.Clear());
   size_ = segments.size();
   return Status::OK();
 }
@@ -147,7 +152,6 @@ Status MultislabSegmentTree::BuildLists(
   // early return drops the fresh trees (their destructors free the pages
   // they claimed) with the live lists untouched.
   std::vector<std::unique_ptr<FragTree>> fresh(nodes_.size());
-  std::vector<Position> heads(nodes_.size());
   for (size_t i = 0; i < nodes_.size(); ++i) {
     fresh[i] =
         std::make_unique<FragTree>(pool_, GFragmentCompare{nodes_[i].cx});
@@ -155,7 +159,6 @@ Status MultislabSegmentTree::BuildLists(
   const auto commit = [&]() {
     for (size_t i = 0; i < nodes_.size(); ++i) {
       nodes_[i].list = std::move(fresh[i]);  // old tree frees its pages
-      nodes_[i].head = heads[i];
     }
     return Status::OK();
   };
@@ -171,9 +174,6 @@ Status MultislabSegmentTree::BuildLists(
                   return cmp(a, b) < 0;
                 });
       SEGDB_RETURN_IF_ERROR(fresh[i]->BulkLoad(frags));
-      auto head = fresh[i]->HeadPosition();
-      if (!head.ok()) return head.status();
-      heads[i] = head.value();
     }
     return commit();
   }
@@ -189,22 +189,23 @@ Status MultislabSegmentTree::BuildLists(
   uint64_t next_uid = 0;
   std::vector<std::vector<Entry>> entries(nodes_.size());
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    auto cmp = GFragmentCompare{nodes_[i].cx};
     std::sort(per_node[i].begin(), per_node[i].end(),
               [&](const Segment& a, const Segment& b) {
                 return geom::CompareCrossingOrder(a, b, nodes_[i].cx) < 0;
               });
     entries[i].reserve(per_node[i].size());
-    (void)cmp;
     for (const Segment& s : per_node[i]) {
       entries[i].push_back(Entry{s, false, next_uid++, kNoUid, kNoUid});
     }
   }
 
   // Top-down pairing: sample every (d+1)-th element of each merged
-  // parent/child list as a bridge and copy it (augmented) into the other
-  // list. All content of both lists crosses the parent's split boundary,
-  // which is the merge coordinate.
+  // parent/child list and copy each sampled parent record (augmented) into
+  // the child list as a bridge. All content of both lists crosses the
+  // parent's split boundary, which is the merge coordinate. Every parent
+  // record spans the child, so every sampled one becomes a bridge; a
+  // sampled child original never spans the parent and is not copied up
+  // (see the header).
   std::vector<int32_t> bfs;
   bfs.push_back(root_);
   for (size_t qi = 0; qi < bfs.size(); ++qi) {
@@ -220,7 +221,6 @@ Status MultislabSegmentTree::BuildLists(
     if (nu.left < 0) continue;
     for (int side = 0; side < 2; ++side) {
       const int32_t ci = side == 0 ? nu.left : nu.right;
-      GNode& child = nodes_[ci];
       std::vector<Entry>& pl = entries[ni];
       std::vector<Entry>& cl = entries[ci];
       // Two-pointer merge by order at the parent's split boundary.
@@ -239,68 +239,37 @@ Status MultislabSegmentTree::BuildLists(
         }
         merged.emplace_back(take_parent, take_parent ? a++ : b++);
       }
-      // A copy may enter a destination list only when it spans the
-      // destination node's whole x-interval — every query abscissa that
-      // can reach the node lies inside that interval, so all stored
-      // records stay exactly evaluable there. (The paper "cuts" copies at
-      // slab boundaries instead; uncut integer copies that fall short are
-      // skipped, which can only widen bridge gaps, never break answers.)
-      auto spans_node = [&](const GNode& n, const Segment& s) {
-        return s.x1 <= boundaries_[n.slab_lo - 1] &&
-               boundaries_[n.slab_hi] <= s.x2;
-      };
-      std::vector<Entry> parent_pending, child_pending;
+      const size_t originals = cl.size();
+      cl.reserve(originals + merged.size() / period);
       for (size_t m = period - 1; m < merged.size(); m += period) {
         const auto [from_parent, idx] = merged[m];
-        if (from_parent) {
-          const Segment& s = pl[idx].seg;
-          if (!spans_node(child, s)) continue;
-          Entry copy{s, true, next_uid++, kNoUid, kNoUid};
-          if (side == 0) {
-            pl[idx].link_left = copy.uid;
-          } else {
-            pl[idx].link_right = copy.uid;
-          }
-          child_pending.push_back(copy);
-        } else {
-          // Copy the child fragment up as an augmented bridge in the
-          // parent pointing at the child original. Child fragments rarely
-          // span the whole parent; those that do not are skipped.
-          const Segment& s = cl[idx].seg;
-          if (!spans_node(nu, s)) continue;
-          Entry copy{s, true, next_uid++, kNoUid, kNoUid};
-          if (side == 0) {
-            copy.link_left = cl[idx].uid;
-          } else {
-            copy.link_right = cl[idx].uid;
-          }
-          parent_pending.push_back(copy);
-        }
+        if (!from_parent) continue;
+        Entry copy{pl[idx].seg, true, next_uid++, kNoUid, kNoUid};
+        (side == 0 ? pl[idx].link_left : pl[idx].link_right) = copy.uid;
+        cl.push_back(copy);
       }
-      auto merge_in = [](std::vector<Entry>& dst, std::vector<Entry> add,
-                         int64_t cx) {
-        if (add.empty()) return;
-        dst.insert(dst.end(), add.begin(), add.end());
-        std::stable_sort(dst.begin(), dst.end(),
+      // Re-sort the child's list at its own reference boundary: its own
+      // pairing, as a parent, merges by that order.
+      if (cl.size() > originals) {
+        const int64_t cx = nodes_[ci].cx;
+        std::stable_sort(cl.begin(), cl.end(),
                          [cx](const Entry& x, const Entry& y) {
                            return geom::CompareCrossingOrder(x.seg, y.seg,
                                                              cx) < 0;
                          });
-      };
-      merge_in(pl, std::move(parent_pending), nu.cx);
-      merge_in(cl, std::move(child_pending), child.cx);
+      }
     }
   }
 
   // Bottom-up materialization: children first so parents can embed the
-  // landing positions of their bridges (heads[] carries the fresh trees'
-  // head positions — the live nodes_ heads still describe the old lists).
+  // landing positions of their bridges. heads[] holds the fresh trees'
+  // first records, the landing for records before any bridge.
+  std::vector<Position> heads(nodes_.size());
   std::unordered_map<uint64_t, Position> position_of;
   for (auto it = bfs.rbegin(); it != bfs.rend(); ++it) {
     const int32_t ni = *it;
     GNode& node = nodes_[ni];
     std::vector<Entry>& list = entries[ni];
-    GFragmentCompare cmp{node.cx};
     std::stable_sort(list.begin(), list.end(),
                      [&](const Entry& x, const Entry& y) {
                        const int c =
@@ -343,10 +312,7 @@ Status MultislabSegmentTree::BuildLists(
     auto head = fresh[ni]->HeadPosition();
     if (!head.ok()) return head.status();
     heads[ni] = head.value();
-    (void)cmp;
   }
-  // Heads may have been recorded into parents before a child was built;
-  // rebuild-order above is bottom-up so child heads were already final.
   return commit();
 }
 
@@ -358,33 +324,14 @@ Status MultislabSegmentTree::Insert(const Segment& segment) {
         "segment " + std::to_string(segment.id) +
         " crosses fewer than two boundaries (no long part)");
   }
-  if (options_.fractional_cascading) {
-    // Re-inserting a segment whose tombstone is still buffered simply
-    // cancels the tombstone (the packed lists still hold the original).
-    GFragment tomb{.seg = segment};
-    tomb.flags |= GFragment::kTombstone;
-    if (!delta_->Erase(tomb).ok()) {
-      SEGDB_RETURN_IF_ERROR(delta_->Insert(GFragment{.seg = segment}));
-    }
-    ++size_;
-    return Status::OK();
+  // Re-inserting a segment whose tombstone is still buffered simply
+  // cancels the tombstone (the packed lists still hold the original).
+  GFragment tomb{.seg = segment};
+  tomb.flags |= GFragment::kTombstone;
+  if (!delta_.Erase(tomb).ok()) {
+    SEGDB_RETURN_IF_ERROR(delta_.Insert(GFragment{.seg = segment}));
   }
-  std::vector<int32_t> alloc;
-  Allocate(root_, first + 1, last, &alloc);
-  for (size_t i = 0; i < alloc.size(); ++i) {
-    const Status inserted =
-        nodes_[alloc[i]].list->Insert(GFragment{.seg = segment});
-    if (!inserted.ok()) {
-      // Un-insert from the lists already updated. The rollback is pure
-      // removal — no page allocation — so it cannot trip over another
-      // injected allocation fault.
-      for (size_t j = 0; j < i; ++j) {
-        nodes_[alloc[j]].list->Erase(GFragment{.seg = segment}).IgnoreError();
-      }
-      return inserted;
-    }
-  }
-  ++size_;
+  FinishUpdate(size_ + 1);
   return Status::OK();
 }
 
@@ -394,80 +341,61 @@ Status MultislabSegmentTree::Erase(const Segment& segment) {
   if (!CrossedRange(boundaries_, segment, &first, &last)) {
     return Status::NotFound("segment has no long part here");
   }
-  std::vector<int32_t> alloc;
-  Allocate(root_, first + 1, last, &alloc);
-  if (options_.fractional_cascading) {
-    // Deleting a still-buffered insert removes it outright; otherwise a
-    // tombstone masks the packed record until the next rebuild — but only
-    // if the record actually exists and is not already tombstoned.
-    if (delta_->Erase(GFragment{.seg = segment}).ok()) {
-      --size_;
-      return Status::OK();
-    }
-    GFragment tomb{.seg = segment};
-    tomb.flags |= GFragment::kTombstone;
-    bool tombstoned = false;
-    SEGDB_RETURN_IF_ERROR(delta_->ScanFrom(tomb, [&](const GFragment& f) {
-      if (f.seg.id != segment.id) return false;
-      if (f.tombstone() && f.seg == segment) tombstoned = true;
-      return !tombstoned;
-    }));
-    if (tombstoned) return Status::NotFound("segment already deleted");
-    // Probe one allocation node's packed list for the live original.
-    bool present = false;
-    if (!alloc.empty()) {
-      const GNode& n0 = nodes_[alloc[0]];
-      const GFragmentCompare cmp{n0.cx};
-      SEGDB_RETURN_IF_ERROR(
-          n0.list->ScanFrom(GFragment{.seg = segment},
-                            [&](const GFragment& f) {
-                              if (cmp(f, GFragment{.seg = segment}) != 0) {
-                                return false;
-                              }
-                              if (!f.augmented() && f.seg == segment) {
-                                present = true;
-                              }
-                              return !present;
-                            }));
-    }
-    if (!present) return Status::NotFound("segment not stored");
-    SEGDB_RETURN_IF_ERROR(delta_->Insert(tomb));
-    --size_;
+  // Deleting a still-buffered insert removes it outright; otherwise a
+  // tombstone masks the packed record until the next rebuild — but only
+  // if the record actually exists and is not already tombstoned.
+  if (delta_.Erase(GFragment{.seg = segment}).ok()) {
+    FinishUpdate(size_ - 1);
     return Status::OK();
   }
-  for (size_t i = 0; i < alloc.size(); ++i) {
-    const Status s =
-        nodes_[alloc[i]].list->Erase(GFragment{.seg = segment});
-    if (!s.ok()) {
-      // The first allocation node decides existence; later ones must
-      // agree or the structure is corrupt.
-      return i == 0 ? s : Status::Corruption("partial fragment allocation");
-    }
+  GFragment tomb{.seg = segment};
+  tomb.flags |= GFragment::kTombstone;
+  bool tombstoned = false;
+  SEGDB_RETURN_IF_ERROR(delta_.ScanFrom(tomb, [&](const GFragment& f) {
+    if (f.seg.id != segment.id) return false;
+    if (f.tombstone() && f.seg == segment) tombstoned = true;
+    return !tombstoned;
+  }));
+  if (tombstoned) return Status::NotFound("segment already deleted");
+  // Probe one allocation node's packed list for the live original.
+  std::vector<int32_t> alloc;
+  Allocate(root_, first + 1, last, &alloc);
+  bool present = false;
+  if (!alloc.empty()) {
+    const GNode& n0 = nodes_[alloc[0]];
+    const GFragmentCompare cmp{n0.cx};
+    SEGDB_RETURN_IF_ERROR(
+        n0.list->ScanFrom(GFragment{.seg = segment},
+                          [&](const GFragment& f) {
+                            if (cmp(f, GFragment{.seg = segment}) != 0) {
+                              return false;
+                            }
+                            if (!f.augmented() && f.seg == segment) {
+                              present = true;
+                            }
+                            return !present;
+                          }));
   }
-  --size_;
+  if (!present) return Status::NotFound("segment not stored");
+  SEGDB_RETURN_IF_ERROR(delta_.Insert(tomb));
+  FinishUpdate(size_ - 1);
   return Status::OK();
 }
 
-bool MultislabSegmentTree::NeedsRebuild() const {
-  if (!delta_) return false;
-  const uint64_t threshold = std::max<uint64_t>(32, size_ / 8);
-  return delta_->size() > threshold;
-}
-
-Status MultislabSegmentTree::Rebuild() {
-  std::vector<Segment> all;
-  SEGDB_RETURN_IF_ERROR(CollectAll(&all));
-  return Build(all);
+void MultislabSegmentTree::FinishUpdate(uint64_t size) {
+  if (delta_.size() > std::max<uint64_t>(32, size / 8)) {
+    std::vector<Segment> all;
+    if (CollectAll(&all).ok()) Build(all).IgnoreError();
+  }
+  size_ = size;
 }
 
 Status MultislabSegmentTree::CollectAll(std::vector<Segment>* out) const {
   std::unordered_set<uint64_t> tombstoned;
-  if (delta_) {
-    SEGDB_RETURN_IF_ERROR(delta_->ScanAll([&](const GFragment& f) {
-      if (f.tombstone()) tombstoned.insert(f.seg.id);
-      return true;
-    }));
-  }
+  SEGDB_RETURN_IF_ERROR(delta_.ScanAll([&](const GFragment& f) {
+    if (f.tombstone()) tombstoned.insert(f.seg.id);
+    return true;
+  }));
   std::unordered_set<uint64_t> seen;
   for (const GNode& n : nodes_) {
     SEGDB_RETURN_IF_ERROR(n.list->ScanAll([&](const GFragment& f) {
@@ -478,16 +406,13 @@ Status MultislabSegmentTree::CollectAll(std::vector<Segment>* out) const {
       return true;
     }));
   }
-  if (delta_) {
-    SEGDB_RETURN_IF_ERROR(delta_->ScanAll([&](const GFragment& f) {
-      if (!f.tombstone() && !tombstoned.contains(f.seg.id) &&
-          seen.insert(f.seg.id).second) {
-        out->push_back(f.seg);
-      }
-      return true;
-    }));
-  }
-  return Status::OK();
+  return delta_.ScanAll([&](const GFragment& f) {
+    if (!f.tombstone() && !tombstoned.contains(f.seg.id) &&
+        seen.insert(f.seg.id).second) {
+      out->push_back(f.seg);
+    }
+    return true;
+  });
 }
 
 namespace {
@@ -714,61 +639,60 @@ Status MultislabSegmentTree::Query(int64_t x0, int64_t ylo, int64_t yhi,
     slabs.push_back(k);
   }
 
-  // Boundary queries may report a fragment from both paths; dedup by id.
+  // List hits go straight into `out`; the delta's tombstones are removed
+  // from out[base..] once the delta scan has seen them all.
+  const size_t base = out->size();
+  // A boundary query walks two root-to-leaf paths, which share exactly a
+  // prefix: a shared node is scanned again only for the child landing,
+  // and a fragment stored on both paths is reported once.
   const bool dedup = slabs.size() > 1;
+  std::vector<int32_t> other_path;
   std::unordered_set<uint64_t> reported;
-  std::unordered_set<int32_t> visited;
-  std::vector<Segment> hits;
-
   for (uint32_t slab : slabs) {
-    const std::vector<int32_t> path = PathToSlab(slab);
+    std::vector<int32_t> path = PathToSlab(slab);
     Position land{};
     for (size_t pi = 0; pi < path.size(); ++pi) {
       const GNode& node = nodes_[path[pi]];
       const bool has_next = pi + 1 < path.size();
       const bool next_left = has_next && path[pi + 1] == node.left;
+      const size_t mark = out->size();
       Position next_land{};
-      if (visited.insert(path[pi]).second || !dedup) {
-        std::vector<Segment> local;
-        SEGDB_RETURN_IF_ERROR(ScanNodeList(node, x0, ylo, yhi, land, has_next,
-                                           next_left, &next_land, &local));
-        for (const Segment& s : local) {
-          if (!dedup || reported.insert(s.id).second) hits.push_back(s);
-        }
-      } else {
-        // Already reported from the other path; still navigate for the
-        // landing.
-        std::vector<Segment> scratch;
-        SEGDB_RETURN_IF_ERROR(ScanNodeList(node, x0, ylo, yhi, land, has_next,
-                                           next_left, &next_land, &scratch));
-      }
+      SEGDB_RETURN_IF_ERROR(ScanNodeList(node, x0, ylo, yhi, land, has_next,
+                                         next_left, &next_land, out));
       land = next_land;
+      if (!dedup) continue;
+      if (pi < other_path.size() && other_path[pi] == path[pi]) {
+        out->resize(mark);
+      } else {
+        EraseFrom(out, mark, [&](const Segment& s) {
+          return !reported.insert(s.id).second;
+        });
+      }
     }
+    other_path = std::move(path);
   }
 
   // Apply the delta buffer: unpublished inserts add, tombstones subtract.
-  std::unordered_set<uint64_t> tombstoned;
-  std::vector<Segment> delta_hits;
-  if (delta_ && delta_->size() > 0) {
-    SEGDB_RETURN_IF_ERROR(delta_->ScanAll([&](const GFragment& f) {
-      if (f.tombstone()) {
-        tombstoned.insert(f.seg.id);
-        return true;
-      }
+  // The delta is ordered by id, so the tombstoned ids arrive sorted.
+  if (delta_.size() > 0) {
+    std::vector<uint64_t> tombstoned;
+    SEGDB_RETURN_IF_ERROR(delta_.ScanAll([&](const GFragment& f) {
       uint32_t first, last;
-      if (CrossedRange(boundaries_, f.seg, &first, &last) &&
-          boundaries_[first] <= x0 && x0 <= boundaries_[last] &&
-          geom::IntersectsVerticalSegment(f.seg, x0, ylo, yhi)) {
-        delta_hits.push_back(f.seg);
+      if (f.tombstone()) {
+        tombstoned.push_back(f.seg.id);
+      } else if (CrossedRange(boundaries_, f.seg, &first, &last) &&
+                 boundaries_[first] <= x0 && x0 <= boundaries_[last] &&
+                 geom::IntersectsVerticalSegment(f.seg, x0, ylo, yhi)) {
+        out->push_back(f.seg);
       }
       return true;
     }));
-  }
-  for (const Segment& s : hits) {
-    if (!tombstoned.contains(s.id)) out->push_back(s);
-  }
-  for (const Segment& s : delta_hits) {
-    if (!tombstoned.contains(s.id)) out->push_back(s);
+    if (!tombstoned.empty()) {
+      EraseFrom(out, base, [&](const Segment& s) {
+        return std::binary_search(tombstoned.begin(), tombstoned.end(),
+                                  s.id);
+      });
+    }
   }
   return Status::OK();
 }

@@ -1,6 +1,6 @@
 // The "G structure" of Section 4.2/4.3: a segment tree over slab
 // boundaries whose nodes carry multislab lists of long fragments, with
-// optional fractional-cascading bridges between parent and child lists.
+// optional fractional-cascading bridges from parent to child lists.
 //
 // Context (paper, Section 4): an internal node of the first-level interval
 // tree partitions its x-range into b slabs by boundaries s_0..s_{b-1}. A
@@ -15,23 +15,26 @@
 //
 // Without cascading, every node on the path pays a B+-tree descent:
 // O(log_B n) each (Lemma 4). With cascading (Section 4.3), every
-// (d+1)-th element of the merged parent/child lists becomes a *bridge*:
-// its fragment is copied into the other list as a non-reported "augmented
-// bridge fragment", and every stored record carries the landing position
-// (leaf page + slot) of the nearest bridge at or before it. A query then
-// searches only the root list and follows bridges down, O(1) amortized
-// pages per level (Theorem 2).
+// (d+1)-th element of the merged parent/child lists that comes from the
+// parent becomes a *bridge*: its fragment is copied into the child list as
+// a non-reported "augmented bridge fragment", and every stored record
+// carries the landing position (leaf page + slot) of the nearest bridge at
+// or before it. A query then searches only the root list and follows
+// bridges down, O(1) amortized pages per level (Theorem 2).
 //
 // Deviations from the paper, documented in DESIGN.md:
-//  * Copied bridge fragments are not "cut" at slab boundaries (cutting
-//    creates non-integer coordinates); a sampled fragment that would not
-//    span the destination list's reference boundary is simply skipped as
-//    a bridge. Gaps stay small in practice and navigation remains correct
-//    because the landing is followed by an ordered scan.
-//  * Insertions in cascaded mode go to a side "delta" list that queries
-//    scan wholesale; the owner rebuilds G when the delta exceeds a
-//    fraction of the structure (amortized-rebuild semi-dynamization).
-//    Non-cascaded mode inserts directly into the multislab B+-trees.
+//  * Bridges point downward only, and copies are never "cut" at slab
+//    boundaries (cutting creates non-integer coordinates). A fragment
+//    spans a G node exactly when the node's slab range lies inside the
+//    fragment's allocation range. So every record of a parent list spans
+//    both children and can be copied down whole, while a child's
+//    originals never span the parent (else the parent would have been
+//    their allocation node) and are not copied up.
+//  * The lists change only when G (re)builds, in both layouts. Insert and
+//    Erase add the segment, or a tombstone, to one delta B+-tree keyed by
+//    id that every query scans whole; G rebuilds itself when the delta
+//    exceeds max(32, size/8) records (amortized-rebuild
+//    semi-dynamization).
 #ifndef SEGDB_SEGTREE_MULTISLAB_SEGMENT_TREE_H_
 #define SEGDB_SEGTREE_MULTISLAB_SEGMENT_TREE_H_
 
@@ -108,29 +111,16 @@ struct PageRecordLayout<segtree::GFragment> {
   static segtree::GFragment Read(const Page& page, uint32_t base,
                                  uint32_t capacity, uint32_t i) {
     segtree::GFragment g;
-    g.seg = ConstColumnarPageView(page, base, capacity).Get(i);
-    const uint32_t m = MetaOff(base, capacity, i);
-    g.land_left = page.ReadAt<PageId>(m);
-    g.land_right = page.ReadAt<PageId>(m + 4);
-    g.slot_left = page.ReadAt<uint16_t>(m + 8);
-    g.slot_right = page.ReadAt<uint16_t>(m + 10);
-    g.flags = page.ReadAt<uint8_t>(m + 12);
+    ReadRange(page, base, capacity, i, &g, 1);
     return g;
   }
 
   static void Write(Page* page, uint32_t base, uint32_t capacity, uint32_t i,
                     const segtree::GFragment& g) {
-    ColumnarPageView(page, base, capacity).Set(i, g.seg);
-    const uint32_t m = MetaOff(base, capacity, i);
-    page->WriteAt(m, g.land_left);
-    page->WriteAt(m + 4, g.land_right);
-    page->WriteAt(m + 8, g.slot_left);
-    page->WriteAt(m + 10, g.slot_right);
-    const uint8_t tail[4] = {g.flags, 0, 0, 0};
-    page->WriteArray(m + 12, tail, 4);
+    WriteRange(page, base, capacity, i, &g, 1);
   }
 
-  // Range variants share one view across the whole run so a packed strip
+  // Range forms share one view across the whole run so a packed strip
   // region is decoded (and re-encoded) once, not once per record.
   static void ReadRange(const Page& page, uint32_t base, uint32_t capacity,
                         uint32_t first, segtree::GFragment* out,
@@ -190,6 +180,8 @@ struct GFragmentIdCompare {
 };
 
 struct MultislabOptions {
+  // Build the lists with bridges (Section 4.3). This decides nothing else:
+  // updates take the same delta-and-rebuild path in both layouts.
   bool fractional_cascading = true;
   // The paper's d-property constant (>= 2): one bridge per d+1 merged
   // elements.
@@ -208,7 +200,6 @@ class MultislabSegmentTree {
   MultislabSegmentTree& operator=(const MultislabSegmentTree&) = delete;
 
   uint64_t size() const { return size_; }
-  uint64_t delta_size() const { return delta_ ? delta_->size() : 0; }
   // Disk pages across every multislab list (space experiments).
   uint64_t page_count() const;
 
@@ -218,18 +209,16 @@ class MultislabSegmentTree {
   // segment.
   Status Build(std::span<const geom::Segment> segments);
 
-  // Semi-dynamic insert. Cascaded mode buffers into the delta list; call
-  // NeedsRebuild()/Rebuild() to re-pack (the owning index amortizes this).
+  // Semi-dynamic insert: buffers the segment in the delta, or cancels its
+  // buffered tombstone, then rebuilds G if the delta is due. A failed
+  // rebuild is absorbed (Build is build-aside, so G stays intact) and the
+  // next update retries it.
   Status Insert(const geom::Segment& segment);
 
-  // Deletion. Non-cascaded mode removes the fragment from its allocation
-  // lists; cascaded mode appends a tombstone to the delta (queries filter
-  // it, the next rebuild drops it). The segment must currently be stored;
-  // non-cascaded mode reports NotFound otherwise.
+  // Deletion: drops a buffered insert, or appends a tombstone that queries
+  // filter and the next rebuild applies; then rebuilds like Insert.
+  // NotFound unless the segment is currently stored.
   Status Erase(const geom::Segment& segment);
-
-  bool NeedsRebuild() const;
-  Status Rebuild();
 
   // Appends every stored segment s that intersects the vertical query
   // segment x = x0, ylo <= y <= yhi *within s's fully-spanned boundary
@@ -258,7 +247,6 @@ class MultislabSegmentTree {
     int32_t right = -1;
     int64_t cx = 0;  // list-order reference boundary (split line / leaf left)
     std::unique_ptr<FragTree> list;
-    Position head;  // first record of the list (bridge fallback landing)
   };
 
   // Builds the directory for inner slabs [lo, hi]; returns its index.
@@ -287,14 +275,20 @@ class MultislabSegmentTree {
   Status BuildLists(
       std::vector<std::vector<geom::Segment>> per_node_originals);
 
+  // Ends an update that has committed to the delta and leaves `size`
+  // segments stored: rebuilds G once the delta holds more than
+  // max(32, size/8) records, absorbing a failure (see Insert), then
+  // records the size.
+  void FinishUpdate(uint64_t size);
+
   io::BufferPool* pool_;
   std::vector<int64_t> boundaries_;
   MultislabOptions options_;
   std::vector<GNode> nodes_;
   int32_t root_ = -1;
   uint64_t size_ = 0;
-  std::unique_ptr<btree::BPlusTree<GFragment, GFragmentIdCompare>>
-      delta_;  // cascaded-mode insert buffer
+  // Pending inserts and tombstones since the last (re)build.
+  btree::BPlusTree<GFragment, GFragmentIdCompare> delta_;
 };
 
 }  // namespace segdb::segtree

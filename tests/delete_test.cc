@@ -153,58 +153,125 @@ TEST(PointPstDeleteTest, EraseByRecord) {
   for (const auto& p : out) EXPECT_EQ(p.id % 2, 1u);
 }
 
-class SegtreeDeleteTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(SegtreeDeleteTest, DeleteMatchesOracle) {
-  io::SimDiskManager disk(1024);
-  io::BufferPool pool(&disk, 1024);
-  Rng rng(94);
-  std::vector<int64_t> bounds;
-  for (int i = 0; i < 12; ++i) bounds.push_back(i * 5000);
-  auto raw = workload::GenHorizontalStrips(rng, 500, 55000);
-  std::vector<Segment> segs;
-  for (const auto& s : raw) {
-    auto lo = std::lower_bound(bounds.begin(), bounds.end(), s.x1);
-    auto hi = std::upper_bound(bounds.begin(), bounds.end(), s.x2);
-    if (lo < hi && hi - lo >= 2) segs.push_back(s);
+class SegtreeDeleteTest : public ::testing::TestWithParam<bool> {
+ protected:
+  SegtreeDeleteTest() : disk_(1024), pool_(&disk_, 1024) {
+    for (int i = 0; i < 12; ++i) bounds_.push_back(i * 5000);
   }
-  ASSERT_GT(segs.size(), 100u);
-  segtree::MultislabOptions opts;
-  opts.fractional_cascading = GetParam();
-  segtree::MultislabSegmentTree g(&pool, bounds, opts);
-  ASSERT_TRUE(g.Build(segs).ok());
 
-  std::vector<Segment> alive;
-  for (size_t i = 0; i < segs.size(); ++i) {
-    if (i % 2 == 0) {
-      ASSERT_TRUE(g.Erase(segs[i]).ok());
-      if (g.NeedsRebuild()) {
-        ASSERT_TRUE(g.Rebuild().ok());
-      }
-    } else {
-      alive.push_back(segs[i]);
+  // Long segments (crossing at least two boundaries) of a strip map.
+  std::vector<Segment> LongStrips(Rng* rng) const {
+    std::vector<Segment> segs;
+    for (const auto& s : workload::GenHorizontalStrips(*rng, 500, 55000)) {
+      auto lo = std::lower_bound(bounds_.begin(), bounds_.end(), s.x1);
+      auto hi = std::upper_bound(bounds_.begin(), bounds_.end(), s.x2);
+      if (lo < hi && hi - lo >= 2) segs.push_back(s);
     }
+    return segs;
   }
-  EXPECT_EQ(g.size(), alive.size());
-  for (int q = 0; q < 50; ++q) {
-    const int64_t x0 = rng.UniformInt(0, 55000);
-    const int64_t ylo = rng.UniformInt(-100, 2100);
-    const int64_t yhi = ylo + rng.UniformInt(0, 300);
-    std::vector<Segment> out;
-    ASSERT_TRUE(g.Query(x0, ylo, yhi, &out).ok());
-    // Oracle restricted to the long-span contract.
+
+  // Expected ids under G's long-span contract.
+  std::vector<uint64_t> Expect(const std::vector<Segment>& alive, int64_t x0,
+                               int64_t ylo, int64_t yhi) const {
     std::vector<uint64_t> expect;
     for (const Segment& s : alive) {
-      auto lo = std::lower_bound(bounds.begin(), bounds.end(), s.x1);
-      auto hi = std::upper_bound(bounds.begin(), bounds.end(), s.x2);
+      auto lo = std::lower_bound(bounds_.begin(), bounds_.end(), s.x1);
+      auto hi = std::upper_bound(bounds_.begin(), bounds_.end(), s.x2);
       if (lo < hi && hi - lo >= 2 && *lo <= x0 && x0 <= *(hi - 1) &&
           geom::IntersectsVerticalSegment(s, x0, ylo, yhi)) {
         expect.push_back(s.id);
       }
     }
     std::sort(expect.begin(), expect.end());
-    EXPECT_EQ(Ids(out), expect);
+    return expect;
   }
+
+  segtree::MultislabOptions Opts() const {
+    segtree::MultislabOptions opts;
+    opts.fractional_cascading = GetParam();
+    return opts;
+  }
+
+  io::SimDiskManager disk_;
+  io::BufferPool pool_;
+  std::vector<int64_t> bounds_;
+};
+
+TEST_P(SegtreeDeleteTest, DeleteMatchesOracle) {
+  Rng rng(94);
+  const std::vector<Segment> segs = LongStrips(&rng);
+  ASSERT_GT(segs.size(), 100u);
+  segtree::MultislabSegmentTree g(&pool_, bounds_, Opts());
+  ASSERT_TRUE(g.Build(segs).ok());
+  // G rebuilds itself once its delta holds more than max(32, size/8)
+  // records; half the segments are erased, well past that trigger.
+  ASSERT_GT(segs.size() / 2, 2 * std::max<size_t>(32, segs.size() / 8));
+
+  std::vector<Segment> alive(segs.begin(), segs.end());
+  for (size_t i = 0; i < segs.size(); i += 2) {
+    ASSERT_TRUE(g.Erase(segs[i]).ok());
+    alive.erase(std::find(alive.begin(), alive.end(), segs[i]));
+    if ((i / 2) % 16 != 15 && i + 2 < segs.size()) continue;
+    EXPECT_EQ(g.size(), alive.size());
+    ASSERT_TRUE(g.CheckInvariants().ok());
+    for (int q = 0; q < 10; ++q) {
+      const int64_t x0 = rng.UniformInt(0, 55000);
+      const int64_t ylo = rng.UniformInt(-100, 2100);
+      const int64_t yhi = ylo + rng.UniformInt(0, 300);
+      std::vector<Segment> out;
+      ASSERT_TRUE(g.Query(x0, ylo, yhi, &out).ok());
+      EXPECT_EQ(Ids(out), Expect(alive, x0, ylo, yhi))
+          << "after " << (i / 2 + 1) << " erases, x0=" << x0;
+    }
+  }
+}
+
+TEST_P(SegtreeDeleteTest, EraseOfAbsentSegmentIsNotFoundAndChangesNothing) {
+  Rng rng(95);
+  const std::vector<Segment> segs = LongStrips(&rng);
+  ASSERT_GT(segs.size(), 100u);
+  segtree::MultislabSegmentTree g(&pool_, bounds_, Opts());
+  ASSERT_TRUE(g.Build(segs).ok());
+  // One erased segment stays tombstoned in the delta.
+  ASSERT_TRUE(g.Erase(segs[0]).ok());
+  const std::vector<Segment> alive(segs.begin() + 1, segs.end());
+
+  struct Probe {
+    int64_t x0, ylo, yhi;
+  };
+  std::vector<Probe> probes;
+  for (int q = 0; q < 40; ++q) {
+    const int64_t ylo = rng.UniformInt(-100, 2100);
+    probes.push_back({rng.UniformInt(0, 55000), ylo,
+                      ylo + rng.UniformInt(0, 300)});
+  }
+  for (int64_t b : bounds_) probes.push_back({b, -100, 2400});
+  auto answers = [&]() {
+    std::vector<std::vector<uint64_t>> all;
+    for (const Probe& p : probes) {
+      std::vector<Segment> out;
+      EXPECT_TRUE(g.Query(p.x0, p.ylo, p.yhi, &out).ok());
+      all.push_back(Ids(out));
+    }
+    return all;
+  };
+  const auto before = answers();
+  for (size_t i = 0; i < probes.size(); ++i) {
+    ASSERT_EQ(before[i], Expect(alive, probes[i].x0, probes[i].ylo,
+                                probes[i].yhi));
+  }
+
+  // Never stored: a fresh id over stored geometry, and a fresh long
+  // segment; then the already-erased one.
+  Segment fresh_id = segs[1];
+  fresh_id.id = 1u << 30;
+  const Segment fresh = Segment::Make({1, -50}, {54000, -50}, (1u << 30) + 1);
+  EXPECT_EQ(g.Erase(fresh_id).code(), StatusCode::kNotFound);
+  EXPECT_EQ(g.Erase(fresh).code(), StatusCode::kNotFound);
+  EXPECT_EQ(g.Erase(segs[0]).code(), StatusCode::kNotFound);
+  EXPECT_EQ(g.size(), alive.size());
+  ASSERT_TRUE(g.CheckInvariants().ok());
+  EXPECT_EQ(answers(), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, SegtreeDeleteTest, ::testing::Bool(),

@@ -62,13 +62,11 @@ void CheckAllKernels(const std::vector<Segment>& segs, int64_t qx,
                      int64_t ylo, int64_t yhi) {
   const StripFixture fix(segs);
   std::vector<uint32_t> expect_vs;
-  std::vector<uint32_t> expect_stab;
   std::vector<uint8_t> expect_cls;
   for (uint32_t i = 0; i < segs.size(); ++i) {
     if (IntersectsVerticalSegment(segs[i], qx, ylo, yhi)) {
       expect_vs.push_back(i);
     }
-    if (IntersectsVerticalLine(segs[i], qx)) expect_stab.push_back(i);
     expect_cls.push_back(OracleClass(segs[i], qx, ylo, yhi));
   }
   for (const FilterKernel* k : KernelsUnderTest()) {
@@ -81,12 +79,6 @@ void CheckAllKernels(const std::vector<Segment>& segs, int64_t qx,
     idx.resize(vs_hits);
     EXPECT_EQ(idx, expect_vs);
 
-    std::vector<uint32_t> sidx(segs.size());
-    const uint32_t stab_hits =
-        k->filter_stab(fix.strips, fix.count, qx, sidx.data());
-    sidx.resize(stab_hits);
-    EXPECT_EQ(sidx, expect_stab);
-
     std::vector<uint8_t> cls(segs.size());
     k->classify_vs(fix.strips, fix.count, qx, ylo, yhi, cls.data());
     EXPECT_EQ(cls, expect_cls);
@@ -98,7 +90,6 @@ TEST(FilterKernelTest, ZeroCount) {
   for (const FilterKernel* k : KernelsUnderTest()) {
     uint32_t sink = 0xdead;
     EXPECT_EQ(k->filter_vs(fix.strips, 0, 0, -1, 1, &sink), 0u);
-    EXPECT_EQ(k->filter_stab(fix.strips, 0, 0, &sink), 0u);
     k->classify_vs(fix.strips, 0, 0, -1, 1, nullptr);
   }
 }
@@ -188,14 +179,11 @@ TEST(FilterKernelTest, ActiveKernelMatchesDispatch) {
   }
   EXPECT_NE(active.name, nullptr);
   // The explicit kernels are compiled into every build, so only the CPU
-  // decides: on x86-64 they exist exactly when it has AVX2, and aarch64
-  // always has the NEON stab path.
+  // decides: on x86-64 they exist exactly when it has AVX2.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   const bool avx2 = __builtin_cpu_supports("avx2");
   EXPECT_EQ(SimdFilterKernel() != nullptr, avx2);
   EXPECT_EQ(SimdUnpackAdd() != nullptr, avx2);
-#elif defined(__aarch64__)
-  EXPECT_NE(SimdFilterKernel(), nullptr);
 #endif
 }
 

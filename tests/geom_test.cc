@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "geom/nct.h"
@@ -182,6 +184,22 @@ TEST(NctTest, DuplicateIdsRejected) {
 TEST(NctTest, OutOfBoundsCoordinateRejected) {
   std::vector<Segment> set = {Seg(0, 0, kMaxCoord + 1, 0, 1)};
   EXPECT_FALSE(ValidateNct(set).ok());
+}
+
+TEST(NctTest, Int64ExtremesRejected) {
+  // |INT64_MIN| is not representable: the domain test must be a range
+  // comparison at every coordinate, not an absolute value.
+  for (int64_t v : {std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    for (const Segment& s : {Seg(v, 0, 0, 0, 1), Seg(0, 0, v, 0, 1),
+                             Seg(0, v, 1, 0, 1), Seg(0, 0, 1, v, 1)}) {
+      const std::vector<Segment> set = {s};
+      EXPECT_EQ(ValidateNct(set).code(), StatusCode::kInvalidArgument)
+          << s.x1 << "," << s.y1 << " " << s.x2 << "," << s.y2;
+    }
+  }
+  EXPECT_TRUE(InDomain(-kMaxCoord) && InDomain(kMaxCoord));
+  EXPECT_FALSE(InDomain(-kMaxCoord - 1) || InDomain(kMaxCoord + 1));
 }
 
 TEST(CompareCrossingOrderTest, TotalOrderOnSamples) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "io/buffer_pool.h"
@@ -140,6 +142,41 @@ TEST_P(PointPstTest, RejectsOutOfBoundsKeys) {
   PointPst pst(&pool_, Opts());
   EXPECT_FALSE(pst.Insert(PointRecord{geom::kMaxCoord + 1, 0, 1}).ok());
   EXPECT_FALSE(pst.Insert(PointRecord{0, geom::kMaxCoord + 1, 2}).ok());
+}
+
+TEST_P(PointPstTest, RejectsInt64ExtremeKeys) {
+  PointPst pst(&pool_, Opts());
+  std::vector<PointRecord> pts;
+  for (uint64_t i = 0; i < 50; ++i) {
+    pts.push_back(PointRecord{int64_t(i % 7), int64_t(i % 11), i});
+  }
+  ASSERT_TRUE(pst.BulkLoad(pts).ok());
+  auto answer = [&]() {
+    std::vector<PointRecord> out;
+    EXPECT_TRUE(pst.Query3Sided(-geom::kMaxCoord, geom::kMaxCoord,
+                                -geom::kMaxCoord, &out)
+                    .ok());
+    return Ids(out);
+  };
+  const std::vector<uint64_t> before = answer();
+  ASSERT_EQ(before.size(), pts.size());
+
+  uint64_t id = 1000;
+  for (int64_t v : {std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    for (const PointRecord& bad :
+         {PointRecord{v, 0, id++}, PointRecord{0, v, id++}}) {
+      EXPECT_EQ(pst.Insert(bad).code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(pst.Erase(bad).code(), StatusCode::kNotFound);
+      // A rejected BulkLoad leaves the loaded contents in place.
+      std::vector<PointRecord> with_bad = pts;
+      with_bad.push_back(bad);
+      EXPECT_EQ(pst.BulkLoad(with_bad).code(), StatusCode::kInvalidArgument);
+    }
+  }
+  EXPECT_EQ(pst.size(), pts.size());
+  EXPECT_TRUE(pst.CheckInvariants().ok());
+  EXPECT_EQ(answer(), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, PointPstTest, ::testing::Values(2u, 0u),

@@ -235,22 +235,26 @@ TEST_P(SegtreeTest, InsertThenQuery) {
   ASSERT_GT(segs.size(), 80u);
   MultislabSegmentTree g(&pool_, bounds, Opts());
   const size_t half = segs.size() / 2;
-  std::vector<Segment> first(segs.begin(), segs.begin() + half);
-  ASSERT_TRUE(g.Build(first).ok());
+  std::vector<Segment> stored(segs.begin(), segs.begin() + half);
+  ASSERT_TRUE(g.Build(stored).ok());
+  // G rebuilds itself once its delta holds more than max(32, size/8)
+  // records; the inserts run well past that trigger.
+  ASSERT_GT(segs.size() - half, 2 * std::max<size_t>(32, segs.size() / 8));
   for (size_t i = half; i < segs.size(); ++i) {
     ASSERT_TRUE(g.Insert(segs[i]).ok());
-    if (g.NeedsRebuild()) {
-      ASSERT_TRUE(g.Rebuild().ok());
+    stored.push_back(segs[i]);
+    if ((i - half) % 16 != 15 && i + 1 != segs.size()) continue;
+    EXPECT_EQ(g.size(), stored.size());
+    ASSERT_TRUE(g.CheckInvariants().ok());
+    for (int q = 0; q < 10; ++q) {
+      const int64_t x0 = rng.UniformInt(0, 60000);
+      const int64_t ylo = rng.UniformInt(-100, 2100);
+      const int64_t yhi = ylo + rng.UniformInt(0, 300);
+      std::vector<Segment> out;
+      ASSERT_TRUE(g.Query(x0, ylo, yhi, &out).ok());
+      EXPECT_EQ(Ids(out), OracleIds(stored, bounds, x0, ylo, yhi))
+          << "after " << stored.size() << " segments, x0=" << x0;
     }
-  }
-  EXPECT_EQ(g.size(), segs.size());
-  for (int q = 0; q < 40; ++q) {
-    const int64_t x0 = rng.UniformInt(0, 60000);
-    const int64_t ylo = rng.UniformInt(-100, 2100);
-    const int64_t yhi = ylo + rng.UniformInt(0, 300);
-    std::vector<Segment> out;
-    ASSERT_TRUE(g.Query(x0, ylo, yhi, &out).ok());
-    EXPECT_EQ(Ids(out), OracleIds(segs, bounds, x0, ylo, yhi));
   }
 }
 

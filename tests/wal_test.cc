@@ -257,18 +257,16 @@ TEST(WalTest, TornTailTruncatesAtEveryPrefixLength) {
   }
 }
 
-TEST(WalTest, SegmentRotationCountsCompletedSegments) {
+TEST(WalTest, StatsCountOnePagePerSmallCommit) {
   SimDiskManager disk(kPageSize);
-  WalOptions options;
-  options.segment_pages = 2;
-  std::unique_ptr<WriteAheadLog> wal = MustCreate(&disk, options);
-  // Four one-page batches over two-page segments: two completed segments.
+  std::unique_ptr<WriteAheadLog> wal = MustCreate(&disk);
+  // Four lone commits of a one-byte payload: one batch and one chain page
+  // each.
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(wal->Commit({}, Payload({static_cast<uint8_t>(i)})).ok());
   }
   const WalStats stats = wal->stats();
   EXPECT_EQ(stats.pages_written, 4u);
-  EXPECT_EQ(stats.segments, 2u);
   EXPECT_EQ(stats.commits, 4u);
 }
 

@@ -41,6 +41,11 @@ header-self-containment
                 headers for the std types it names (curated symbol map
                 below): a header must compile on its own, not by riding
                 on what its includers happened to pull in first.
+no-abs          no std::abs / abs / labs / llabs calls in src/. |INT64_MIN|
+                is not representable, so an abs-based range test is
+                undefined behaviour exactly at the adversarial inputs it
+                should reject; test coordinates with geom::InDomain or a
+                plain range comparison.
 
 Comment and string-literal contents are ignored for every rule except
 naked-suppression's justification search (which looks for comments).
@@ -172,6 +177,10 @@ STRIP_ACCESS_RE = re.compile(
 # The layers that own the packed format: the codec itself and the decode
 # kernels it dispatches to.
 STRIP_ACCESS_OWNERS = ("src/io/", "src/geom/decode_kernel.")
+
+# Integer absolute value, qualified or not (fabs and friends have no word
+# boundary before "abs" and stay allowed).
+ABS_CALL_RE = re.compile(r"\b(?:std\s*::\s*)?(abs|labs|llabs)\s*\(")
 
 
 @dataclass(frozen=True)
@@ -438,9 +447,22 @@ def check_strip_access(rel, _raw_lines, code_lines):
                 "ConstColumnarPageView")
 
 
+def check_no_abs(rel, _raw_lines, code_lines):
+    if not rel.startswith("src/"):
+        return
+    for lineno, line in enumerate(code_lines, 1):
+        m = ABS_CALL_RE.search(line)
+        if m:
+            yield Violation(
+                rel, lineno, "no-abs",
+                f"{m.group(1)}() in src/: |INT64_MIN| is not representable, "
+                "so an abs-based range test is undefined where it matters; "
+                "use geom::InDomain or a range comparison")
+
+
 RULES = (check_layering, check_raw_sync, check_raw_time, check_io_bypass,
          check_raw_io, check_naked_suppression, check_thread_local,
-         check_header_self_containment, check_strip_access)
+         check_header_self_containment, check_strip_access, check_no_abs)
 
 
 # --------------------------------------------------------------------------

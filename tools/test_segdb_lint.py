@@ -358,6 +358,31 @@ class StripAccessTest(unittest.TestCase):
             [])
 
 
+class NoAbsTest(unittest.TestCase):
+    def test_abs_calls_rejected(self):
+        for call in ("std::abs(p.x)", "abs(p.x)", "std :: llabs(v)",
+                     "labs(v)"):
+            violations = segdb_lint.lint_text(
+                "src/pst/point_pst.cc",
+                f"if ({call} > geom::kMaxCoord) return;\n")
+            self.assertEqual(rules_hit(violations), ["no-abs"], call)
+            self.assertIn("InDomain", violations[0].message)
+
+    def test_range_test_and_lookalikes_clean(self):
+        self.assertEqual(
+            segdb_lint.lint_text(
+                "src/pst/point_pst.cc",
+                "if (!geom::InDomain(p.x)) return;  // not std::abs(p.x)\n"
+                "const double d = std::fabs(v) + my_abs(w);\n"),
+            [])
+
+    def test_tests_exempt(self):
+        self.assertEqual(
+            segdb_lint.lint_text("tests/geom_test.cc",
+                                 "EXPECT_LE(std::abs(d), 1);\n"),
+            [])
+
+
 class HeaderSelfContainmentTest(unittest.TestCase):
     def test_missing_include_flagged(self):
         violations = segdb_lint.lint_text(
