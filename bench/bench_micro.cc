@@ -1,6 +1,7 @@
 // CPU microbenchmarks (google-benchmark): exact predicates, page
 // serialization, buffer-pool hits and misses at 1 and 4 threads, index
-// build throughput, in-memory query latency and the line-PST query layer.
+// build throughput, in-memory query latency, the line-PST query layer and
+// the segment page-list scan.
 // These complement the I/O-count experiments (E1-E11): the paper's model
 // charges only block transfers, but a practical release should also show
 // the constant factors are sane.
@@ -26,6 +27,7 @@
 #include "io/buffer_pool.h"
 #include "io/disk_manager.h"
 #include "io/file_disk_manager.h"
+#include "io/segment_page_list.h"
 #include "pst/point_pst.h"
 #include "pst/line_pst.h"
 #include "util/crc32.h"
@@ -430,6 +432,43 @@ void BM_LinePstQuery(benchmark::State& state) {
       static_cast<double>(results), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_LinePstQuery)->Arg(2)->Arg(0);
+
+// Page-list layer: one SegmentPageList::Scan per iteration over a list of
+// one 4 KiB page holding `fill` records, the page resident, cycling 64
+// queries of 5% of the records' extent. The scan decodes the page's whole
+// 161-slot region whatever its fill, so fill 4 shows what a nearly empty
+// first-level leaf page costs against a full one (Arg: fill).
+void BM_SegmentPageListScan(benchmark::State& state) {
+  const uint32_t fill = static_cast<uint32_t>(state.range(0));
+  io::SimDiskManager disk(4096);
+  io::BufferPool pool(&disk, 64);
+  io::SegmentPageList list(&pool);
+  Rng rng(61);
+  auto segs = workload::GenMapLayer(rng, fill, 1 << 20);
+  if (segs.size() < fill) {
+    state.SkipWithError("generator returned too few segments");
+    return;
+  }
+  segs.resize(fill);
+  if (!list.BulkLoad(segs).ok() || list.page_count() != 1) {
+    state.SkipWithError("build failed");
+    return;
+  }
+  Rng qrng(62);
+  const auto queries = workload::GenVsQueries(
+      qrng, 64, workload::ComputeBoundingBox(segs), 0.05);
+  std::vector<geom::Segment> out;
+  size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    const auto& q = queries[i];
+    benchmark::DoNotOptimize(list.Scan(q.x0, q.ylo, q.yhi, &out).ok());
+    benchmark::DoNotOptimize(out.data());
+    i = (i + 1) % queries.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SegmentPageListScan)->Arg(4)->Arg(161);
 
 // Buffer-pool layer: one Fetch and Release per iteration, over uniformly
 // random pages, each thread with its own sequence. Real time, so the

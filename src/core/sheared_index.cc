@@ -15,7 +15,6 @@ using geom::Segment;
 ShearedIndex::ShearedIndex(std::unique_ptr<SegmentIndex> inner, int64_t dir_x,
                            int64_t dir_y)
     : inner_(std::move(inner)), dx_(dir_x), dy_(dir_y) {
-  SEGDB_DCHECK(!(dx_ == 0 && dy_ == 0)) << "direction must be nonzero";
   // The direction's sign is preserved — segment queries extend along the
   // caller's (dx, dy), not its reflection.
   transpose_ = (dy_ == 0);
@@ -32,7 +31,15 @@ Point ShearedIndex::Backward(Point p) const {
   return Point{(p.x + dx_ * p.y) / dy_, p.y};
 }
 
+Status ShearedIndex::CheckDirection() const {
+  if (dx_ == 0 && dy_ == 0) {
+    return Status::InvalidArgument("query direction (0, 0) is not a line");
+  }
+  return Status::OK();
+}
+
 Status ShearedIndex::ValidateInput(const Segment& s) const {
+  SEGDB_RETURN_IF_ERROR(CheckDirection());
   // Coordinates up to kMaxCoord / (|dx| + |dy|) keep the shear inside the
   // domain. A direction component outside the domain leaves no budget
   // (the quotient would be 0), and inside it negation cannot overflow.
@@ -54,6 +61,7 @@ Status ShearedIndex::ValidateInput(const Segment& s) const {
 
 Status ShearedIndex::BulkLoad(std::span<const Segment> segments) {
   SEGDB_IO_BOUND("scan");
+  SEGDB_RETURN_IF_ERROR(CheckDirection());
   std::vector<Segment> transformed;
   transformed.reserve(segments.size());
   for (const Segment& s : segments) {
@@ -84,6 +92,7 @@ Status ShearedIndex::RunQuery(const VerticalSegmentQuery& q,
   // union over every SegmentIndex::Query over-approximates to scan.
   // SEMA-OK: virtual inner index; bound matches the wrapped structure
   SEGDB_IO_BOUND("log", "sqrt", "t/B");
+  SEGDB_RETURN_IF_ERROR(CheckDirection());
   std::vector<Segment> transformed;
   SEGDB_RETURN_IF_ERROR(inner_->Query(q, &transformed));
   out->reserve(out->size() + transformed.size());

@@ -32,8 +32,9 @@ namespace segdb::core {
 
 class ShearedIndex {
  public:
-  // `direction` = (dx, dy), not both zero. Vertical (0, 1) degenerates to
-  // the identity; horizontal (1, 0) to a transpose.
+  // `direction` = (dx, dy). Vertical (0, 1) degenerates to the identity;
+  // horizontal (1, 0) to a transpose. With (0, 0) every call returns
+  // InvalidArgument and leaves the inner index unchanged.
   ShearedIndex(std::unique_ptr<SegmentIndex> inner, int64_t dir_x,
                int64_t dir_y);
 
@@ -63,6 +64,8 @@ class ShearedIndex {
  private:
   geom::Point Forward(geom::Point p) const;
   geom::Point Backward(geom::Point p) const;
+  Status CheckDirection() const;
+  // CheckDirection, then the coordinate budget.
   Status ValidateInput(const geom::Segment& s) const;
   Status RunQuery(const VerticalSegmentQuery& q,
                   std::vector<geom::Segment>* out) const;

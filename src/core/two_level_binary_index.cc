@@ -17,7 +17,7 @@ Status TwoLevelBinaryIndex::Query(const VerticalSegmentQuery& q,
   while (cur >= 0) {
     const Node& node = nodes_[cur];
     SEGDB_RETURN_IF_ERROR(FetchMeta(node));
-    if (node.is_leaf) return ScanLeaf(node, q, out);
+    if (node.leaf) return node.leaf->Scan(q.x0, q.ylo, q.yhi, out);
     // On bl(v): C(v), L(v) and R(v)'s degenerate-left members, then stop
     // (nothing below touches bl(v)). Otherwise L(v) for the left slab or
     // R(v) for the right one, then descend into that slab.

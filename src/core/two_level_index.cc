@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "core/validate.h"
-#include "geom/filter_kernel.h"
-#include "io/columnar_page_view.h"
 #include "util/check.h"
 
 namespace segdb::core {
@@ -16,9 +14,6 @@ namespace segdb::core {
 namespace {
 
 using geom::Segment;
-
-// Leaf page layout: [u32 count][columnar Segment region].
-constexpr uint32_t kLeafHeader = 8;
 
 // Structures a crossing segment sits in at its node (the routing audit).
 constexpr uint8_t kInL = 1;
@@ -58,7 +53,7 @@ TwoLevelIndex::~TwoLevelIndex() {
 
 uint32_t TwoLevelIndex::LeafCapacity() const {
   if (leaf_capacity_ != 0) return leaf_capacity_;
-  return io::ColumnarRegionCapacity(pool_->page_size() - kLeafHeader);
+  return io::SegmentPageList::PerPage(pool_->page_size());
 }
 
 pst::LinePstOptions TwoLevelIndex::PstOptions() const {
@@ -89,40 +84,6 @@ uint32_t TwoLevelIndex::SlabOf(const std::vector<int64_t>& boundaries,
   return static_cast<uint32_t>(
       std::lower_bound(boundaries.begin(), boundaries.end(), s.x1) -
       boundaries.begin());
-}
-
-Status TwoLevelIndex::WriteLeafPages(Node* node) {
-  // Allocate-then-swap: the replacement pages are fully written before the
-  // old ones are freed, so a failed allocation mid-way (e.g. an injected
-  // fault) releases the partial batch and leaves the node's pages — and
-  // hence every query — exactly as they were.
-  std::vector<io::PageId> fresh;
-  const uint32_t per_page =
-      io::ColumnarRegionCapacity(pool_->page_size() - kLeafHeader);
-  size_t i = 0;
-  while (i < node->leaf_segments.size()) {
-    const uint32_t take = static_cast<uint32_t>(
-        std::min<size_t>(per_page, node->leaf_segments.size() - i));
-    auto ref = pool_->NewPage();
-    if (!ref.ok()) {
-      for (io::PageId id : fresh) pool_->FreePage(id).IgnoreError();
-      return ref.status();
-    }
-    io::Page& p = ref.value().page();
-    p.WriteAt<uint32_t>(0, take);
-    // Columnar strips sized to the record count; large runs bit-pack below
-    // the row-major footprint (see columnar_page_view.h).
-    io::ColumnarPageView(&p, kLeafHeader, take)
-        .WriteRange(0, node->leaf_segments.data() + i, take);
-    ref.value().MarkDirty();
-    fresh.push_back(ref.value().page_id());
-    i += take;
-  }
-  for (io::PageId id : node->leaf_pages) {
-    SEGDB_RETURN_IF_ERROR(pool_->FreePage(id));  // reliable metadata op
-  }
-  node->leaf_pages = std::move(fresh);
-  return Status::OK();
 }
 
 int32_t TwoLevelIndex::AllocNode() {
@@ -163,9 +124,8 @@ Status TwoLevelIndex::BuildSubtreeAt(int32_t idx,
   nodes_[idx].subtree_size = segments.size();
 
   if (segments.size() <= LeafCapacity()) {
-    nodes_[idx].is_leaf = true;
-    nodes_[idx].leaf_segments = std::move(segments);
-    return WriteLeafPages(&nodes_[idx]);
+    nodes_[idx].leaf = std::make_unique<io::SegmentPageList>(pool_);
+    return nodes_[idx].leaf->BulkLoad(segments);
   }
 
   // Boundaries: the distinct endpoint values at ranks |xs|*i/(b+1),
@@ -195,7 +155,6 @@ Status TwoLevelIndex::BuildSubtreeAt(int32_t idx,
   SEGDB_DCHECK(boundaries.size() <= fanout_);
   const uint32_t nb = static_cast<uint32_t>(boundaries.size());
   Node& node_init = nodes_[idx];
-  node_init.is_leaf = false;
   node_init.boundaries = boundaries;
   node_init.per_boundary.resize(nb);
   node_init.children.assign(size_t{nb} + 1, -1);
@@ -273,9 +232,7 @@ Status TwoLevelIndex::FreeSubtree(int32_t idx) {
     if (bs.r) SEGDB_RETURN_IF_ERROR(bs.r->Clear());
   }
   if (node.g) SEGDB_RETURN_IF_ERROR(node.g->Clear());
-  for (io::PageId id : node.leaf_pages) {
-    SEGDB_RETURN_IF_ERROR(pool_->FreePage(id));
-  }
+  if (node.leaf) SEGDB_RETURN_IF_ERROR(node.leaf->Clear());
   if (node.meta_page != io::kInvalidPageId) {
     SEGDB_RETURN_IF_ERROR(pool_->FreePage(node.meta_page));
   }
@@ -287,11 +244,7 @@ Status TwoLevelIndex::FreeSubtree(int32_t idx) {
 Status TwoLevelIndex::CollectSubtree(int32_t idx,
                                      std::vector<Segment>* out) const {
   const Node& node = nodes_[idx];
-  if (node.is_leaf) {
-    out->insert(out->end(), node.leaf_segments.begin(),
-                node.leaf_segments.end());
-    return Status::OK();
-  }
+  if (node.leaf) return node.leaf->CollectAll(out);
   // A crossing segment may live in an L, an R, and G; dedup by id.
   std::unordered_set<uint64_t> seen;
   auto add = [&](const Segment& s) {
@@ -439,15 +392,17 @@ Status TwoLevelIndex::Insert(const Segment& segment) {
     path.push_back(cur);
     Node& node = nodes_[cur];
 
-    // Weight balance by partial rebuilding, checked top-down. A child of
-    // an m-slab node may hold at most min(0.7, 2/m) of the segments below
-    // it, plus a leaf's worth: the BB[alpha] fraction for Solution A's
-    // m = 2, twice the fair share for Solution B. A subtree may only
-    // rebuild after absorbing a constant fraction of its size in updates,
-    // which pays for the rebuild even when balance cannot improve
+    // A leaf splits once it would pass 2B segments. An internal node
+    // keeps its weight balance by partial rebuilding, checked top-down: a
+    // child of an m-slab node may hold at most min(0.7, 2/m) of the
+    // segments below it, plus a leaf's worth — the BB[alpha] fraction for
+    // Solution A's m = 2, twice the fair share for Solution B. A subtree may
+    // only rebuild after absorbing a constant fraction of its size in
+    // updates, which pays for the rebuild even when balance cannot improve
     // (duplicate-heavy x distributions). Counters are compared as if this
     // insert were already counted.
-    if (!node.is_leaf) {
+    bool rebuild = node.leaf && node.leaf->size() >= 2 * LeafCapacity();
+    if (!node.leaf) {
       uint64_t below = 0, max_child = 0;
       for (int32_t child : node.children) {
         const uint64_t cs = child >= 0 ? nodes_[child].subtree_size : 0;
@@ -458,46 +413,26 @@ Status TwoLevelIndex::Insert(const Segment& segment) {
       const double b = static_cast<double>(below);
       const double limit =
           std::min(0.7 * b, 2.0 * (b / m)) + LeafCapacity();
-      if (below > 2 * static_cast<uint64_t>(LeafCapacity()) &&
-          (node.updates_since_rebuild + 1) * 8 > node.subtree_size + 1 &&
-          static_cast<double>(max_child) > limit) {
-        std::vector<Segment> all;
-        all.reserve(node.subtree_size + 1);
-        SEGDB_RETURN_IF_ERROR(CollectSubtree(cur, &all));
-        all.push_back(segment);
-        // Build the replacement before freeing the old subtree: a failed
-        // build leaves the index untouched and the data still stored.
-        Result<int32_t> rebuilt = BuildSubtree(std::move(all));
-        if (!rebuilt.ok()) return rebuilt.status();
-        SEGDB_RETURN_IF_ERROR(FreeSubtree(cur));
-        replace(rebuilt.value());
-        commit(path.size() - 1);  // the rebuilt node restarts its counters
-        return Status::OK();
-      }
+      rebuild = below > 2 * static_cast<uint64_t>(LeafCapacity()) &&
+                (node.updates_since_rebuild + 1) * 8 > node.subtree_size + 1 &&
+                static_cast<double>(max_child) > limit;
     }
-
-    if (node.is_leaf) {
-      node.leaf_segments.push_back(segment);
-      if (node.leaf_segments.size() > 2 * LeafCapacity()) {
-        // Split the leaf by rebuilding it as a small subtree. Copy, not
-        // move: a failed build must leave the leaf unchanged.
-        std::vector<Segment> all = node.leaf_segments;
-        Result<int32_t> rebuilt = BuildSubtree(std::move(all));
-        if (!rebuilt.ok()) {
-          // BuildSubtree may grow nodes_; re-index instead of using `node`.
-          nodes_[cur].leaf_segments.pop_back();
-          return rebuilt.status();
-        }
-        SEGDB_RETURN_IF_ERROR(FreeSubtree(cur));
-        replace(rebuilt.value());
-        commit(path.size() - 1);
-        return Status::OK();
-      }
-      const Status written = WriteLeafPages(&node);
-      if (!written.ok()) {
-        node.leaf_segments.pop_back();
-        return written;
-      }
+    if (rebuild) {
+      std::vector<Segment> all;
+      all.reserve(node.subtree_size + 1);
+      SEGDB_RETURN_IF_ERROR(CollectSubtree(cur, &all));
+      all.push_back(segment);
+      // Build the replacement before freeing the old subtree: a failed
+      // build leaves the index untouched and the data still stored.
+      Result<int32_t> rebuilt = BuildSubtree(std::move(all));
+      if (!rebuilt.ok()) return rebuilt.status();
+      SEGDB_RETURN_IF_ERROR(FreeSubtree(cur));
+      replace(rebuilt.value());
+      commit(path.size() - 1);  // the rebuilt node restarts its counters
+      return Status::OK();
+    }
+    if (node.leaf) {
+      SEGDB_RETURN_IF_ERROR(node.leaf->Append(segment));
       commit(path.size());
       return Status::OK();
     }
@@ -532,18 +467,8 @@ Status TwoLevelIndex::Erase(const Segment& segment) {
     path.push_back(cur);
     Node& node = nodes_[cur];
     SEGDB_RETURN_IF_ERROR(FetchMeta(node));
-    if (node.is_leaf) {
-      auto it = std::find(node.leaf_segments.begin(),
-                          node.leaf_segments.end(), segment);
-      if (it == node.leaf_segments.end()) return removed;
-      node.leaf_segments.erase(it);
-      const Status written = WriteLeafPages(&node);
-      if (!written.ok()) {
-        // Leaf pages are untouched on failure; restore the in-memory copy
-        // (order within a leaf is immaterial).
-        node.leaf_segments.push_back(segment);
-        return written;
-      }
+    if (node.leaf) {
+      SEGDB_RETURN_IF_ERROR(node.leaf->Erase(segment));  // or NotFound
       removed = Status::OK();
       break;
     }
@@ -615,25 +540,6 @@ Status TwoLevelIndex::FetchMeta(const Node& node) const {
   return Status::OK();
 }
 
-Status TwoLevelIndex::ScanLeaf(const Node& leaf, const VerticalSegmentQuery& q,
-                               std::vector<Segment>* out) const {
-  for (io::PageId id : leaf.leaf_pages) {
-    auto ref = pool_->Fetch(id);
-    if (!ref.ok()) return ref.status();
-    const io::Page& p = ref.value().page();
-    const uint32_t count = p.ReadAt<uint32_t>(0);
-    // Branchless kernel over the whole page, then one bulk gather of the
-    // matches — no per-segment predicate branch or push_back.
-    const io::ConstColumnarPageView view(p, kLeafHeader, count);
-    geom::ResultBuffer& scratch = geom::GetThreadFilterScratch();
-    uint32_t* idx = scratch.ReserveIndices(count);
-    const uint32_t hits = geom::ActiveFilterKernel().filter_vs(
-        view.strips(), count, q.x0, q.ylo, q.yhi, idx);
-    view.AppendMatches(idx, hits, out);
-  }
-  return Status::OK();
-}
-
 Status TwoLevelIndex::QueryBoundary(const Node& node, uint32_t i,
                                     const VerticalSegmentQuery& q,
                                     std::vector<Segment>* out) const {
@@ -694,7 +600,7 @@ uint64_t TwoLevelIndex::page_count() const {
   while (!stack.empty()) {
     const Node& node = nodes_[stack.back()];
     stack.pop_back();
-    total += 1 + node.leaf_pages.size();
+    total += 1 + (node.leaf ? node.leaf->page_count() : 0);
     for (const BoundaryStructs& bs : node.per_boundary) {
       if (bs.c) total += bs.c->page_count();
       if (bs.l) total += bs.l->page_count();
@@ -807,9 +713,12 @@ Status TwoLevelIndex::CheckSubtree(int32_t idx, const int64_t* lo,
                                    const int64_t* hi, uint64_t* total) const {
   const Node& node = nodes_[idx];
   uint64_t count = 0;
-  if (node.is_leaf) {
-    count = node.leaf_segments.size();
-    for (const Segment& s : node.leaf_segments) {
+  if (node.leaf) {
+    SEGDB_RETURN_IF_ERROR(node.leaf->CheckInvariants());
+    std::vector<Segment> segments;
+    SEGDB_RETURN_IF_ERROR(node.leaf->CollectAll(&segments));
+    count = segments.size();
+    for (const Segment& s : segments) {
       if ((lo != nullptr && s.x1 <= *lo) || (hi != nullptr && s.x2 >= *hi)) {
         return Status::Corruption("leaf segment escapes its slab");
       }

@@ -4,7 +4,9 @@
 // s_{m-2} (endpoint quantiles of its segment set), splitting its x-range
 // into m slabs. A segment stays at the highest node where it touches a
 // boundary; otherwise it falls into the child of the slab that strictly
-// contains it. Leaves hold <= B segments in raw pages. Per internal node:
+// contains it. A leaf is one io::SegmentPageList: a build makes leaves of
+// at most B segments, inserts grow one to 2B before it splits, and its
+// segments live only on its pages. Per internal node:
 //
 //   C_i — segments lying ON boundary s_i: a PointPst over their y-extents;
 //         a VS query on the line is the 3-sided query lo <= yhi, hi >= ylo.
@@ -44,6 +46,7 @@
 
 #include "core/segment_index.h"
 #include "io/buffer_pool.h"
+#include "io/segment_page_list.h"
 #include "pst/line_pst.h"
 #include "pst/point_pst.h"
 #include "segtree/multislab_segment_tree.h"
@@ -88,7 +91,6 @@ class TwoLevelIndex : public SegmentIndex {
   };
 
   struct Node {
-    bool is_leaf = false;
     std::vector<int64_t> boundaries;  // internal nodes, strictly increasing
     std::vector<BoundaryStructs> per_boundary;
     std::unique_ptr<segtree::MultislabSegmentTree> g;
@@ -99,8 +101,8 @@ class TwoLevelIndex : public SegmentIndex {
     // audited balance bound.
     uint64_t updates_since_rebuild = 0;
     io::PageId meta_page = io::kInvalidPageId;
-    std::vector<io::PageId> leaf_pages;
-    std::vector<geom::Segment> leaf_segments;  // mirror of leaf pages
+    // A leaf's segments, on their pages; null for an internal node.
+    std::unique_ptr<io::SegmentPageList> leaf;
   };
 
   TwoLevelIndex(io::BufferPool* pool, uint32_t fanout, uint32_t pst_fanout,
@@ -108,11 +110,9 @@ class TwoLevelIndex : public SegmentIndex {
 
   // The query steps both solutions' loops are made of.
   //
-  // One I/O per visited first-level node (its metadata block).
+  // One I/O per visited first-level node (its metadata block). A leaf
+  // reports through node.leaf->Scan.
   Status FetchMeta(const Node& node) const;
-  // Reports the leaf's matches: every page through the filter kernel.
-  Status ScanLeaf(const Node& leaf, const VerticalSegmentQuery& q,
-                  std::vector<geom::Segment>* out) const;
   // x0 == s_i: C_i, plus the L_i and R_i members G does not report.
   Status QueryBoundary(const Node& node, uint32_t i,
                        const VerticalSegmentQuery& q,
@@ -147,7 +147,6 @@ class TwoLevelIndex : public SegmentIndex {
   Status BuildSubtreeAt(int32_t idx, std::vector<geom::Segment> segments);
   Status FreeSubtree(int32_t idx);
   Status CollectSubtree(int32_t idx, std::vector<geom::Segment>* out) const;
-  Status WriteLeafPages(Node* node);
   // Inserts into the second-level structures of internal node `idx`; the
   // segment must touch one of the node's boundaries.
   Status InsertAtNode(int32_t idx, const geom::Segment& s);

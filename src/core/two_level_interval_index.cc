@@ -31,7 +31,7 @@ Status TwoLevelIntervalIndex::Query(const VerticalSegmentQuery& q,
   while (cur >= 0) {
     const Node& node = nodes_[cur];
     SEGDB_RETURN_IF_ERROR(FetchMeta(node));
-    if (node.is_leaf) return ScanLeaf(node, q, out);
+    if (node.leaf) return node.leaf->Scan(q.x0, q.ylo, q.yhi, out);
     auto it = std::lower_bound(node.boundaries.begin(), node.boundaries.end(),
                                q.x0);
     const uint32_t k = static_cast<uint32_t>(it - node.boundaries.begin());

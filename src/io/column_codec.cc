@@ -69,7 +69,7 @@ std::atomic<uint64_t> g_codec_footprint_bytes{0};
 }  // namespace
 
 uint32_t ColumnarRegionCapacity(uint64_t bytes) {
-  // PackedColumnarRegionBytes(C) >= 25 * C, so C <= bytes / 25 + 3 bounds
+  // ColumnarRegionBytes(C) >= 25 * C, so C <= bytes / 25 + 3 bounds
   // the answer; walk down (a handful of steps at most).
   uint32_t c = static_cast<uint32_t>(
       std::min<uint64_t>(bytes / 25 + 3, uint64_t{65535}));
@@ -79,7 +79,6 @@ uint32_t ColumnarRegionCapacity(uint64_t bytes) {
 
 PackedRegionInfo ParsePackedRegionHeader(const uint8_t* region,
                                          uint32_t capacity) {
-  SEGDB_DCHECK(ColumnarRegionIsPacked(capacity));
   PackedRegionInfo info;
   std::memcpy(&info.stored_capacity, region, 2);
   // stored_capacity 0 is a never-encoded (zeroed) region; any other value
@@ -101,7 +100,6 @@ PackedRegionInfo ParsePackedRegionHeader(const uint8_t* region,
 
 void EncodeColumnarRegion(uint8_t* region, uint32_t capacity,
                           const int64_t* lanes) {
-  SEGDB_DCHECK(ColumnarRegionIsPacked(capacity));
   SEGDB_CHECK(capacity <= 65535) << "packed region capacity exceeds u16";
   const uint64_t region_bytes = ColumnarRegionBytes(capacity);
   std::memset(region, 0, region_bytes);

@@ -2,7 +2,7 @@
 //
 // == Packed region format (DESIGN.md section 15) ==
 //
-// A columnar segment region of capacity C >= kPackedMinCapacity is stored as
+// A columnar segment region of capacity C >= 1 is stored as
 //
 //   [ header: 56 bytes                                                   ]
 //   [ x1 column ][ x2 column ][ y1 column ][ y2 column ][ id column ]
@@ -27,16 +27,16 @@
 // 8 bytes and widths above geom::kMaxUnpackWidth degrade to tag kRaw64
 // (plain 8-byte lanes).
 //
-// == Fallback rule (small regions) ==
+// == Capacity law ==
 //
-// For C < kPackedMinCapacity the 56-byte header costs more than packing
-// saves, so the region keeps the legacy raw strip layout of PR 3 (five
-// 8-byte-lane strips, 40 bytes per record, no header). The format is a pure
-// function of the capacity — ColumnarRegionIsPacked(C) — so readers and
-// writers always agree, and ColumnarRegionBytes(C) <= 40 * C for every C:
-// the packed layout never exceeds the row-major footprint, which is what
-// lets ColumnarRegionCapacity(bytes) dominate the old bytes/40 capacity at
-// every page size.
+// Every region of capacity C >= 1 uses this one format (a region of
+// capacity 0 is empty and occupies no bytes). At C >= 4 the budget,
+// ColumnarRegionBytes(C), is at most the row-major footprint 40 * C, so
+// ColumnarRegionCapacity(bytes) dominates the old bytes/40 capacity for
+// every budget of 132 bytes or more. Regions below capacity 4 pay more than
+// 40 bytes per record for the header. No index writes one: at the page
+// sizes indexes are built with (512 bytes and up) and the fan-outs they
+// use, every index region holds 8 or more records.
 //
 // == Determinism ==
 //
@@ -61,6 +61,8 @@ namespace segdb::io {
 inline constexpr uint32_t kColumnarHeaderBytes = 56;
 inline constexpr uint32_t kCoordSlotBits = 34;
 inline constexpr uint32_t kColumnarColumns = 5;  // x1 x2 y1 y2 id
+// The row-major footprint of one record, sizeof(geom::Segment): the raw
+// baseline the codec statistics compare against.
 inline constexpr uint32_t kLegacyBytesPerRecord = 40;
 
 // Per-column encodings. kConst and kFor are the only coordinate tags a
@@ -72,36 +74,18 @@ enum class ColumnTag : uint8_t {
   kRaw64 = 2,  // plain 8-byte lanes (ref 0, width 64)
 };
 
-constexpr uint64_t PackedCoordSlotBytes(uint32_t capacity) {
-  return (uint64_t{kCoordSlotBits} * capacity + 7) / 8;
-}
-
-constexpr uint64_t PackedColumnarRegionBytes(uint32_t capacity) {
-  return kColumnarHeaderBytes + 4 * PackedCoordSlotBytes(capacity) +
+// Bytes a region of `capacity` records occupies: the header, a 34-bit
+// slot per coordinate lane and 8 bytes per id lane. Monotonic in capacity,
+// and <= 40 * capacity from capacity 4 up.
+constexpr uint64_t ColumnarRegionBytes(uint32_t capacity) {
+  if (capacity == 0) return 0;
+  return kColumnarHeaderBytes +
+         4 * ((uint64_t{kCoordSlotBits} * capacity + 7) / 8) +
          uint64_t{8} * capacity;
 }
 
-// The packed layout engages exactly when it is no larger than row-major;
-// with a 56-byte header and 34-bit coordinate slots that is capacity >= 4.
-constexpr bool ColumnarRegionIsPacked(uint32_t capacity) {
-  return PackedColumnarRegionBytes(capacity) <=
-         uint64_t{kLegacyBytesPerRecord} * capacity;
-}
-
-inline constexpr uint32_t kPackedMinCapacity = 4;
-static_assert(!ColumnarRegionIsPacked(kPackedMinCapacity - 1));
-static_assert(ColumnarRegionIsPacked(kPackedMinCapacity));
-
-// Bytes a region of `capacity` records occupies. Monotonic in capacity and
-// <= 40 * capacity always.
-constexpr uint64_t ColumnarRegionBytes(uint32_t capacity) {
-  const uint64_t legacy = uint64_t{kLegacyBytesPerRecord} * capacity;
-  const uint64_t packed = PackedColumnarRegionBytes(capacity);
-  return packed < legacy ? packed : legacy;
-}
-
 // Largest capacity whose region fits in `bytes` — the fan-out every leaf
-// builder derives from its page budget. Dominates bytes/40 at every size.
+// builder derives from its page budget. Dominates bytes/40 from 132 bytes.
 uint32_t ColumnarRegionCapacity(uint64_t bytes);
 
 // Parsed packed-region header: everything O(1) lane access needs.
@@ -116,8 +100,7 @@ struct PackedRegionInfo {
 
 // Parses the 56-byte header and derives column offsets from the stored
 // widths. An all-zero header (a fresh zeroed page) parses as five kConst
-// columns with ref 0 — every lane decodes to zero, matching what the legacy
-// layout reads from a zeroed page.
+// columns with ref 0 — every lane decodes to zero.
 PackedRegionInfo ParsePackedRegionHeader(const uint8_t* region,
                                          uint32_t capacity);
 

@@ -1,17 +1,14 @@
 // Columnar (struct-of-arrays) segment layout inside data pages, with
-// per-column frame-of-reference compression for regions large enough to
-// amortize the codec header (io/column_codec.h has the format).
+// per-column frame-of-reference compression (io/column_codec.h has the
+// format).
 //
 // A columnar region of capacity C holds the five logical columns
-// x1/x2/y1/y2/id. Two physical layouts, chosen purely by C:
-//
-//   C <  kPackedMinCapacity: legacy raw strips — five contiguous 8-byte
-//     lane arrays, 40 bytes per record (PR 3's layout, header-free).
-//   C >= kPackedMinCapacity: packed region — 56-byte header plus bit-packed
-//     columns; the byte budget reserves 34 bits per coordinate lane and 8
-//     bytes per id lane, so ColumnarRegionBytes(C) < 40 * C and every leaf
-//     builder that derives its fan-out from ColumnarRegionCapacity(bytes)
-//     fits strictly more records per page than row-major did.
+// x1/x2/y1/y2/id in one packed format: a 56-byte header plus bit-packed
+// columns. The byte budget reserves 34 bits per coordinate lane and 8
+// bytes per id lane, so ColumnarRegionBytes(C) <= 40 * C from C = 4 up,
+// and every leaf builder that derives its fan-out from
+// ColumnarRegionCapacity(bytes) fits more records per page than row-major
+// did.
 //
 // Access model. The read-only view parses only the 56-byte header at
 // construction, so per-record probes (the B+-tree binary searches build a
@@ -28,14 +25,14 @@
 // the same region through a *different* view while a dirty mutable view is
 // live (no call site in the tree does).
 //
-// Strip bases inherit the region's byte alignment only in the legacy
-// layout; packed strips() pointers come from the 8-aligned scratch. Lane
-// access stays memcpy-based throughout — same discipline as Page::ReadAt.
+// strips() pointers come from the 8-aligned scratch, while the region
+// itself may start at any offset (a line-PST node with odd fanout starts
+// at 4 mod 8), so header and lane access stay memcpy-based — same
+// discipline as Page::ReadAt.
 #ifndef SEGDB_IO_COLUMNAR_PAGE_VIEW_H_
 #define SEGDB_IO_COLUMNAR_PAGE_VIEW_H_
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "geom/decode_kernel.h"
@@ -49,8 +46,7 @@ namespace segdb::io {
 
 // Read-only view of a columnar segment region: `capacity` records starting
 // at byte `base_off` of `page`. The capacity must be the value the region
-// was written with — both the layout choice and the strip/slot offsets
-// depend on it.
+// was written with — the column offsets depend on it.
 class ConstColumnarPageView {
  public:
   static constexpr uint32_t kLaneBytes = 8;
@@ -61,12 +57,10 @@ class ConstColumnarPageView {
 
   ConstColumnarPageView(const Page& page, uint32_t base_off,
                         uint32_t capacity)
-      : base_(page.data() + base_off),
-        capacity_(capacity),
-        packed_(ColumnarRegionIsPacked(capacity)) {
+      : base_(page.data() + base_off), capacity_(capacity) {
     SEGDB_DCHECK(uint64_t{base_off} + ColumnarRegionBytes(capacity) <=
                  page.size());
-    if (packed_) info_ = ParsePackedRegionHeader(base_, capacity_);
+    if (capacity_ != 0) info_ = ParsePackedRegionHeader(base_, capacity_);
   }
 
   // Views hand out pointers into page bytes or checked-out scratch; they
@@ -76,8 +70,8 @@ class ConstColumnarPageView {
 
   uint32_t capacity() const { return capacity_; }
 
-  // Strip bases in layout order x1, x2, y1, y2, id. For a packed region
-  // these decode the region into scratch on first use.
+  // Strip bases in layout order x1, x2, y1, y2, id. The first call decodes
+  // the region into scratch.
   const uint8_t* x1_strip() const { return Strip(0); }
   const uint8_t* x2_strip() const { return Strip(1); }
   const uint8_t* y1_strip() const { return Strip(2); }
@@ -102,7 +96,7 @@ class ConstColumnarPageView {
 
   void ReadRange(uint32_t first, geom::Segment* out, uint32_t count) const {
     SEGDB_DCHECK(uint64_t{first} + count <= capacity_);
-    if (packed_ && count > 1) EnsureDecoded();
+    if (count > 1) EnsureDecoded();
     for (uint32_t i = 0; i < count; ++i) out[i] = Get(first + i);
   }
 
@@ -118,13 +112,12 @@ class ConstColumnarPageView {
   }
 
  protected:
-  // One lane, O(1): decoded scratch when available, otherwise a direct
-  // page access (legacy strip lane or packed-header bit extraction).
+  // One lane, O(1): decoded scratch when available, otherwise a bit
+  // extraction off the parsed header.
   int64_t Lane(uint32_t column, uint32_t i) const {
     if (lanes_ != nullptr) {
       return lanes_[uint64_t{column} * capacity_ + i];
     }
-    if (!packed_) return LaneI64(column, i);
     return PackedRegionLane(base_, info_, column, i);
   }
 
@@ -135,33 +128,23 @@ class ConstColumnarPageView {
     lanes_ = scratch_.data();
   }
 
-  // Legacy raw-strip addressing (also the packed scratch layout: column-
-  // major 8-byte lanes).
+  // The scratch layout: column-major 8-byte lanes. An empty region has no
+  // lanes; its strips point at the region base.
   const uint8_t* Strip(uint32_t lane) const {
-    if (packed_) {
-      EnsureDecoded();
-      return reinterpret_cast<const uint8_t*>(lanes_) +
-             uint64_t{lane} * capacity_ * kLaneBytes;
-    }
-    return base_ + uint64_t{lane} * capacity_ * kLaneBytes;
-  }
-
-  int64_t LaneI64(uint32_t lane, uint32_t i) const {
-    int64_t v;
-    std::memcpy(&v, base_ + (uint64_t{lane} * capacity_ + i) * kLaneBytes,
-                kLaneBytes);
-    return v;
+    EnsureDecoded();
+    if (lanes_ == nullptr) return base_;
+    return reinterpret_cast<const uint8_t*>(lanes_) +
+           uint64_t{lane} * capacity_ * kLaneBytes;
   }
 
   const uint8_t* base_;
   uint32_t capacity_;
-  bool packed_;
   PackedRegionInfo info_;
   mutable geom::ColumnScratch scratch_;
   mutable int64_t* lanes_ = nullptr;
 };
 
-// Mutable view over the same layout. Packed regions decode eagerly so
+// Mutable view over the same layout. The region decodes eagerly so
 // Get/Set interleave with read-your-writes; the destructor re-encodes the
 // region iff a write happened (canonical bytes — see the file comment).
 class ColumnarPageView : public ConstColumnarPageView {
@@ -169,7 +152,7 @@ class ColumnarPageView : public ConstColumnarPageView {
   ColumnarPageView(Page* page, uint32_t base_off, uint32_t capacity)
       : ConstColumnarPageView(*page, base_off, capacity),
         mut_base_(page->data() + base_off) {
-    if (packed_) EnsureDecoded();
+    EnsureDecoded();
   }
 
   ~ColumnarPageView() {
@@ -178,21 +161,12 @@ class ColumnarPageView : public ConstColumnarPageView {
 
   void Set(uint32_t i, const geom::Segment& s) {
     SEGDB_DCHECK(i < capacity());
-    if (packed_) {
-      int64_t* lanes = MutLanes();
-      lanes[uint64_t{0} * capacity_ + i] = s.x1;
-      lanes[uint64_t{1} * capacity_ + i] = s.x2;
-      lanes[uint64_t{2} * capacity_ + i] = s.y1;
-      lanes[uint64_t{3} * capacity_ + i] = s.y2;
-      lanes[uint64_t{4} * capacity_ + i] = static_cast<int64_t>(s.id);
-      dirty_ = true;
-      return;
-    }
-    StoreLane(0, i, s.x1);
-    StoreLane(1, i, s.x2);
-    StoreLane(2, i, s.y1);
-    StoreLane(3, i, s.y2);
-    StoreLane(4, i, static_cast<int64_t>(s.id));
+    lanes_[uint64_t{0} * capacity_ + i] = s.x1;
+    lanes_[uint64_t{1} * capacity_ + i] = s.x2;
+    lanes_[uint64_t{2} * capacity_ + i] = s.y1;
+    lanes_[uint64_t{3} * capacity_ + i] = s.y2;
+    lanes_[uint64_t{4} * capacity_ + i] = static_cast<int64_t>(s.id);
+    dirty_ = true;
   }
 
   void WriteRange(uint32_t first, const geom::Segment* src, uint32_t count) {
@@ -201,16 +175,6 @@ class ColumnarPageView : public ConstColumnarPageView {
   }
 
  private:
-  int64_t* MutLanes() {
-    // The packed constructor decoded already; lanes_ aliases the scratch.
-    return lanes_;
-  }
-
-  void StoreLane(uint32_t lane, uint32_t i, int64_t v) {
-    std::memcpy(mut_base_ + (uint64_t{lane} * capacity_ + i) * kLaneBytes,
-                &v, kLaneBytes);
-  }
-
   uint8_t* mut_base_;
   bool dirty_ = false;
 };

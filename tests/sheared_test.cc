@@ -149,5 +149,31 @@ TEST(ShearedBoundsTest, RejectsInt64Extremes) {
   EXPECT_EQ(index.size(), 0u);
 }
 
+TEST(ShearedBoundsTest, RejectsZeroDirection) {
+  // (0, 0) names no line: every call is InvalidArgument (no division by
+  // |dx| + |dy| = 0), and the wrapped index keeps what it held.
+  io::SimDiskManager disk(1024);
+  io::BufferPool pool(&disk, 256);
+  auto inner = std::make_unique<TwoLevelIntervalIndex>(&pool);
+  const std::vector<Segment> held = {Segment::Make({0, 0}, {10, 5}, 1),
+                                     Segment::Make({2, 8}, {6, 9}, 2)};
+  ASSERT_TRUE(inner->BulkLoad(held).ok());
+  ShearedIndex index(std::move(inner), 0, 0);
+  const Segment s = Segment::Make({1, 1}, {4, 2}, 3);
+  EXPECT_EQ(index.BulkLoad(std::vector<Segment>{s}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.BulkLoad({}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.Insert(s).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.Erase(held[0]).code(), StatusCode::kInvalidArgument);
+  std::vector<Segment> out;
+  EXPECT_EQ(index.QuerySegment({1, 0}, 3, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.QueryLine({1, 0}, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(index.size(), held.size());
+  EXPECT_TRUE(index.CheckInvariants().ok());
+}
+
 }  // namespace
 }  // namespace segdb::core
