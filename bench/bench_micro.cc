@@ -1,7 +1,8 @@
 // CPU microbenchmarks (google-benchmark): exact predicates, page
 // serialization, buffer-pool hits and misses at 1 and 4 threads, index
-// build throughput, in-memory query latency, the line-PST query layer and
-// the segment page-list scan.
+// build throughput, in-memory query latency, the line-PST query layer,
+// the segment page-list scan, and one device-bound row, a WAL commit on
+// a real file.
 // These complement the I/O-count experiments (E1-E11): the paper's model
 // charges only block transfers, but a practical release should also show
 // the constant factors are sane.
@@ -28,6 +29,7 @@
 #include "io/disk_manager.h"
 #include "io/file_disk_manager.h"
 #include "io/segment_page_list.h"
+#include "io/wal.h"
 #include "pst/point_pst.h"
 #include "pst/line_pst.h"
 #include "util/crc32.h"
@@ -444,12 +446,7 @@ void BM_SegmentPageListScan(benchmark::State& state) {
   io::BufferPool pool(&disk, 64);
   io::SegmentPageList list(&pool);
   Rng rng(61);
-  auto segs = workload::GenMapLayer(rng, fill, 1 << 20);
-  if (segs.size() < fill) {
-    state.SkipWithError("generator returned too few segments");
-    return;
-  }
-  segs.resize(fill);
+  const auto segs = workload::GenMapLayer(rng, fill, 1 << 20);
   if (!list.BulkLoad(segs).ok() || list.page_count() != 1) {
     state.SkipWithError("build failed");
     return;
@@ -600,6 +597,69 @@ void BM_CommitCollectFlush(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CommitCollectFlush);
+
+// A durable commit's log writes on a real device: one WriteAheadLog::Commit
+// of k 4 KiB page images and a 45-byte payload (durable_b's op descriptor)
+// per iteration, on a FileDiskManager in $TMPDIR with O_DIRECT where the
+// filesystem allows it. As in DurableEngine, the log checkpoints every 8
+// commits (untimed), so later commits log onto reused pages. This times
+// the host's disk, not the CPU: it stays out of CI's bench-smoke filter
+// (Arg: images per commit).
+void BM_WalCommitFile(benchmark::State& state) {
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string path = std::string(tmp != nullptr ? tmp : "/tmp") +
+                           "/segdb_bench_micro_wal.segdb";
+  std::remove(path.c_str());
+  {
+    auto opened = io::FileDiskManager::Open(path);
+    if (!opened.ok()) {
+      state.SkipWithError("device open failed");
+      return;
+    }
+    io::FileDiskManager& disk = *opened.value();
+    auto wal = io::WriteAheadLog::Create(&disk);
+    if (!wal.ok()) {
+      state.SkipWithError("WAL create failed");
+      return;
+    }
+    Rng rng(47);
+    std::vector<io::PageImage> images;
+    for (int64_t i = 0; i < state.range(0); ++i) {
+      auto id = disk.AllocatePage();
+      if (!id.ok()) {
+        state.SkipWithError("page allocation failed");
+        return;
+      }
+      io::PageImage image;
+      image.id = id.value();
+      image.bytes.resize(disk.page_size());
+      for (uint8_t& b : image.bytes) b = static_cast<uint8_t>(rng.Next());
+      images.push_back(std::move(image));
+    }
+    const std::vector<uint8_t> payload(45, 7);
+    int since_checkpoint = 0;
+    for (auto _ : state) {
+      if (!wal.value()->Commit(images, payload).ok()) {
+        state.SkipWithError("commit failed");
+        break;
+      }
+      if (++since_checkpoint == 8) {
+        state.PauseTiming();
+        const bool checkpointed = wal.value()->Checkpoint().ok();
+        since_checkpoint = 0;
+        state.ResumeTiming();
+        if (!checkpointed) {
+          state.SkipWithError("checkpoint failed");
+          break;
+        }
+      }
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["direct_io"] = disk.direct_io() ? 1 : 0;
+  }
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_WalCommitFile)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
 
 }  // namespace
 }  // namespace segdb

@@ -261,7 +261,12 @@ void DurableEngine::WritebackAndMaybeCheckpoint() {
   // Post-commit: the WAL barrier has already made this commit durable, so
   // nothing below may fail the mutation. A writeback error leaves the
   // affected pages dirty (pool) or spilled, and they simply ride along
-  // into the next commit's image set — self-healing by re-logging.
+  // into the next commit's image set — self-healing by re-logging. So does
+  // a spilled page that a query's miss takes back into the pool after
+  // FlushAll listed its shard: written by neither flush, it is committed
+  // but dirty in RAM only, so the checkpoint below waits for a writeback
+  // that no such take overlapped.
+  const uint64_t taken = spill_.pages_taken();
   Status writeback = pool_->FlushAll();
   if (writeback.ok()) writeback = spill_.FlushToDevice(device_);
   if (!writeback.ok()) {
@@ -271,7 +276,8 @@ void DurableEngine::WritebackAndMaybeCheckpoint() {
   // Frees are post-commit by protocol: the device free list only ever
   // reflects committed state.
   spill_.ApplyDeferredFrees(device_);
-  if (commits_since_checkpoint_ >= options_.checkpoint_every) {
+  if (commits_since_checkpoint_ >= options_.checkpoint_every &&
+      spill_.pages_taken() == taken) {
     // Checkpoint barriers the writebacks above, then truncates the log. A
     // failed attempt is absorbed — the chain keeps growing until one
     // lands (a poisoned WAL resurfaces on the next Commit).

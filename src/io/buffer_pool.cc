@@ -139,33 +139,38 @@ void BufferPool::ListDirty(Shard& shard, size_t frame) {
 }
 
 Result<size_t> BufferPool::GrabFrame(Shard& shard) {
-  if (!shard.free_frames.empty()) {
-    const size_t idx = shard.free_frames.back();
-    shard.free_frames.pop_back();
-    return idx;
-  }
-  // CLOCK sweep from the hand: an unpinned frame with its reference bit set
-  // gets a second chance (the bit is cleared), the first one without is the
-  // victim. Pins only grow under this shard's mutex, which we hold, so a
-  // frame seen unpinned on the first turn is still unpinned — and
-  // unreferenced — on the second: two turns find a victim unless every
-  // frame was pinned (or claimed) when the hand passed it.
-  const size_t n = shard.frames.size();
   size_t victim = frames_.size();
-  for (size_t step = 0; step < 2 * n; ++step) {
-    const size_t idx = shard.frames[shard.hand];
-    shard.hand = shard.hand + 1 == n ? 0 : shard.hand + 1;
-    Frame& f = frames_[idx];
-    // Acquire pairs with the release-decrement in Unpin: a frame seen
-    // unpinned here is fully released, including its page bytes, dirty
-    // bit and reference bit.
-    if (f.pin_count.load(std::memory_order_acquire) != 0) continue;
-    if (f.referenced.exchange(false, std::memory_order_relaxed)) continue;
-    victim = idx;
-    break;
-  }
-  if (victim == frames_.size()) {
-    return Status::ResourceExhausted("buffer pool: all frames pinned");
+  while (victim == frames_.size()) {
+    if (!shard.free_frames.empty()) {
+      const size_t idx = shard.free_frames.back();
+      shard.free_frames.pop_back();
+      return idx;
+    }
+    // CLOCK sweep from the hand: an unpinned frame with its reference bit
+    // set gets a second chance (the bit is cleared), the first one without
+    // is the victim. Pins only grow under this shard's mutex, which we
+    // hold, so a frame seen unpinned on the first turn is still unpinned —
+    // and unreferenced — on the second: two turns find a victim unless
+    // every frame was pinned (or claimed) when the hand passed it.
+    const size_t n = shard.frames.size();
+    for (size_t step = 0; step < 2 * n; ++step) {
+      const size_t idx = shard.frames[shard.hand];
+      shard.hand = shard.hand + 1 == n ? 0 : shard.hand + 1;
+      Frame& f = frames_[idx];
+      // Acquire pairs with the release-decrement in Unpin: a frame seen
+      // unpinned here is fully released, including its page bytes, dirty
+      // bit and reference bit.
+      if (f.pin_count.load(std::memory_order_acquire) != 0) continue;
+      if (f.referenced.exchange(false, std::memory_order_relaxed)) continue;
+      victim = idx;
+      break;
+    }
+    if (victim != frames_.size()) break;
+    if (!shard.flushing) {
+      return Status::ResourceExhausted("buffer pool: all frames pinned");
+    }
+    // Some pins are FlushAll's, and its batch releases them when it lands.
+    shard.flushed.Wait(shard.mu);
   }
   Frame& f = frames_[victim];
   SEGDB_DCHECK(f.id != kInvalidPageId && !f.staging);
@@ -380,25 +385,57 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
 }
 
 Status BufferPool::FlushAll() {
-  for (Shard& shard : shards_) {
+  // Snapshot the dirty frames shard by shard, each list in frame order:
+  // the device sees the writes in the order a walk over every frame would
+  // issue them, which fault plans depend on. Each snapshotted frame takes
+  // a pin, so while the batch reads its bytes with no shard lock held, a
+  // concurrent miss neither evicts nor reuses it. The pin leaves the
+  // reference bit alone: a flush does not change which frame the hand
+  // takes next.
+  std::vector<size_t> frames;
+  std::vector<PageWrite> writes;
+  std::vector<size_t> shard_end(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
     util::MutexLock lock(&shard.mu);
-    // Frame order: the device sees the writes in the order a walk over
-    // every frame would issue them, which fault plans depend on.
     std::vector<size_t>& list = shard.dirty_frames;
     std::sort(list.begin(), list.end());
-    Status status;
+    const size_t first = writes.size();
+    for (size_t idx : list) {
+      Frame& f = frames_[idx];
+      if (!f.dirty.load(std::memory_order_relaxed)) continue;  // stale
+      f.pin_count.fetch_add(1, std::memory_order_relaxed);
+      frames.push_back(idx);
+      writes.push_back(PageWrite{f.id, &f.page, Status::OK()});
+    }
+    shard_end[s] = writes.size();
+    shard.flushing = writes.size() > first;
+  }
+  const Status status = disk_->WritePages(writes);
+  size_t at = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
+    util::MutexLock lock(&shard.mu);
+    for (; at < shard_end[s]; ++at) {
+      // Pinned since the snapshot, the frame still holds writes[at].id,
+      // and only this writer changes its bytes or dirty bit.
+      Frame& f = frames_[frames[at]];
+      if (writes[at].status.ok()) {
+        f.dirty.store(false, std::memory_order_relaxed);
+        ++shard.stats.writebacks;
+      }
+      f.pin_count.fetch_sub(1, std::memory_order_release);
+    }
+    if (shard.flushing) {
+      shard.flushing = false;
+      shard.flushed.NotifyAll();
+    }
+    // Stale and written entries leave the list; the frames a failed write
+    // left dirty stay listed for the next flush.
+    std::vector<size_t>& list = shard.dirty_frames;
     size_t keep = 0;
     for (size_t idx : list) {
       Frame& f = frames_[idx];
-      if (status.ok() && f.dirty.load(std::memory_order_relaxed)) {
-        status = disk_->WritePage(f.id, f.page);
-        if (status.ok()) {
-          f.dirty.store(false, std::memory_order_relaxed);
-          ++shard.stats.writebacks;
-        }
-      }
-      // Stale and written entries leave the list; after a failed write the
-      // frames still dirty stay listed for the next flush.
       if (f.dirty.load(std::memory_order_relaxed)) {
         list[keep++] = idx;
       } else {
@@ -406,9 +443,8 @@ Status BufferPool::FlushAll() {
       }
     }
     list.resize(keep);
-    SEGDB_RETURN_IF_ERROR(status);
   }
-  return Status::OK();
+  return status;
 }
 
 Status BufferPool::EvictAll() {

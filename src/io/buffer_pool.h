@@ -17,9 +17,11 @@
 // fills it with no lock held, and re-locks to install it. Everything that
 // mutates pages or the page set — NewPage, FreePage, MarkDirty plus writes
 // through page(), FlushAll, EvictAll, ResetStats — requires external
-// synchronization: a single writer with no concurrent readers
-// (quiescence). Stats are kept per shard and aggregated by stats(), so the
-// miss counter still equals the paper's I/O count.
+// synchronization: a single writer. Of these only FlushAll may run beside
+// the read path (a durable commit writes back while queries run): its
+// batch pins the frames it writes, so no miss evicts one under it. The
+// rest need quiescence. Stats are kept per shard and aggregated by
+// stats(), so the miss counter still equals the paper's I/O count.
 //
 // Dirty lists. Each shard lists the frames that went clean -> dirty since
 // its last FlushAll, so a commit's CollectDirty and FlushAll cost its dirty
@@ -126,7 +128,8 @@ class WritebackSink {
 
   // If `id` was spilled, move its bytes into *out (removing the spill
   // entry) and return true. The caller marks the frame dirty: the device
-  // copy is stale until commit-time writeback.
+  // copy is stale until commit-time writeback. May wait while that
+  // writeback of `id` is in flight.
   virtual bool TakeSpilled(PageId id, Page* out) = 0;
 
   virtual bool Contains(PageId id) const = 0;
@@ -196,8 +199,12 @@ class BufferPool {
   // still charged at its first demand Fetch.
   void Prefetch(std::span<const PageId> ids);
 
-  // Writes back all dirty frames (pages stay resident), walking only the
-  // dirty lists, each in frame order. Quiescent only.
+  // Writes back all dirty frames (pages stay resident) in one
+  // DiskManager::WritePages batch: the dirty lists shard by shard, each in
+  // frame order. Exactly the frames whose write landed turn clean; the
+  // rest stay dirty and listed for the next flush. Returns the batch's
+  // first failure. Writer-only, but safe beside concurrent Fetches: the
+  // batch runs with no shard lock held, its frames pinned until it lands.
   Status FlushAll();
 
   // Writes back and drops every unpinned frame — simulates a cold cache.
@@ -287,6 +294,10 @@ class BufferPool {
     std::vector<size_t> dirty_frames SEGDB_GUARDED_BY(mu);
     // CLOCK hand: the position in `frames` the next sweep starts at.
     size_t hand SEGDB_GUARDED_BY(mu) = 0;
+    // A FlushAll batch in flight holds pins on some of `frames`; a miss
+    // that finds every frame pinned waits on `flushed` for it to land.
+    bool flushing SEGDB_GUARDED_BY(mu) = false;
+    util::CondVar flushed;
     BufferPoolStats stats SEGDB_GUARDED_BY(mu);
   };
 
@@ -299,6 +310,8 @@ class BufferPool {
   void Unpin(size_t frame);
   // Takes a free frame of `shard`, else evicts the CLOCK victim, writing it
   // back first if dirty. The frame comes back unmapped, unpinned and clean.
+  // If every frame is pinned while a FlushAll batch holds some of them,
+  // waits for the batch to land rather than fail.
   Result<size_t> GrabFrame(Shard& shard) SEGDB_REQUIRES(shard.mu);
   // Marks a grabbed frame as claimed for `id`: pinned by the claimer,
   // `staging`, not in the page table. The caller holds the frame's shard

@@ -10,6 +10,20 @@ void DiskManager::PeekPagesBatch(std::span<PageFill> fills) {
   }
 }
 
+Status DiskManager::WritePages(std::span<PageWrite> writes) {
+  Status first;
+  for (PageWrite& write : writes) {
+    if (!first.ok()) {
+      write.status = Status::FailedPrecondition(
+          "WritePages: not attempted after an earlier page failed");
+      continue;
+    }
+    write.status = WritePage(write.id, *write.page);
+    if (!write.status.ok()) first = write.status;
+  }
+  return first;
+}
+
 DiskStats DiskManager::stats() const {
   DiskStats s;
   s.reads = counters_.reads.load(std::memory_order_relaxed);

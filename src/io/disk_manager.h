@@ -8,9 +8,9 @@
 //     is irrelevant to the measured quantity (page transfers), so every
 //     model-level experiment runs here.
 //   - io::FileDiskManager (file_disk_manager.h): a real file with
-//     O_DIRECT + batched asynchronous reads through an AsyncIoEngine
-//     (io_uring or a thread-pool fallback). Same counter semantics, so
-//     golden I/O counts are bit-identical across backends.
+//     O_DIRECT + batched asynchronous reads and writes through an
+//     AsyncIoEngine (io_uring or a thread-pool fallback). Same counter
+//     semantics, so golden I/O counts are bit-identical across backends.
 //
 // io::FaultInjectingDiskManager composes over either backend, injecting a
 // seeded fault plan above the device.
@@ -24,9 +24,10 @@
 // allocating and writing fresh pages — while readers drain through the
 // old one, so the device must tolerate a single mutator under a live
 // read storm. Per-page content races remain the layer above's problem:
-// WritePage/WritePagePrefix concurrent with ReadPage of the SAME page is
-// undefined, and the BufferPool's per-frame pins prevent it (a page is
-// only ever filled or written back by the thread holding its frame).
+// WritePage/WritePages/WritePagePrefix concurrent with ReadPage of the
+// SAME page is undefined, and the BufferPool's per-frame pins prevent it
+// (a page is only ever filled or written back by the thread holding its
+// frame).
 // ResetStats still requires quiescence.
 //
 // Lock discipline (DESIGN.md section 12): SimDiskManager's mutex guards
@@ -34,7 +35,8 @@
 // are deliberately unguarded, because their single-writer discipline is
 // enforced by the BufferPool funnel, not by a lock here. The compile-time
 // layer that protects this class is tools/segdb_lint.py:
-// ReadPage/WritePage may only be called from src/io/ (the BufferPool),
+// ReadPage/WritePage/WritePages may only be called from src/io/ (the
+// BufferPool and the WAL),
 // which keeps the paper's I/O accounting — pool misses == charged block
 // reads — from being bypassed by an index structure talking to the disk
 // directly.
@@ -82,6 +84,15 @@ struct PageFill {
   Status status;
 };
 
+// One page of a counted bulk write (WritePages): the device stores `*page`
+// (which must match the page size) at `id` and records the per-page
+// outcome in `status`.
+struct PageWrite {
+  PageId id = kInvalidPageId;
+  const Page* page = nullptr;
+  Status status;
+};
+
 // Abstract device. The page operations are virtual so backends can differ
 // in storage (RAM vs. a real file) and so io::FaultInjectingDiskManager
 // can interpose a seeded fault plan between the pool and any backend.
@@ -97,7 +108,10 @@ class DiskManager {
 
   uint32_t page_size() const { return page_size_; }
 
-  // Allocates a zeroed page and returns its id.
+  // Allocates a page that reads as zeros until its first write, and
+  // returns its id. A backend may keep a reused page's stale bytes on the
+  // medium as long as every read returns zeros instead (FileDiskManager
+  // does; section 16 of DESIGN.md).
   virtual Result<PageId> AllocatePage() = 0;
 
   // Returns a page to the free list. The caller must not use the id again.
@@ -117,6 +131,16 @@ class DiskManager {
 
   // Stores the page contents. Counts one physical write.
   virtual Status WritePage(PageId id, const Page& page) = 0;
+
+  // Stores many pages, one counted write per page that lands, with each
+  // page's outcome in its `status`; returns the first failure in span
+  // order. The default is a WritePage loop in span order that stops at the
+  // first failure (the pages after it are not attempted), so a
+  // fault-injecting wrapper draws exactly the decisions a loop would.
+  // FileDiskManager issues the span as one batched submission instead:
+  // every page is attempted, and a failed transfer fails exactly the pages
+  // it carried.
+  virtual Status WritePages(std::span<PageWrite> writes);
 
   // Stores only the first `prefix_bytes` of `page`; the rest of the stored
   // page keeps its old bytes. This is the torn-write hook used by

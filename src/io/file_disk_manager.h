@@ -1,10 +1,10 @@
 // The real-file DiskManager backend: fixed-size pages in a single file,
-// read with O_DIRECT where the filesystem allows it and batched through
-// an AsyncIoEngine + IoScheduler. Counter semantics are identical to
-// SimDiskManager — a ReadPage is one charged read, PeekPage/PeekPagesBatch
-// are uncounted, AllocatePage charges an allocation but not the physical
-// zeroing — so the golden cold-I/O tables pin both backends with the same
-// numbers; only wall-clock differs.
+// transferred with O_DIRECT where the filesystem allows it and batched
+// through an AsyncIoEngine + IoScheduler. Counter semantics are identical
+// to SimDiskManager — a ReadPage is one charged read, a WritePage or each
+// page of a WritePages one counted write, PeekPage/PeekPagesBatch are
+// uncounted, AllocatePage charges an allocation — so the golden cold-I/O
+// tables pin both backends with the same numbers; only wall-clock differs.
 //
 // File layout (all regions page_size-aligned; page_size must be a
 // multiple of 4 KiB, the O_DIRECT transfer granule):
@@ -16,9 +16,22 @@
 // Both are written back on Close()/Flush() — in-memory state is
 // authoritative in between (crash consistency is out of scope; the fault
 // story lives in FaultInjectingDiskManager, which composes *above* this
-// backend). Newly allocated pages read as zeros without a physical write:
-// the file is grown with ftruncate and holes read back as zeros; only
-// free-list reuse rewrites the page, since it holds stale bytes.
+// backend).
+//
+// Allocation writes nothing. A page past the old frontier reads as zeros
+// because the file grows with ftruncate and holes read back as zeros. A
+// page reused from the free list still holds stale bytes on the medium, so
+// AllocatePage marks it *unwritten* in a RAM bitmap beside the live one;
+// every read path returns zeros for an unwritten page, and its first
+// successful write (or its free) clears the mark. Close/Flush zero-fill
+// the few pages still unwritten, so a reopened file reads them as zeros
+// too.
+//
+// Writes go through the scheduler: WritePages is one batched submission
+// (sorted, adjacent pages merged, waves of the engine's queue depth).
+// WritePage is a batch of one, and a batch of one page is one blocking
+// transfer, as a single read is: it has nothing to overlap. The metadata
+// and the torn-write hook use single blocking transfers too.
 //
 // O_DIRECT is attempted by default and dropped automatically where the
 // filesystem rejects it (tmpfs); kOn fails instead of degrading, kOff
@@ -26,13 +39,13 @@
 //
 // Concurrency: same contract as the abstract base — the read path is
 // safe from any number of threads. ReadPage, PeekPage and PrefetchPages
-// take no lock: liveness is a bitmap of atomic words that AllocatePage and
-// FreePage flip under the mutex, the fd is fixed from Open to Close, and a
-// read lands straight in the caller's page (under O_DIRECT, through an
-// aligned buffer owned by the call). Allocation, free, file growth, writes,
-// Sync, the metadata, and the engine and scheduler that one thread at a
-// time may drive (PeekPagesBatch) stay under the mutex. Close must not
-// overlap any other call.
+// take no lock: liveness and the unwritten marks are bitmaps of atomic
+// words that the writer paths flip under the mutex, the fd is fixed from
+// Open to Close, and a read lands straight in the caller's page (under
+// O_DIRECT, through an aligned buffer owned by the call). Allocation,
+// free, file growth, writes, Sync, the metadata, and the engine and
+// scheduler that one thread at a time may drive (PeekPagesBatch,
+// WritePages) stay under the mutex. Close must not overlap any other call.
 #ifndef SEGDB_IO_FILE_DISK_MANAGER_H_
 #define SEGDB_IO_FILE_DISK_MANAGER_H_
 
@@ -85,6 +98,7 @@ class FileDiskManager final : public DiskManager {
   Status ReadPage(PageId id, Page* out) override;
   Status PeekPage(PageId id, Page* out) const override;
   Status WritePage(PageId id, const Page& page) override;
+  Status WritePages(std::span<PageWrite> writes) override;
   Status WritePagePrefix(PageId id, const Page& page,
                          uint32_t prefix_bytes) override;
   Status Sync() override;
@@ -106,9 +120,14 @@ class FileDiskManager final : public DiskManager {
   Status InitExisting(uint64_t file_size) SEGDB_REQUIRES(mu_);
   Status WriteMeta() SEGDB_REQUIRES(mu_);
 
-  // Lock-free: pairs with the release in SetLive.
+  // Lock-free: pair with the release stores in SetLive/SetUnwritten.
   bool IsLive(PageId id) const;
   void SetLive(PageId id, bool live) SEGDB_REQUIRES(mu_);
+  bool IsUnwritten(PageId id) const;
+  void SetUnwritten(PageId id, bool unwritten) SEGDB_REQUIRES(mu_);
+  // Writes zeros over every page still unwritten and clears the marks:
+  // the file then holds what the read paths return.
+  Status ZeroUnwritten() SEGDB_REQUIRES(mu_);
   uint64_t PageOffset(PageId id) const {
     return data_offset_ + uint64_t{id} * page_size();
   }
@@ -133,6 +152,9 @@ class FileDiskManager final : public DiskManager {
 
   // One bit per page id below max_pages_; written under mu_, read without.
   std::unique_ptr<std::atomic<uint64_t>[]> live_;
+  // Reused pages not yet written since allocation (see the file comment);
+  // same geometry and discipline as live_.
+  std::unique_ptr<std::atomic<uint64_t>[]> unwritten_;
   std::vector<PageId> free_list_ SEGDB_GUARDED_BY(mu_);
   uint64_t frontier_ SEGDB_GUARDED_BY(mu_) = 0;  // never-allocated boundary
   uint64_t file_size_ SEGDB_GUARDED_BY(mu_) = 0;

@@ -23,22 +23,22 @@ IoScheduler::IoScheduler(AsyncIoEngine* engine, uint32_t page_size,
 
 namespace {
 
-// One engine op covering `count` consecutive device pages starting at
-// `first`. Every run reads into an aligned scratch buffer and is
-// scattered to the requesters' destinations on completion — O_DIRECT
-// demands 4 KiB-aligned transfer buffers and the callers' Page storage
-// gives no such guarantee, so the bounce is unconditional (one memcpy per
-// page, noise next to a device transfer).
+constexpr size_t kScratchAlign = 4096;
+
+// One engine op covering `count` consecutive device pages, the primaries
+// [begin, begin + count) of the sorted plan. Every run transfers through
+// an aligned scratch buffer — O_DIRECT demands 4 KiB-aligned transfer
+// buffers and the callers' Page storage gives no such guarantee, so the
+// bounce is unconditional (one memcpy per page, noise next to a device
+// transfer). The scratch exists only while the op is in flight.
 struct Run {
-  PageId first = kInvalidPageId;
+  size_t begin = 0;
   uint32_t count = 0;
-  std::vector<PageReadRequest*> primaries;  // one per page, in run order
+  size_t scratch_bytes = 0;
   std::unique_ptr<uint8_t[], decltype(&std::free)> scratch{nullptr,
                                                            &std::free};
   IoOp op;
 };
-
-constexpr size_t kScratchAlign = 4096;
 
 }  // namespace
 
@@ -47,27 +47,59 @@ Status IoScheduler::ReadPages(std::span<PageReadRequest> requests) {
   stats_.pages += requests.size();
   stats_.max_batch_pages =
       std::max<uint64_t>(stats_.max_batch_pages, requests.size());
-  if (requests.empty()) return Status::OK();
+  std::vector<Transfer> transfers;
+  transfers.reserve(requests.size());
+  for (PageReadRequest& r : requests) {
+    transfers.push_back(Transfer{r.id, r.dst, nullptr, &r.status});
+  }
+  return Execute(IoOp::Kind::kRead, transfers);
+}
 
-  // Dedup: the first request for an id is its primary; later requests for
-  // the same id are satisfied by copy after the primary completes.
-  std::vector<PageReadRequest*> order;
-  order.reserve(requests.size());
-  for (PageReadRequest& r : requests) order.push_back(&r);
+Status IoScheduler::WritePages(std::span<PageWriteRequest> requests) {
+  ++stats_.write_batches;
+  stats_.write_pages += requests.size();
+  std::vector<Transfer> transfers;
+  transfers.reserve(requests.size());
+  for (PageWriteRequest& r : requests) {
+    transfers.push_back(Transfer{r.id, nullptr, r.src, &r.status});
+  }
+  return Execute(IoOp::Kind::kWrite, transfers);
+}
+
+Status IoScheduler::Execute(IoOp::Kind kind,
+                            std::vector<Transfer>& transfers) {
+  if (transfers.empty()) return Status::OK();
+  const bool read = kind == IoOp::Kind::kRead;
+
+  // Sort by id, keeping request order among equal ids. Each id is
+  // transferred once, by its primary: a read's first requester (the rest
+  // get copies), a write's last (the bytes a loop in request order would
+  // leave; the rest get its status).
+  std::vector<Transfer*> order;
+  order.reserve(transfers.size());
+  for (Transfer& t : transfers) order.push_back(&t);
   std::stable_sort(order.begin(), order.end(),
-                   [](const PageReadRequest* a, const PageReadRequest* b) {
+                   [](const Transfer* a, const Transfer* b) {
                      return a->id < b->id;
                    });
-  std::vector<PageReadRequest*> primaries;
-  std::vector<std::pair<PageReadRequest*, PageReadRequest*>> duplicates;
+  std::vector<Transfer*> primaries;
+  std::vector<std::pair<Transfer*, Transfer*>> duplicates;
   primaries.reserve(order.size());
-  for (PageReadRequest* r : order) {
-    if (!primaries.empty() && primaries.back()->id == r->id) {
-      duplicates.emplace_back(r, primaries.back());
-      ++stats_.dedup_skips;
-    } else {
-      primaries.push_back(r);
+  for (size_t i = 0; i < order.size();) {
+    size_t j = i + 1;
+    while (j < order.size() && order[j]->id == order[i]->id) ++j;
+    Transfer* primary = read ? order[i] : order[j - 1];
+    primaries.push_back(primary);
+    for (size_t k = i; k < j; ++k) {
+      if (order[k] != primary) duplicates.emplace_back(order[k], primary);
     }
+    i = j;
+  }
+  if (read) stats_.dedup_skips += duplicates.size();
+  // Until its op completes, a page has not been transferred: an engine
+  // failure that ends the batch early must not leave it looking done.
+  for (Transfer* t : primaries) {
+    *t->status = Status::IoError("transfer did not complete");
   }
 
   // Merge runs of adjacent page ids into multi-page transfers.
@@ -80,34 +112,34 @@ Status IoScheduler::ReadPages(std::span<PageReadRequest> requests) {
       ++j;
     }
     Run run;
-    run.first = primaries[i]->id;
+    run.begin = i;
     run.count = static_cast<uint32_t>(j - i);
-    run.primaries.assign(primaries.begin() + i, primaries.begin() + j);
+    run.op.kind = kind;
+    run.op.offset = data_offset_ + uint64_t{primaries[i]->id} * page_size_;
+    run.op.length = run.count * page_size_;
+    if (run.count > 1) {
+      (read ? stats_.merged_pages : stats_.write_merged_pages) += run.count;
+      if (read) {
+        stats_.max_merged_run =
+            std::max<uint64_t>(stats_.max_merged_run, run.count);
+      }
+    }
     runs.push_back(std::move(run));
     i = j;
   }
-  for (Run& run : runs) {
-    if (run.count > 1) {
-      stats_.merged_pages += run.count;
-      stats_.max_merged_run =
-          std::max<uint64_t>(stats_.max_merged_run, run.count);
-    }
-    size_t bytes = size_t{run.count} * page_size_;
-    size_t alloc = (bytes + kScratchAlign - 1) / kScratchAlign *
-                   kScratchAlign;  // aligned_alloc wants size % align == 0
-    run.scratch.reset(
-        static_cast<uint8_t*>(std::aligned_alloc(kScratchAlign, alloc)));
-    SEGDB_CHECK(run.scratch != nullptr) << "scheduler scratch allocation";
-    run.op.kind = IoOp::Kind::kRead;
-    run.op.offset = data_offset_ + uint64_t{run.first} * page_size_;
-    run.op.length = run.count * page_size_;
-    run.op.buf = run.scratch.get();
-  }
 
-  // Drive the engine in waves bounded by its queue depth.
+  // Drive the engine in waves bounded by its queue depth. A run gets its
+  // scratch (a write copies its pages in) when it is submitted and gives it
+  // back when it completes (a read copies its pages out).
   std::unordered_map<const IoOp*, Run*> by_op;
   by_op.reserve(runs.size());
   for (Run& run : runs) by_op.emplace(&run.op, &run);
+  uint64_t scratch_held = 0;
+  const auto release = [&scratch_held](Run& run) {
+    scratch_held -= run.scratch_bytes;
+    run.scratch.reset();
+    run.scratch_bytes = 0;
+  };
   std::vector<IoOp*> wave;
   std::vector<IoOp*> completed;
   size_t next = 0;
@@ -118,19 +150,42 @@ Status IoScheduler::ReadPages(std::span<PageReadRequest> requests) {
     if (submit_error.ok() && room > 0 && next < runs.size()) {
       wave.clear();
       size_t take = std::min<size_t>(room, runs.size() - next);
-      for (size_t k = 0; k < take; ++k) wave.push_back(&runs[next + k].op);
+      for (size_t k = 0; k < take; ++k) {
+        Run& run = runs[next + k];
+        // aligned_alloc wants size % align == 0.
+        run.scratch_bytes = (size_t{run.op.length} + kScratchAlign - 1) /
+                            kScratchAlign * kScratchAlign;
+        run.scratch.reset(static_cast<uint8_t*>(
+            std::aligned_alloc(kScratchAlign, run.scratch_bytes)));
+        SEGDB_CHECK(run.scratch != nullptr) << "scheduler scratch allocation";
+        scratch_held += run.scratch_bytes;
+        run.op.buf = run.scratch.get();
+        if (!read) {
+          for (uint32_t p = 0; p < run.count; ++p) {
+            std::memcpy(run.op.buf + size_t{p} * page_size_,
+                        primaries[run.begin + p]->src, page_size_);
+          }
+        }
+        wave.push_back(&run.op);
+      }
+      stats_.max_scratch_bytes =
+          std::max<uint64_t>(stats_.max_scratch_bytes, scratch_held);
       Status s = engine_->Start(wave);
       if (s.ok()) {
         next += take;
-        stats_.submissions += take;
-        stats_.max_inflight =
-            std::max<uint64_t>(stats_.max_inflight, engine_->inflight());
+        (read ? stats_.submissions : stats_.write_submissions) += take;
+        if (read) {
+          stats_.max_inflight =
+              std::max<uint64_t>(stats_.max_inflight, engine_->inflight());
+        }
       } else {
         // Submission-level failure: fail every unsubmitted run and stop
         // submitting, but still drain what is already in flight.
         submit_error = s;
         for (size_t k = next; k < runs.size(); ++k) {
-          for (PageReadRequest* r : runs[k].primaries) r->status = s;
+          for (uint32_t p = 0; p < runs[k].count; ++p) {
+            *primaries[runs[k].begin + p]->status = s;
+          }
           ++finished;
         }
         next = runs.size();
@@ -145,21 +200,22 @@ Status IoScheduler::ReadPages(std::span<PageReadRequest> requests) {
     SEGDB_RETURN_IF_ERROR(engine_->WaitOne(&completed));
     for (IoOp* op : completed) {
       Run* run = by_op.at(op);
-      for (size_t p = 0; p < run->primaries.size(); ++p) {
-        PageReadRequest* r = run->primaries[p];
-        r->status = op->status;
-        if (op->status.ok()) {
-          std::memcpy(r->dst, run->scratch.get() + p * size_t{page_size_},
+      for (uint32_t p = 0; p < run->count; ++p) {
+        Transfer* t = primaries[run->begin + p];
+        *t->status = op->status;
+        if (read && op->status.ok()) {
+          std::memcpy(t->dst, run->scratch.get() + size_t{p} * page_size_,
                       page_size_);
         }
       }
+      release(*run);
       ++finished;
     }
   }
 
   for (auto& [dup, primary] : duplicates) {
-    dup->status = primary->status;
-    if (primary->status.ok()) {
+    *dup->status = *primary->status;
+    if (read && primary->status->ok()) {
       std::memcpy(dup->dst, primary->dst, page_size_);
     }
   }

@@ -62,10 +62,18 @@ void WriteAnchorSlot(Page* page, uint32_t off, uint64_t generation,
   page->WriteAt<uint32_t>(off + 16, util::Crc32(page->data() + off, 16));
 }
 
+// Chain pages stamped before they go to the device in one WritePages
+// call. A bound on the writer's RAM, not on I/O overlap: a batch of any
+// size (a bulk load's commit logs thousands of pages) holds at most this
+// many page buffers, and the device splits each call into its own
+// submission waves.
+constexpr size_t kChainPagesPerWrite = 32;
+
 // Packs a batch's record stream into its chain pages as the records are
-// produced: bytes land in one reused page body, and each full body, and
-// the last partial one at Finish(), is stamped and written to the next of
-// the batch's ids.
+// produced: bytes land in the current page body, and each full body, and
+// the last partial one at Finish(), is stamped for the next of the batch's
+// ids. Stamped pages go to the device together, kChainPagesPerWrite per
+// WritePages call, in chain order.
 class ChainPageWriter {
  public:
   ChainPageWriter(DiskManager* disk, uint64_t generation, uint64_t start_seq,
@@ -76,18 +84,19 @@ class ChainPageWriter {
         ids_(ids),
         next_head_(next_head),
         capacity_(disk->page_size() - kPageHeaderBytes),
-        page_(disk->page_size()) {}
+        pages_(std::min(ids.size(), kChainPagesPerWrite),
+               Page(disk->page_size())) {}
 
   Status Append(const void* data, size_t n) {
     const uint8_t* src = static_cast<const uint8_t*>(data);
     while (n > 0) {
       const uint32_t take =
           static_cast<uint32_t>(std::min<size_t>(n, capacity_ - used_));
-      std::memcpy(page_.data() + kPageHeaderBytes + used_, src, take);
+      std::memcpy(page().data() + kPageHeaderBytes + used_, src, take);
       used_ += take;
       src += take;
       n -= take;
-      if (used_ == capacity_) SEGDB_RETURN_IF_ERROR(WritePage());
+      if (used_ == capacity_) SEGDB_RETURN_IF_ERROR(StampPage());
     }
     return Status::OK();
   }
@@ -103,28 +112,46 @@ class ChainPageWriter {
     return Append(header, sizeof(header));
   }
 
-  // Writes the last, partly filled page, if any.
-  Status Finish() { return used_ == 0 ? Status::OK() : WritePage(); }
+  // Stamps the last, partly filled page, if any, and writes every stamped
+  // page still held.
+  Status Finish() {
+    if (used_ != 0) SEGDB_RETURN_IF_ERROR(StampPage());
+    return WriteStamped();
+  }
 
   size_t pages_written() const { return written_; }
 
  private:
-  Status WritePage() {
-    SEGDB_CHECK(written_ < ids_.size());
-    std::memset(page_.data() + kPageHeaderBytes + used_, 0,
-                capacity_ - used_);
-    page_.WriteAt<uint32_t>(kOffMagic, kPageMagic);
-    page_.WriteAt<uint32_t>(kOffCrc, 0);
-    page_.WriteAt<uint64_t>(kOffGeneration, generation_);
-    page_.WriteAt<uint64_t>(kOffSeq, start_seq_ + written_);
-    page_.WriteAt<PageId>(kOffNext, written_ + 1 < ids_.size()
-                                        ? ids_[written_ + 1]
-                                        : next_head_);
-    page_.WriteAt<uint32_t>(kOffUsed, used_);
-    page_.WriteAt<uint32_t>(kOffCrc, util::Crc32(page_.data(), page_.size()));
-    SEGDB_RETURN_IF_ERROR(disk_->WritePage(ids_[written_], page_));
-    ++written_;
+  Page& page() { return pages_[stamped_ - written_]; }
+
+  Status StampPage() {
+    SEGDB_CHECK(stamped_ < ids_.size());
+    Page& p = page();
+    std::memset(p.data() + kPageHeaderBytes + used_, 0, capacity_ - used_);
+    p.WriteAt<uint32_t>(kOffMagic, kPageMagic);
+    p.WriteAt<uint32_t>(kOffCrc, 0);
+    p.WriteAt<uint64_t>(kOffGeneration, generation_);
+    p.WriteAt<uint64_t>(kOffSeq, start_seq_ + stamped_);
+    p.WriteAt<PageId>(kOffNext, stamped_ + 1 < ids_.size()
+                                    ? ids_[stamped_ + 1]
+                                    : next_head_);
+    p.WriteAt<uint32_t>(kOffUsed, used_);
+    p.WriteAt<uint32_t>(kOffCrc, util::Crc32(p.data(), p.size()));
+    ++stamped_;
     used_ = 0;
+    return stamped_ - written_ == pages_.size() ? WriteStamped()
+                                                : Status::OK();
+  }
+
+  Status WriteStamped() {
+    if (stamped_ == written_) return Status::OK();
+    std::vector<PageWrite> writes;
+    writes.reserve(stamped_ - written_);
+    for (size_t i = written_; i < stamped_; ++i) {
+      writes.push_back(PageWrite{ids_[i], &pages_[i - written_], Status::OK()});
+    }
+    SEGDB_RETURN_IF_ERROR(disk_->WritePages(writes));
+    written_ = stamped_;
     return Status::OK();
   }
 
@@ -134,8 +161,10 @@ class ChainPageWriter {
   const std::vector<PageId>& ids_;
   const PageId next_head_;
   const uint32_t capacity_;
-  Page page_;
+  // The pages stamped since the last write, then the one being filled.
+  std::vector<Page> pages_;
   uint32_t used_ = 0;
+  size_t stamped_ = 0;
   size_t written_ = 0;
 };
 
@@ -150,22 +179,28 @@ Status Poisoned() {
 
 void DirtyPageSpill::CaptureEviction(PageId id, const Page& page) {
   util::MutexLock lock(&mu_);
-  spilled_[id].assign(page.data(), page.data() + page.size());
+  spilled_.insert_or_assign(id, page);
 }
 
 bool DirtyPageSpill::TakeSpilled(PageId id, Page* out) {
   util::MutexLock lock(&mu_);
+  // The device copy of a page in a FlushToDevice batch is not yet the
+  // spilled one: wait for the batch, then take the page if its write
+  // failed and re-armed it.
+  while (writing_.find(id) != writing_.end()) landed_.Wait(mu_);
   auto it = spilled_.find(id);
   if (it == spilled_.end()) return false;
   SEGDB_CHECK(it->second.size() == out->size());
   std::memcpy(out->data(), it->second.data(), it->second.size());
   spilled_.erase(it);
+  ++pages_taken_;
   return true;
 }
 
 bool DirtyPageSpill::Contains(PageId id) const {
   util::MutexLock lock(&mu_);
-  return spilled_.find(id) != spilled_.end();
+  return spilled_.find(id) != spilled_.end() ||
+         writing_.find(id) != writing_.end();
 }
 
 void DirtyPageSpill::DeferFree(PageId id) {
@@ -177,34 +212,37 @@ void DirtyPageSpill::DeferFree(PageId id) {
 
 void DirtyPageSpill::CollectImages(std::vector<PageImage>* out) const {
   util::MutexLock lock(&mu_);
-  for (const auto& [id, bytes] : spilled_) {
+  for (const auto& [id, page] : spilled_) {
     PageImage image;
     image.id = id;
-    image.bytes = bytes;
+    image.bytes.assign(page.data(), page.data() + page.size());
     out->push_back(std::move(image));
   }
 }
 
 Status DirtyPageSpill::FlushToDevice(DiskManager* disk) {
-  std::map<PageId, std::vector<uint8_t>> taken;
+  // The batch reads the pages in writing_ with no lock held; they stay
+  // there, visible to TakeSpilled and Contains, until it lands. Only this
+  // writer changes writing_ itself.
+  std::vector<PageWrite> writes;
   {
     util::MutexLock lock(&mu_);
-    taken.swap(spilled_);
-  }
-  for (auto it = taken.begin(); it != taken.end(); ++it) {
-    Page page(disk->page_size());
-    SEGDB_CHECK(it->second.size() == page.size());
-    std::memcpy(page.data(), it->second.data(), it->second.size());
-    Status s = disk->WritePage(it->first, page);
-    if (!s.ok()) {
-      // Re-arm the unwritten tail (the failed page included). insert()
-      // keeps any image spilled while we were unlocked — newer bytes win.
-      util::MutexLock lock(&mu_);
-      for (; it != taken.end(); ++it) spilled_.insert(*it);
-      return s;
+    SEGDB_DCHECK(writing_.empty());
+    writing_.swap(spilled_);
+    writes.reserve(writing_.size());
+    for (const auto& [id, page] : writing_) {
+      writes.push_back(PageWrite{id, &page, Status::OK()});
     }
   }
-  return Status::OK();
+  const Status s = disk->WritePages(writes);
+  util::MutexLock lock(&mu_);
+  // Re-arm exactly the pages that did not land; drop the rest.
+  for (const PageWrite& write : writes) {
+    if (!write.status.ok()) spilled_.insert(writing_.extract(write.id));
+  }
+  writing_.clear();
+  landed_.NotifyAll();
+  return s;
 }
 
 void DirtyPageSpill::ApplyDeferredFrees(DiskManager* disk) {
@@ -219,6 +257,11 @@ void DirtyPageSpill::ApplyDeferredFrees(DiskManager* disk) {
 size_t DirtyPageSpill::spilled_pages() const {
   util::MutexLock lock(&mu_);
   return spilled_.size();
+}
+
+uint64_t DirtyPageSpill::pages_taken() const {
+  util::MutexLock lock(&mu_);
+  return pages_taken_;
 }
 
 size_t DirtyPageSpill::deferred_free_count() const {
@@ -241,8 +284,10 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Create(
   if (!anchor.ok()) return anchor.status();
   Result<PageId> head = disk->AllocatePage();
   if (!head.ok()) return head.status();
-  // The head stays zeroed (= no valid page, empty chain) until the first
-  // batch writes it; only the anchor is formatted.
+  // The head reads as zeros (= no valid page, empty chain) until the first
+  // batch writes it; only the anchor is formatted. Its medium may still
+  // hold a stale chain page from an older generation, which the chain walk
+  // rejects (see "Stale pages" in wal.h).
   SEGDB_RETURN_IF_ERROR(PublishAnchor(disk, anchor.value(), 1, head.value()));
   std::unique_ptr<WriteAheadLog> log(
       new WriteAheadLog(disk, anchor.value(), options));

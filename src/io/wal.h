@@ -27,11 +27,21 @@
 //
 // Serialization. A batch's record stream is never materialized: the leader
 // sizes it, allocates its page ids, then writes record headers, image ids
-// and image bytes straight into one reused chain-page buffer, stamping
-// (header, zeroed tail, CRC) and writing each page as it fills. An image
-// record's payload CRC chains over the id, then the bytes, so the page
-// image is checksummed where it lies. Pages and records are byte-identical
-// to splitting one flat stream (wal_test pins a digest of them).
+// and image bytes straight into chain-page buffers, stamping each page
+// (header, zeroed tail, CRC) as it fills and handing the stamped pages to
+// the device together, up to 32 per WritePages call, so a file device
+// overlaps a commit's log writes. An image record's payload
+// CRC chains over the id, then the bytes, so the page image is checksummed
+// where it lies. Pages and records are byte-identical to splitting one
+// flat stream (wal_test pins a digest of them).
+//
+// Stale pages. A device need not zero a reused page on the medium
+// (FileDiskManager returns zeros for it until its first write, but a
+// crash loses that), so the pre-allocated next head or a continuation
+// page may hold an old chain page. The walk still stops there: a chain
+// page from an older generation fails the generation check, and one of
+// the current generation is a page still in this chain, whose seq is not
+// the next one (wal_test plants both).
 //
 // Group commit. Concurrent committers queue behind a leader: the first
 // waiter becomes leader, optionally holds the door for
@@ -99,9 +109,11 @@ class DirtyPageSpill final : public WritebackSink {
   // for reproducible WAL byte streams). Entries stay spilled.
   void CollectImages(std::vector<PageImage>* out) const;
 
-  // Commit-time writeback of every spilled page; written entries are
-  // dropped. On a device error the unwritten entries (including the failed
-  // one) stay spilled, so a retry or the next commit still owns the bytes.
+  // Commit-time writeback of every spilled page, as one WritePages batch;
+  // written entries are dropped. On a device error exactly the pages that
+  // did not land stay spilled, so a retry or the next commit still owns
+  // the bytes. A concurrent TakeSpilled of a page in the batch waits for
+  // it to land.
   Status FlushToDevice(DiskManager* disk);
 
   // Applies the deferred device frees (reliable metadata ops) and clears
@@ -109,13 +121,20 @@ class DirtyPageSpill final : public WritebackSink {
   void ApplyDeferredFrees(DiskManager* disk);
 
   size_t spilled_pages() const;
+  // Spilled pages a miss has taken back into the pool, ever.
+  uint64_t pages_taken() const;
   size_t deferred_free_count() const;
 
  private:
   mutable util::Mutex mu_;
   // Ordered: CollectImages and FlushToDevice walk in id order so device
   // write order and WAL serialization are deterministic run-to-run.
-  std::map<PageId, std::vector<uint8_t>> spilled_ SEGDB_GUARDED_BY(mu_);
+  std::map<PageId, Page> spilled_ SEGDB_GUARDED_BY(mu_);
+  // The pages of the FlushToDevice batch in flight; `landed_` is notified
+  // when it settles.
+  std::map<PageId, Page> writing_ SEGDB_GUARDED_BY(mu_);
+  util::CondVar landed_;
+  uint64_t pages_taken_ SEGDB_GUARDED_BY(mu_) = 0;
   std::vector<PageId> deferred_frees_ SEGDB_GUARDED_BY(mu_);
 };
 

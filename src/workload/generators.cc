@@ -264,6 +264,9 @@ std::vector<Segment> GenMapLayer(Rng& rng, uint64_t n, int64_t width,
     const int64_t b = width - rng.UniformInt(0, width / 4);
     out.push_back(Segment::Make(Point{a, y}, Point{b, y}, id++));
   }
+  // A small n still gets a whole 63-segment chain, so the families can
+  // overshoot: keep the first n, whose ids stay consecutive.
+  if (out.size() > n) out.resize(n);
   return out;
 }
 

@@ -81,8 +81,9 @@ std::vector<geom::Segment> GenCollinearVertical(Rng& rng, uint64_t n,
                                                 int64_t x0, int64_t height,
                                                 uint64_t first_id = 0);
 
-// A mixed "map layer": monotone chains + strips + a few long spans,
-// shuffled. The default dataset for end-to-end experiments.
+// A mixed "map layer": monotone chains + strips + a few long spans, in
+// disjoint bands. Exactly n segments, with consecutive ids from first_id.
+// The default dataset for end-to-end experiments.
 std::vector<geom::Segment> GenMapLayer(Rng& rng, uint64_t n, int64_t width,
                                        uint64_t first_id = 0);
 

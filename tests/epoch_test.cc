@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +26,8 @@
 #include "core/two_level_interval_index.h"
 #include "io/buffer_pool.h"
 #include "io/disk_manager.h"
+#include "io/page.h"
+#include "io/recovery.h"
 #include "util/random.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -220,6 +227,247 @@ TEST(EpochConcurrencyTest, EngineBulkLoadSwapsUnderQueryStorm) {
   EXPECT_GT(answered.load(), 24u);
   EXPECT_EQ(engine->size(), universe.size());
   EXPECT_TRUE(engine->CheckInvariants().ok());
+}
+
+// The same storm through a pool far smaller than one generation's index:
+// every build spills dirty pages, and each commit's writeback (the pool's
+// dirty frames, then the spilled pages) runs while the readers' misses
+// evict frames and pull spilled pages back in. Every answer must be the
+// exact answer over one published prefix, and the device must end up
+// holding every committed page: a cold pool over it answers like the
+// engine did.
+TEST(EpochConcurrencyTest, EngineBulkLoadCommitsUnderQueryStormInTinyPool) {
+  constexpr size_t kGenerations = 12;
+  io::SimDiskManager disk(1024);
+  io::BufferPool pool(&disk, 24);
+  const auto factory = [](io::BufferPool* p) {
+    return std::make_unique<TwoLevelIntervalIndex>(p);
+  };
+  Result<std::unique_ptr<DurableEngine>> created =
+      DurableEngine::Create(&pool, &disk, factory);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<DurableEngine> engine = std::move(created.value());
+
+  Rng rng(20261020);
+  const auto universe = workload::GenMapLayer(rng, 1200, 1200 * 125);
+  const auto box = workload::ComputeBoundingBox(universe);
+  std::vector<size_t> published = {universe.size() / 4};
+  for (size_t gen = 1; gen <= kGenerations; ++gen) {
+    published.push_back(universe.size() / 4 +
+                        gen * (universe.size() - universe.size() / 4) /
+                            kGenerations);
+  }
+  ASSERT_TRUE(engine->BulkLoad({universe.data(), published[0]}).ok());
+
+  // An answer is right iff it is the stabbing set of one published
+  // prefix: the first k stabbed universe positions, where the (k+1)-th
+  // lies at or past that prefix's end.
+  const auto matches_a_prefix = [&universe, &published](
+                                    int64_t x0,
+                                    std::vector<geom::Segment> answer) {
+    std::vector<size_t> stabbed;
+    for (size_t i = 0; i < universe.size(); ++i) {
+      if (universe[i].x1 <= x0 && x0 <= universe[i].x2) stabbed.push_back(i);
+    }
+    std::sort(answer.begin(), answer.end(),
+              [](const geom::Segment& a, const geom::Segment& b) {
+                return a.id < b.id;
+              });
+    if (answer.size() > stabbed.size()) return false;
+    for (size_t k = 0; k < answer.size(); ++k) {
+      const geom::Segment& want = universe[stabbed[k]];
+      const geom::Segment& got = answer[k];
+      if (got.id != want.id || got.x1 != want.x1 || got.y1 != want.y1 ||
+          got.x2 != want.x2 || got.y2 != want.y2) {
+        return false;
+      }
+    }
+    const size_t lo = answer.empty() ? 0 : stabbed[answer.size() - 1] + 1;
+    const size_t hi = answer.size() == stabbed.size()
+                          ? universe.size()
+                          : stabbed[answer.size()];
+    for (size_t count : published) {
+      if (lo <= count && count <= hi) return true;
+    }
+    return false;
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> answered{0};
+  std::atomic<uint64_t> failures{0};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng qrng(2000 + r);
+      std::vector<geom::Segment> out;
+      while (!stop.load(std::memory_order_acquire)) {
+        const int64_t x0 = qrng.UniformInt(box.xmin, box.xmax);
+        out.clear();
+        const Status s =
+            engine->Query(core::VerticalSegmentQuery::Line(x0), &out);
+        if (!s.ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        } else if (!matches_a_prefix(x0, out)) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  Status loaded;
+  for (size_t gen = 1; gen <= kGenerations && loaded.ok(); ++gen) {
+    // Let the storm run into every build and commit.
+    const uint64_t mark = answered.load(std::memory_order_relaxed);
+    while (answered.load(std::memory_order_relaxed) == mark) {
+      std::this_thread::yield();
+    }
+    loaded = engine->BulkLoad({universe.data(), published[gen]});
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(answered.load(), kGenerations);
+  EXPECT_GT(pool.stats().spills, 0u);
+  EXPECT_EQ(engine->writeback_failures(), 0u);
+  EXPECT_EQ(engine->size(), universe.size());
+  EXPECT_TRUE(engine->CheckInvariants().ok());
+
+  // Every commit's writeback landed: with the pool emptied, answers come
+  // from the device alone.
+  ASSERT_TRUE(pool.EvictAll().ok());
+  Rng probe(31);
+  for (int q = 0; q < 64; ++q) {
+    const int64_t x0 = probe.UniformInt(box.xmin, box.xmax);
+    std::vector<geom::Segment> out;
+    ASSERT_TRUE(engine->Query(core::VerticalSegmentQuery::Line(x0), &out).ok());
+    std::sort(out.begin(), out.end(),
+              [](const geom::Segment& a, const geom::Segment& b) {
+                return a.id < b.id;
+              });
+    std::vector<uint64_t> want;
+    for (const geom::Segment& seg : universe) {
+      if (seg.x1 <= x0 && x0 <= seg.x2) want.push_back(seg.id);
+    }
+    ASSERT_EQ(out.size(), want.size()) << "x0=" << x0;
+    for (size_t k = 0; k < want.size(); ++k) EXPECT_EQ(out[k].id, want[k]);
+  }
+}
+
+// A device that runs a hook before each batch write: the hook stands in
+// for a query's miss that lands in the middle of a commit's writeback.
+class BatchHookDisk final : public io::SimDiskManager {
+ public:
+  using io::SimDiskManager::SimDiskManager;
+
+  std::function<void()> before_batch;
+
+  Status WritePages(std::span<io::PageWrite> writes) override {
+    if (before_batch) before_batch();
+    return io::SimDiskManager::WritePages(writes);
+  }
+};
+
+// Solution B whose bulk load ends by taking scratch pages and freeing
+// them, as a build's temporary pages die: the pool then holds free frames
+// when the commit's writeback starts, although the build spilled.
+class ScratchFreeingIndex final : public SegmentIndex {
+ public:
+  explicit ScratchFreeingIndex(io::BufferPool* pool)
+      : pool_(pool), inner_(pool) {}
+
+  Status BulkLoad(std::span<const geom::Segment> segments) override {
+    SEGDB_RETURN_IF_ERROR(inner_.BulkLoad(segments));
+    std::vector<io::PageId> scratch;
+    for (int i = 0; i < 8; ++i) {
+      Result<io::PageRef> ref = pool_->NewPage();
+      if (!ref.ok()) return ref.status();
+      scratch.push_back(ref.value().page_id());
+    }
+    for (io::PageId id : scratch) SEGDB_RETURN_IF_ERROR(pool_->FreePage(id));
+    return Status::OK();
+  }
+  Status Insert(const geom::Segment& segment) override {
+    return inner_.Insert(segment);
+  }
+  Status Query(const VerticalSegmentQuery& query,
+               std::vector<geom::Segment>* out) const override {
+    return inner_.Query(query, out);
+  }
+  uint64_t size() const override { return inner_.size(); }
+  uint64_t page_count() const override { return inner_.page_count(); }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  io::BufferPool* const pool_;
+  TwoLevelIntervalIndex inner_;
+};
+
+// A query's miss can pull a spilled page back into the pool while the
+// commit's writeback runs, after FlushAll listed its shard: that committed
+// page is then dirty in RAM only, and a checkpoint would truncate its one
+// durable copy. The checkpoint waits for a commit whose writeback no such
+// pull overlapped; until then a crash recovers the page from the log.
+TEST(EpochTest, CheckpointWaitsOutAPagePulledBackDuringWriteback) {
+  constexpr uint32_t kPage = 1024;
+  BatchHookDisk disk(kPage);
+  io::BufferPool pool(&disk, 48);
+  DurableEngineOptions options;
+  options.checkpoint_every = 1;
+  Result<std::unique_ptr<DurableEngine>> created = DurableEngine::Create(
+      &pool, &disk,
+      [](io::BufferPool* p) {
+        return std::make_unique<ScratchFreeingIndex>(p);
+      },
+      options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<DurableEngine> engine = std::move(created.value());
+  Rng rng(20261020);
+  const auto universe = workload::GenMapLayer(rng, 1200, 1200 * 125);
+
+  io::PageImage pulled;
+  disk.before_batch = [&] {
+    // FlushAll's batch is the first one after the commit's barrier.
+    if (engine->wal_stats().commits != 1 || pulled.id != io::kInvalidPageId) {
+      return;
+    }
+    // Pull a spilled page whose device copy is stale.
+    std::vector<io::PageImage> spilled;
+    engine->spill().CollectImages(&spilled);
+    io::Page device(kPage);
+    for (const io::PageImage& image : spilled) {
+      ASSERT_TRUE(disk.PeekPage(image.id, &device).ok());
+      if (std::memcmp(device.data(), image.bytes.data(), kPage) != 0) {
+        pulled = image;
+        break;
+      }
+    }
+    ASSERT_NE(pulled.id, io::kInvalidPageId);
+    Result<io::PageRef> ref = pool.Fetch(pulled.id);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  };
+  ASSERT_TRUE(engine->BulkLoad(universe).ok());
+  disk.before_batch = nullptr;
+  ASSERT_NE(pulled.id, io::kInvalidPageId);
+  // The page rides into the next commit; until then the log keeps it.
+  EXPECT_EQ(engine->commits_since_checkpoint(), 1u);
+  std::vector<io::PageImage> dirty;
+  pool.CollectDirty(&dirty);
+  ASSERT_EQ(dirty.size(), 1u);
+  EXPECT_EQ(dirty[0].id, pulled.id);
+
+  const io::PageId anchor = engine->wal_anchor();
+  engine->SimulateCrash();
+  engine.reset();
+  Result<io::RecoveryResult> recovered = io::Recover(&disk, anchor);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  io::Page page(kPage);
+  ASSERT_TRUE(disk.PeekPage(pulled.id, &page).ok());
+  EXPECT_EQ(std::memcmp(page.data(), pulled.bytes.data(), kPage), 0);
 }
 
 }  // namespace

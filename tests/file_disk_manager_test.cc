@@ -16,6 +16,7 @@
 #include "io/async_io_engine.h"
 #include "io/disk_manager.h"
 #include "io/file_disk_manager.h"
+#include "io/wal.h"
 
 namespace segdb::io {
 namespace {
@@ -96,13 +97,197 @@ TEST(FileDiskManagerTest, ReopenRestoresAllocationStateAndBytes) {
     // The freed page is dead across the reopen.
     EXPECT_FALSE(disk.ReadPage(freed, &out).ok());
     // And reusable: its id comes back from the restored free list, reading
-    // as zeros (reuse rewrites the stale bytes).
+    // as zeros.
     auto again = disk.AllocatePage();
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again.value(), freed);
     ASSERT_TRUE(disk.ReadPage(again.value(), &out).ok());
     for (uint32_t i = 0; i < out.size(); ++i) ASSERT_EQ(out.data()[i], 0u);
   }
+  std::remove(path.c_str());
+}
+
+// The file's raw bytes of one data page, read around the device: with
+// max_pages = 1024 the bitmap fits one page, so page 0 sits at 8 KiB.
+std::vector<uint8_t> RawFilePage(const std::string& path, PageId id) {
+  constexpr uint64_t kDataOffset = 2 * 4096;
+  std::vector<uint8_t> bytes(4096, 0xEE);
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return bytes;
+  const auto offset = static_cast<long>(kDataOffset + uint64_t{id} * 4096);
+  EXPECT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  return bytes;
+}
+
+bool AllZero(const uint8_t* bytes, size_t n) {
+  return std::all_of(bytes, bytes + n, [](uint8_t b) { return b == 0; });
+}
+
+// A page reused from the free list reads as zeros with no device write:
+// the stale bytes stay on the medium, every read path returns zeros, a
+// torn write over it keeps a zero tail, and Close zero-fills what is still
+// unwritten, so the page reads zeros after a reopen too.
+TEST(FileDiskManagerTest, ReusedPageReadsZerosWithoutADeviceWrite) {
+  const std::string path = TempPath("fdm_reuse.segdb");
+  FileDiskManagerOptions options;
+  options.max_pages = 1024;
+  PageId untouched = kInvalidPageId;
+  PageId torn = kInvalidPageId;
+  const Page old_a = MakePattern(4096, 11);
+  const Page old_b = MakePattern(4096, 23);
+  const Page prefix = MakePattern(4096, 77);
+  constexpr uint32_t kPrefixBytes = 100;
+  {
+    auto opened = FileDiskManager::Open(path, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    FileDiskManager& disk = *opened.value();
+    auto a = disk.AllocatePage();
+    auto b = disk.AllocatePage();
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_TRUE(disk.WritePage(a.value(), old_a).ok());
+    ASSERT_TRUE(disk.WritePage(b.value(), old_b).ok());
+    ASSERT_TRUE(disk.FreePage(a.value()).ok());
+    ASSERT_TRUE(disk.FreePage(b.value()).ok());
+    const DiskStats before = disk.stats();
+    // Free-list reuse is last in, first out: b comes back, then a.
+    auto again_b = disk.AllocatePage();
+    auto again_a = disk.AllocatePage();
+    ASSERT_TRUE(again_a.ok() && again_b.ok());
+    ASSERT_EQ(again_a.value(), a.value());
+    ASSERT_EQ(again_b.value(), b.value());
+    untouched = a.value();
+    torn = b.value();
+    EXPECT_EQ(disk.stats().writes, before.writes);
+    EXPECT_EQ(disk.stats().allocations, before.allocations + 2);
+    // No byte reached the file: it still holds the old patterns.
+    EXPECT_EQ(RawFilePage(path, untouched),
+              std::vector<uint8_t>(old_a.data(), old_a.data() + 4096));
+    EXPECT_EQ(RawFilePage(path, torn),
+              std::vector<uint8_t>(old_b.data(), old_b.data() + 4096));
+
+    // Every read path returns zeros.
+    Page out(4096);
+    std::memset(out.data(), 0xEE, out.size());
+    ASSERT_TRUE(disk.ReadPage(untouched, &out).ok());
+    EXPECT_TRUE(AllZero(out.data(), out.size()));
+    std::memset(out.data(), 0xEE, out.size());
+    ASSERT_TRUE(disk.PeekPage(untouched, &out).ok());
+    EXPECT_TRUE(AllZero(out.data(), out.size()));
+    std::vector<Page> pages(2, Page(4096));
+    for (Page& p : pages) std::memset(p.data(), 0xEE, p.size());
+    PageFill fills[2] = {{untouched, &pages[0], Status::OK()},
+                         {torn, &pages[1], Status::OK()}};
+    disk.PeekPagesBatch(fills);
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(fills[i].status.ok());
+      EXPECT_TRUE(AllZero(pages[i].data(), 4096)) << "fill " << i;
+    }
+
+    // A torn write over the unwritten page keeps a zero tail, not the old
+    // bytes, and counts one write.
+    ASSERT_TRUE(disk.WritePagePrefix(torn, prefix, kPrefixBytes).ok());
+    EXPECT_EQ(disk.stats().writes, before.writes + 1);
+    ASSERT_TRUE(disk.ReadPage(torn, &out).ok());
+    EXPECT_EQ(std::memcmp(out.data(), prefix.data(), kPrefixBytes), 0);
+    EXPECT_TRUE(AllZero(out.data() + kPrefixBytes, 4096 - kPrefixBytes));
+    EXPECT_EQ(disk.stats().reads, before.reads + 2);
+    ASSERT_TRUE(disk.Close().ok());
+  }
+  // Close zero-filled the page still unwritten.
+  EXPECT_TRUE(AllZero(RawFilePage(path, untouched).data(), 4096));
+  {
+    auto opened = FileDiskManager::Open(path, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    FileDiskManager& disk = *opened.value();
+    Page out(4096);
+    ASSERT_TRUE(disk.ReadPage(untouched, &out).ok());
+    EXPECT_TRUE(AllZero(out.data(), out.size()));
+    ASSERT_TRUE(disk.ReadPage(torn, &out).ok());
+    EXPECT_EQ(std::memcmp(out.data(), prefix.data(), kPrefixBytes), 0);
+    EXPECT_TRUE(AllZero(out.data() + kPrefixBytes, 4096 - kPrefixBytes));
+    ASSERT_TRUE(disk.Close().ok());
+  }
+  std::remove(path.c_str());
+}
+
+// A batch write is one scheduler batch; each page is one counted write,
+// and a page the batch cannot take fails alone.
+TEST(FileDiskManagerTest, WritePagesIsOneBatchWithPerPageOutcomes) {
+  const std::string path = TempPath("fdm_batch.segdb");
+  auto opened = FileDiskManager::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  FileDiskManager& disk = *opened.value();
+  std::vector<PageId> ids;
+  for (int i = 0; i < 6; ++i) {
+    auto id = disk.AllocatePage();
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  std::vector<Page> pages;
+  for (int i = 0; i < 6; ++i) {
+    pages.push_back(MakePattern(4096, static_cast<uint8_t>(40 + i)));
+  }
+  std::vector<PageWrite> writes;
+  for (int i = 0; i < 6; ++i) {
+    writes.push_back(PageWrite{ids[i], &pages[i], Status::OK()});
+  }
+  writes.insert(writes.begin() + 3,
+                PageWrite{PageId{9999}, &pages[0], Status::OK()});
+  disk.ResetStats();
+  disk.ResetSchedulerStats();
+  const Status status = disk.WritePages(writes);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  for (size_t i = 0; i < writes.size(); ++i) {
+    EXPECT_EQ(writes[i].status.ok(), i != 3) << "write " << i;
+  }
+  EXPECT_EQ(disk.stats().writes, 6u);
+  const IoSchedulerStats sched = disk.scheduler_stats();
+  EXPECT_EQ(sched.write_batches, 1u);
+  EXPECT_EQ(sched.write_pages, 6u);
+  EXPECT_EQ(sched.write_submissions, 1u);  // ids 0..5 merge into one run
+  Page out(4096);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(disk.PeekPage(ids[i], &out).ok());
+    EXPECT_EQ(std::memcmp(out.data(), pages[i].data(), 4096), 0) << i;
+  }
+  ASSERT_TRUE(disk.Close().ok());
+  std::remove(path.c_str());
+}
+
+// A durable commit's log writes on a file device: one WAL commit of four
+// page images is one write batch, then one barrier.
+TEST(FileDiskManagerTest, WalCommitIsOneWriteBatchThenOneSync) {
+  const std::string path = TempPath("fdm_wal.segdb");
+  auto opened = FileDiskManager::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  FileDiskManager& disk = *opened.value();
+  auto wal = WriteAheadLog::Create(&disk);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  std::vector<PageImage> images;
+  for (int i = 0; i < 4; ++i) {
+    auto id = disk.AllocatePage();
+    ASSERT_TRUE(id.ok());
+    const Page pattern = MakePattern(4096, static_cast<uint8_t>(i));
+    images.push_back(
+        PageImage{id.value(), std::vector<uint8_t>(pattern.data(),
+                                                   pattern.data() + 4096)});
+  }
+  disk.ResetStats();
+  disk.ResetSchedulerStats();
+  const std::vector<uint8_t> payload = {1, 2, 3};
+  ASSERT_TRUE(wal.value()->Commit(images, payload).ok());
+  const uint64_t chain_pages = wal.value()->stats().pages_written;
+  EXPECT_EQ(chain_pages, 5u);  // 4 x (17 + 4 + 4096) + 17 + 3 bytes
+  const IoSchedulerStats sched = disk.scheduler_stats();
+  EXPECT_EQ(sched.write_batches, 1u);
+  EXPECT_EQ(sched.write_pages, chain_pages);
+  EXPECT_EQ(disk.stats().writes, chain_pages);
+  EXPECT_EQ(disk.stats().syncs, 1u);
+  wal.value().reset();
+  ASSERT_TRUE(disk.Close().ok());
   std::remove(path.c_str());
 }
 
@@ -210,8 +395,8 @@ TEST(FileDiskManagerTest, CountersMatchSimBackendOpForOp) {
   std::remove(path.c_str());
 }
 
-// Every engine the factory can build must serve the same bytes. kAuto
-// covers io_uring where the kernel has it; kThreads and kSync always
+// Every engine the factory can build must store and serve the same bytes.
+// kAuto covers io_uring where the kernel has it; kThreads and kSync always
 // exist.
 TEST(FileDiskManagerTest, AllEnginesServeIdenticalBytes) {
   std::vector<IoEngineKind> kinds = {IoEngineKind::kThreads,
@@ -225,13 +410,21 @@ TEST(FileDiskManagerTest, AllEnginesServeIdenticalBytes) {
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     auto& disk = *opened.value();
     std::vector<PageId> ids;
+    std::vector<Page> patterns;
     for (int i = 0; i < 64; ++i) {
       auto id = disk.AllocatePage();
       ASSERT_TRUE(id.ok());
       ids.push_back(id.value());
-      ASSERT_TRUE(disk.WritePage(
-          id.value(), MakePattern(4096, static_cast<uint8_t>(i * 3))).ok());
+      patterns.push_back(MakePattern(4096, static_cast<uint8_t>(i * 3)));
     }
+    // Batch write through the scheduler, handed over in reverse id order
+    // (sort + merge + waves under this engine).
+    std::vector<PageWrite> writes;
+    for (size_t i = ids.size(); i-- > 0;) {
+      writes.push_back(PageWrite{ids[i], &patterns[i], Status::OK()});
+    }
+    ASSERT_TRUE(disk.WritePages(writes).ok()) << disk.engine_name();
+    EXPECT_EQ(disk.stats().writes, ids.size());
     // Batch read through the scheduler (merge + waves under this engine).
     std::vector<Page> pages(ids.size(), Page(4096));
     std::vector<PageFill> fills;
@@ -248,6 +441,9 @@ TEST(FileDiskManagerTest, AllEnginesServeIdenticalBytes) {
     const IoSchedulerStats sched = disk.scheduler_stats();
     EXPECT_EQ(sched.pages, ids.size());
     EXPECT_GT(sched.merged_pages, 0u) << disk.engine_name();
+    EXPECT_EQ(sched.write_batches, 1u);
+    EXPECT_EQ(sched.write_pages, ids.size());
+    EXPECT_GT(sched.write_merged_pages, 0u) << disk.engine_name();
     ASSERT_TRUE(disk.Close().ok());
     std::remove(path.c_str());
   }

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "io/buffer_pool.h"
@@ -492,6 +497,215 @@ TEST_F(BufferPoolTest, CollectDirtyMatchesFullWalk) {
       EXPECT_EQ(on_disk(batch[i]), 1000 * k + i) << "page " << i;
     }
   }
+}
+
+// A device whose batch write lands every page but one, as a file device's
+// batch does when one transfer fails.
+class FailOnePageDisk final : public SimDiskManager {
+ public:
+  explicit FailOnePageDisk(uint32_t page_size) : SimDiskManager(page_size) {}
+
+  void FailPage(PageId id) { fail_ = id; }
+
+  Status WritePages(std::span<PageWrite> writes) override {
+    Status first;
+    for (PageWrite& write : writes) {
+      write.status = write.id == fail_
+                         ? Status::IoError("injected write failure")
+                         : WritePage(write.id, *write.page);
+      if (first.ok() && !write.status.ok()) first = write.status;
+    }
+    return first;
+  }
+
+ private:
+  PageId fail_ = kInvalidPageId;
+};
+
+// FlushAll clears exactly the frames whose write landed: the one failed
+// page stays dirty and listed, and goes out with the next flush.
+TEST(BufferPoolFlushTest, FailedPageOfABatchStaysDirtyAndListed) {
+  FailOnePageDisk disk(kPageSize);
+  BufferPool pool(&disk, 128);
+  ASSERT_EQ(pool.shard_count(), 2u);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 8; ++i) {
+    Result<PageRef> ref = pool.NewPage();
+    ASSERT_TRUE(ref.ok());
+    ref.value().page().WriteAt<uint64_t>(0, 500 + i);
+    ids.push_back(ref.value().page_id());
+  }
+  const std::vector<PageImage> order = BufferPoolPeer::DirtyInFlushOrder(pool);
+  ASSERT_EQ(order.size(), 8u);
+  const PageId failing = order[3].id;
+  disk.FailPage(failing);
+  const Status flushed = pool.FlushAll();
+  EXPECT_EQ(flushed.code(), StatusCode::kIoError);
+  EXPECT_EQ(pool.stats().writebacks, 7u);
+
+  std::vector<PageImage> dirty;
+  pool.CollectDirty(&dirty);
+  ASSERT_EQ(dirty.size(), 1u);
+  EXPECT_EQ(dirty[0].id, failing);
+  const std::vector<PageImage> walked = BufferPoolPeer::DirtyByFullWalk(pool);
+  ASSERT_EQ(walked.size(), 1u);
+  EXPECT_EQ(walked[0].id, failing);
+  // The audit checks that the dirty frame is on its shard's list.
+  const Status audit = pool.CheckInvariants();
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Page page(kPageSize);
+    ASSERT_TRUE(disk.PeekPage(ids[i], &page).ok());
+    EXPECT_EQ(page.ReadAt<uint64_t>(0), ids[i] == failing ? 0 : 500 + i)
+        << "page " << ids[i];
+  }
+
+  disk.FailPage(kInvalidPageId);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  dirty.clear();
+  pool.CollectDirty(&dirty);
+  EXPECT_TRUE(dirty.empty());
+  EXPECT_EQ(pool.stats().writebacks, 8u);
+  EXPECT_TRUE(pool.CheckInvariants().ok());
+}
+
+// The spill's writeback re-arms exactly the pages that did not land.
+TEST(BufferPoolFlushTest, SpillFlushRearmsOnlyTheFailedPage) {
+  FailOnePageDisk disk(kPageSize);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 3; ++i) {
+    Result<PageId> id = disk.AllocatePage();
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  DirtyPageSpill spill;
+  for (int i = 0; i < 3; ++i) {
+    Page page(kPageSize);
+    page.WriteAt<uint64_t>(0, 900 + i);
+    spill.CaptureEviction(ids[i], page);
+  }
+  disk.FailPage(ids[1]);
+  EXPECT_EQ(spill.FlushToDevice(&disk).code(), StatusCode::kIoError);
+  EXPECT_EQ(spill.spilled_pages(), 1u);
+  EXPECT_TRUE(spill.Contains(ids[1]));
+  for (const int i : {0, 2}) {
+    Page page(kPageSize);
+    ASSERT_TRUE(disk.PeekPage(ids[i], &page).ok());
+    EXPECT_EQ(page.ReadAt<uint64_t>(0), 900u + i);
+  }
+  disk.FailPage(kInvalidPageId);
+  ASSERT_TRUE(spill.FlushToDevice(&disk).ok());
+  EXPECT_EQ(spill.spilled_pages(), 0u);
+  Page page(kPageSize);
+  ASSERT_TRUE(disk.PeekPage(ids[1], &page).ok());
+  EXPECT_EQ(page.ReadAt<uint64_t>(0), 901u);
+}
+
+// A device that runs a hook when its next batch write begins, before any
+// page of it moves: the hook stands in for a query running beside it.
+class HookedBatchDisk final : public SimDiskManager {
+ public:
+  explicit HookedBatchDisk(uint32_t page_size) : SimDiskManager(page_size) {}
+
+  void OnNextBatch(std::function<void()> hook) { hook_ = std::move(hook); }
+
+  Status WritePages(std::span<PageWrite> writes) override {
+    if (hook_) {
+      const std::function<void()> hook = std::move(hook_);
+      hook_ = nullptr;
+      hook();
+    }
+    return SimDiskManager::WritePages(writes);
+  }
+
+ private:
+  std::function<void()> hook_;
+};
+
+// FlushAll's batch runs with no shard lock held, so a query's miss can
+// land in the middle of it, and it must evict around the frames the batch
+// is writing. Here the CLOCK hand would otherwise take the first dirty
+// frame, spill it and refill it with the missed page, and the batch would
+// store the missed page's bytes under the dirty page's id.
+TEST(BufferPoolFlushTest, MissDuringTheBatchEvictsAroundItsFrames) {
+  HookedBatchDisk disk(kPageSize);
+  std::vector<PageId> clean;
+  for (int i = 0; i < 61; ++i) {
+    Result<PageId> id = disk.AllocatePage();
+    ASSERT_TRUE(id.ok());
+    Page page(kPageSize);
+    page.WriteAt<uint64_t>(0, 700 + i);
+    ASSERT_TRUE(disk.WritePage(id.value(), page).ok());
+    clean.push_back(id.value());
+  }
+  BufferPool pool(&disk, 64);
+  ASSERT_EQ(pool.shard_count(), 1u);
+  DirtyPageSpill spill;
+  pool.set_writeback_sink(&spill);
+  // Frames 0-3 dirty, 4-63 clean, every reference bit set.
+  std::vector<PageId> dirty;
+  for (int i = 0; i < 4; ++i) {
+    Result<PageRef> ref = pool.NewPage();
+    ASSERT_TRUE(ref.ok());
+    ref.value().page().WriteAt<uint64_t>(0, 500 + i);
+    dirty.push_back(ref.value().page_id());
+  }
+  for (int i = 0; i < 60; ++i) ASSERT_TRUE(pool.Fetch(clean[i]).ok());
+
+  disk.OnNextBatch([&pool, &clean] {
+    Result<PageRef> ref = pool.Fetch(clean[60]);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ(ref.value().page().ReadAt<uint64_t>(0), 760u);
+  });
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(pool.stats().spills, 0u);
+  EXPECT_EQ(pool.stats().writebacks, 4u);
+  for (int i = 0; i < 4; ++i) {
+    Page page(kPageSize);
+    ASSERT_TRUE(disk.PeekPage(dirty[i], &page).ok());
+    EXPECT_EQ(page.ReadAt<uint64_t>(0), 500u + i) << "page " << dirty[i];
+  }
+  const Status audit = pool.CheckInvariants();
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+  pool.set_writeback_sink(nullptr);
+}
+
+// The spill's batch keeps its pages until they land: a query's miss on
+// one waits for the batch rather than read the device copy the batch is
+// replacing, then finds the page gone from the spill and reads the device.
+TEST(BufferPoolFlushTest, SpillBatchHoldsItsPagesUntilTheyLand) {
+  HookedBatchDisk disk(kPageSize);
+  Result<PageId> id = disk.AllocatePage();
+  ASSERT_TRUE(id.ok());
+  DirtyPageSpill spill;
+  Page image(kPageSize);
+  image.WriteAt<uint64_t>(0, 42);
+  spill.CaptureEviction(id.value(), image);
+
+  std::atomic<bool> batch_proceeded{false};
+  std::atomic<bool> took{true};
+  std::atomic<bool> waited{false};
+  std::thread reader;
+  disk.OnNextBatch([&] {
+    EXPECT_TRUE(spill.Contains(id.value()));
+    reader = std::thread([&] {
+      Page out(kPageSize);
+      took.store(spill.TakeSpilled(id.value(), &out));
+      waited.store(batch_proceeded.load());
+    });
+    // Give the reader time to reach the spill while the batch is open.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    batch_proceeded.store(true);
+  });
+  const Status flushed = spill.FlushToDevice(&disk);
+  if (reader.joinable()) reader.join();
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
+  EXPECT_FALSE(took.load());
+  EXPECT_TRUE(waited.load());
+  EXPECT_FALSE(spill.Contains(id.value()));
+  Page page(kPageSize);
+  ASSERT_TRUE(disk.PeekPage(id.value(), &page).ok());
+  EXPECT_EQ(page.ReadAt<uint64_t>(0), 42u);
 }
 
 }  // namespace

@@ -257,6 +257,71 @@ TEST(WalTest, TornTailTruncatesAtEveryPrefixLength) {
   }
 }
 
+// A device may hand out a reused page without zeroing its medium, so after
+// a crash the pre-allocated next head can hold an old chain page. Plant
+// the two kinds there: a valid page of an older generation, and a valid
+// page of the current generation whose seq is not the next one (a copy of
+// the chain's first page). Either way the walk ends at the head with
+// exactly the acknowledged commits and no torn tail, and Recover replays
+// exactly those.
+TEST(WalTest, StaleChainPagesAtTheNextHeadEndTheChain) {
+  for (const bool older_generation : {true, false}) {
+    SCOPED_TRACE(older_generation ? "older generation" : "wrong seq");
+    SimDiskManager disk(kPageSize);
+    std::unique_ptr<WriteAheadLog> wal = MustCreate(&disk);
+    const PageId anchor = wal->anchor_page();
+    ASSERT_TRUE(wal->Commit({}, Payload({1})).ok());
+    Result<WriteAheadLog::ChainState> first = WriteAheadLog::ReadChain(
+        &disk, anchor);
+    ASSERT_TRUE(first.ok());
+    Page old_page(kPageSize);
+    ASSERT_TRUE(disk.PeekPage(first.value().pages[0], &old_page).ok());
+    ASSERT_TRUE(wal->Checkpoint().ok());
+
+    // Generation 2: three acknowledged commits.
+    const Result<PageId> data = disk.AllocatePage();
+    ASSERT_TRUE(data.ok());
+    const std::vector<PageImage> images = {
+        MakeImage(data.value(), kPageSize, 0x3C)};
+    ASSERT_TRUE(wal->Commit(images, Payload({2})).ok());
+    ASSERT_TRUE(wal->Commit({}, Payload({3})).ok());
+    ASSERT_TRUE(wal->Commit({}, Payload({4, 4})).ok());
+    Result<WriteAheadLog::ChainState> acked =
+        WriteAheadLog::ReadChain(&disk, anchor);
+    ASSERT_TRUE(acked.ok());
+    ASSERT_EQ(acked.value().generation, 2u);
+    ASSERT_EQ(acked.value().records.size(), 4u);
+    const PageId head = acked.value().tail_next;
+    ASSERT_NE(head, kInvalidPageId);
+
+    Page stale(kPageSize);
+    if (older_generation) {
+      stale = old_page;
+    } else {
+      ASSERT_TRUE(disk.PeekPage(acked.value().pages[0], &stale).ok());
+    }
+    ASSERT_TRUE(disk.WritePage(head, stale).ok());
+    wal.reset();  // crash: the log is never closed
+
+    Result<WriteAheadLog::ChainState> read =
+        WriteAheadLog::ReadChain(&disk, anchor);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read.value().records.size(), 4u);
+    EXPECT_EQ(read.value().pages, acked.value().pages);
+    EXPECT_EQ(read.value().tail_next, head);
+    EXPECT_EQ(read.value().torn_tail_bytes, 0u);
+
+    Result<RecoveryResult> rec = Recover(&disk, anchor);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_EQ(rec.value().commits.size(), 3u);
+    EXPECT_EQ(rec.value().commits[0].payload, Payload({2}));
+    EXPECT_EQ(rec.value().commits[1].payload, Payload({3}));
+    EXPECT_EQ(rec.value().commits[2].payload, Payload({4, 4}));
+    EXPECT_EQ(rec.value().images_applied, 1u);
+    EXPECT_EQ(rec.value().torn_tail_bytes, 0u);
+  }
+}
+
 TEST(WalTest, StatsCountOnePagePerSmallCommit) {
   SimDiskManager disk(kPageSize);
   std::unique_ptr<WriteAheadLog> wal = MustCreate(&disk);

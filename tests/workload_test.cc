@@ -90,8 +90,16 @@ TEST(GeneratorsTest, CollinearVerticalOnLine) {
 TEST(GeneratorsTest, MapLayerIsNctWithRequestedSize) {
   Rng rng(9);
   auto segs = GenMapLayer(rng, 800, 100000);
-  EXPECT_GE(segs.size(), 800u);
+  EXPECT_EQ(segs.size(), 800u);
   EXPECT_TRUE(ValidateNct(segs).ok());
+  // Small n too, where one 63-segment chain alone is more than n.
+  for (uint64_t n = 1; n <= 200; ++n) {
+    Rng small_rng(n);
+    segs = GenMapLayer(small_rng, n, 100000, /*first_id=*/7);
+    ASSERT_EQ(segs.size(), n);
+    for (uint64_t i = 0; i < n; ++i) ASSERT_EQ(segs[i].id, 7 + i) << n;
+    EXPECT_TRUE(ValidateNct(segs).ok()) << "n " << n;
+  }
 }
 
 TEST(GeneratorsTest, IdsAreDistinctAndOffset) {

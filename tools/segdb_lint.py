@@ -18,10 +18,11 @@ raw-sync        std::mutex / std::lock_guard / std::condition_variable
                 and friends appear only in src/util/sync.h. Everything
                 else locks through the annotated util::Mutex wrappers so
                 Clang Thread Safety Analysis sees every lock site.
-io-bypass       DiskManager::ReadPage / WritePage are called only from
-                src/io/ (the BufferPool). Index code that talked to the
-                disk directly would silently corrupt the paper's I/O
-                accounting (pool misses == charged block reads).
+io-bypass       DiskManager::ReadPage / WritePage / WritePages are called
+                only from src/io/ (the BufferPool and the WAL). Index
+                code that talked to the disk directly would silently
+                corrupt the paper's I/O accounting (pool misses ==
+                charged block reads).
 raw-io          raw device syscalls (pread/pwrite/open families) and
                 liburing calls (io_uring_*) appear only in the two I/O
                 engine translation units (src/io/async_io_engine.cc,
@@ -111,7 +112,7 @@ RAW_SYNC_RE = re.compile(
 RAW_TIME_RE = re.compile(
     r"\bstd\s*::\s*(this_thread\s*::\s*sleep_(?:for|until)|chrono)\b")
 IO_BYPASS_RE = re.compile(
-    r"\b(ReadPage|WritePage|WritePagePrefix|Sync)\s*\(")
+    r"\b(ReadPage|WritePage|WritePages|WritePagePrefix|Sync)\s*\(")
 # The only translation units allowed to issue raw device syscalls or
 # liburing calls; everything else goes through FileDiskManager or the
 # ReadFullAt/WriteFullAt helpers.

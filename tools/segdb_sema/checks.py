@@ -34,11 +34,12 @@ from segdb_sema import annotations, cppast, model
 PIN_EXEMPT_FILES = ("src/io/buffer_pool.h", "src/io/buffer_pool.cc")
 
 # Files that hold a util::Mutex across device I/O *by design*: the buffer
-# pool writes dirty victims back and flushes under its shard locks (its
-# demand reads run unlocked), and the file disk manager serializes its
-# writer path — allocation, growth, writes, Sync and the batched scheduler
-# — on one mutex (its reads take none). Everything above them must
-# release locks before touching either.
+# pool writes dirty victims back and empties itself under its shard locks
+# (its demand reads and FlushAll's batch run unlocked, the batch's frames
+# pinned), and the file disk manager serializes its writer path —
+# allocation, growth, writes, Sync and the batched scheduler — on one
+# mutex (its reads take none). Everything above them must release locks
+# before touching either.
 BLOCKING_EXEMPT_FILES = (
     "src/io/buffer_pool.h", "src/io/buffer_pool.cc",
     "src/io/file_disk_manager.cc",

@@ -32,7 +32,7 @@ MUTATION_DIRS = ("src/core/", "src/btree/", "src/segtree/", "src/baseline/")
 # of the analyzed file set (fixtures, single-file runs).
 BUILTIN_STATUS = {
     "FreePage", "FlushAll", "EvictAll", "CheckInvariants", "WritePage",
-    "ReadPage", "DeletePage",
+    "WritePages", "ReadPage", "DeletePage",
 }
 BUILTIN_RESULT = {
     "Fetch": "PageRef",
@@ -46,7 +46,7 @@ BUILTIN_RESULT = {
 # util::Mutex capability is held (outside the documented exempt files).
 BLOCKING_SEEDS = {
     # DiskManager surface (device I/O, possibly through the scheduler).
-    "ReadPage", "WritePage", "PeekPage", "PeekPagesBatch",
+    "ReadPage", "WritePage", "WritePages", "PeekPage", "PeekPagesBatch",
     "WritePagePrefix", "AllocatePage", "FreePage",
     # AsyncIoEngine submission/completion and the raw pread/pwrite loops.
     "Start", "WaitOne", "ReadFullAt", "WriteFullAt",

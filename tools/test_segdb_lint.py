@@ -173,6 +173,19 @@ class IoBypassTest(unittest.TestCase):
             "src/pst/line_pst.cc", "disk.WritePage(id, page);\n")
         self.assertEqual(rules_hit(violations), ["io-bypass"])
 
+    def test_write_pages_outside_io_rejected(self):
+        violations = segdb_lint.lint_text(
+            "src/core/durable_engine.cc",
+            "Status s = disk_->WritePages(writes);\n")
+        self.assertEqual(rules_hit(violations), ["io-bypass"])
+
+    def test_write_pages_in_io_layer_allowed(self):
+        self.assertEqual(
+            segdb_lint.lint_text(
+                "src/io/buffer_pool.cc",
+                "const Status s = disk_->WritePages(writes);\n"),
+            [])
+
     def test_io_layer_itself_allowed(self):
         self.assertEqual(
             segdb_lint.lint_text("src/io/buffer_pool.cc",

@@ -251,6 +251,19 @@ class StatusFlowTest(unittest.TestCase):
             "  return s;\n"))
         self.assertIn("pin-across-quiesce", rules_hit(findings))
 
+    def test_swallowed_write_pages_status(self):
+        findings = analyze_text("src/io/f.cc", wrap(
+            "  Status s = disk->WritePages(writes);\n"
+            "  return Status::OK();\n"))
+        self.assertIn("status-swallowed", rules_hit(findings))
+
+    def test_checked_write_pages_status_is_clean(self):
+        findings = analyze_text("src/io/f.cc", wrap(
+            "  Status s = disk->WritePages(writes);\n"
+            "  if (!s.ok()) return s;\n"
+            "  return Status::OK();\n"))
+        self.assertEqual(findings, [])
+
     def test_status_factory_is_not_pending(self):
         findings = analyze_text("src/core/f.cc", wrap(
             "  Status removed = Status::NotFound(\"not stored\");\n"
@@ -419,6 +432,23 @@ class BlockingUnderLockTest(unittest.TestCase):
             "}\n"
             "}\n")
         self.assertIn("blocking-under-lock", rules_hit(findings))
+
+    def test_write_pages_under_lock(self):
+        findings = analyze_text("src/io/f.cc", wrap(
+            "  util::MutexLock lock(&mu_);\n"
+            "  return disk_->WritePages(writes);\n"))
+        self.assertIn("blocking-under-lock", rules_hit(findings))
+
+    def test_write_pages_after_unlock_is_clean(self):
+        # The pool's FlushAll shape: snapshot under the lock, then one
+        # device batch with no lock held.
+        findings = analyze_text("src/io/f.cc", wrap(
+            "  {\n"
+            "    util::MutexLock lock(&mu_);\n"
+            "    Snapshot(&writes);\n"
+            "  }\n"
+            "  return disk_->WritePages(writes);\n"))
+        self.assertEqual(rules_hit(findings), [])
 
     def test_condvar_wait_holding_second_lock(self):
         findings = analyze_text("src/core/f.cc", wrap(
