@@ -500,7 +500,7 @@ void FetchLoop(benchmark::State& state, io::BufferPool* pool,
 }
 
 // Every page resident (1,024 pages in 2,048 frames, 16 shards): the hit
-// path alone — shard lock, page-table probe, pin and unpin.
+// path alone — the lock-free page-table probe, the pin CAS and the unpin.
 void BM_PoolFetchHit(benchmark::State& state) {
   struct Fixture {
     io::SimDiskManager disk{4096};
@@ -511,6 +511,20 @@ void BM_PoolFetchHit(benchmark::State& state) {
   FetchLoop(state, &fixture.pool, fixture.ids);
 }
 BENCHMARK(BM_PoolFetchHit)->Threads(1)->Threads(4)->UseRealTime();
+
+// Every thread fetches the same 8 resident pages, the pattern of warm_a's
+// clients starting each query at the same first-level and PST root pages:
+// the hit path when its frames' cache lines are shared between threads.
+void BM_PoolFetchHitHot(benchmark::State& state) {
+  struct Fixture {
+    io::SimDiskManager disk{4096};
+    io::BufferPool pool{&disk, 2048};
+    std::vector<io::PageId> ids = FillPool(&pool, 8);
+  };
+  static Fixture fixture;
+  FetchLoop(state, &fixture.pool, fixture.ids);
+}
+BENCHMARK(BM_PoolFetchHitHot)->Threads(1)->Threads(4)->UseRealTime();
 
 // 10,240 pages of a page-cache file behind a pool a tenth that size
 // (1,024 frames, 16 shards of 64, cold_b's shape): nearly every fetch

@@ -1,6 +1,7 @@
 #include "io/buffer_pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/check.h"
@@ -15,9 +16,26 @@ namespace {
 constexpr size_t kMaxShards = 16;
 constexpr size_t kMinFramesPerShard = 64;
 
+// A lock-free pin retries its CAS this often while other pins and unpins
+// of the frame keep changing the count, then takes the locked path.
+constexpr int kPinAttempts = 8;
+
 size_t PickShardCount(size_t frame_count) {
   const size_t by_size = frame_count / kMinFramesPerShard;
   return std::max<size_t>(1, std::min(kMaxShards, by_size));
+}
+
+// The high half of a frame's pin word and of a page-table word: id + 1, so
+// that 0 means "no page" (kInvalidPageId + 1 wraps to 0).
+uint64_t Tag(PageId id) {
+  return uint64_t{static_cast<uint32_t>(id + 1)} << 32;
+}
+constexpr uint64_t kLowHalf = 0xffffffffULL;
+uint32_t Pins(uint64_t word) { return static_cast<uint32_t>(word); }
+
+// Fibonacci hashing: the top bits of id * 2^64/phi pick the home slot.
+size_t HomeSlot(PageId id, int shift) {
+  return static_cast<size_t>((uint64_t{id} * 0x9e3779b97f4a7c15ULL) >> shift);
 }
 
 }  // namespace
@@ -45,8 +63,8 @@ const Page& PageRef::page() const {
 
 void PageRef::MarkDirty() {
   SEGDB_DCHECK(valid());
-  // The pin's release-store in Unpin orders this (and any raw page writes)
-  // before a future evictor's acquire-load of the pin count.
+  // The unpin's release-decrement orders this (and any raw page writes)
+  // before a future evictor's acquire of the pin word.
   if (pool_->frames_[frame_].dirty.exchange(true, std::memory_order_relaxed)) {
     return;  // already dirty, so already listed
   }
@@ -67,7 +85,7 @@ void PageRef::Release() {
 BufferPool::BufferPool(DiskManager* disk, size_t frame_count,
                        BufferPoolOptions /*options*/)
     : disk_(disk), page_size_(disk->page_size()) {
-  SEGDB_DCHECK(frame_count > 0);
+  SEGDB_DCHECK(frame_count > 0 && frame_count < kLowHalf);
   for (size_t i = 0; i < frame_count; ++i) {
     frames_.emplace_back(page_size_);
   }
@@ -82,10 +100,96 @@ BufferPool::BufferPool(DiskManager* disk, size_t frame_count,
     const size_t take = per + (s < extra ? 1 : 0);
     shard.frames.reserve(take);
     for (size_t i = 0; i < take; ++i) shard.frames.push_back(next++);
+    const size_t slots = std::bit_ceil(2 * take);
+    shard.table = std::make_unique<std::atomic<uint64_t>[]>(slots);
+    shard.table_mask = slots - 1;
+    shard.table_shift = 64 - std::countr_zero(slots);
     util::MutexLock lock(&shard.mu);
     ResetFrames(shard);
   }
   SEGDB_DCHECK(next == frame_count);
+}
+
+size_t BufferPool::Lookup(const Shard& shard, PageId id) const {
+  const uint64_t tag = Tag(id);
+  size_t slot = HomeSlot(id, shard.table_shift);
+  for (size_t step = 0; step <= shard.table_mask; ++step) {
+    const uint64_t word = shard.table[slot].load(std::memory_order_relaxed);
+    if (word == 0) break;
+    if ((word & ~kLowHalf) == tag) return static_cast<size_t>(word & kLowHalf);
+    slot = (slot + 1) & shard.table_mask;
+  }
+  return kNoFrame;
+}
+
+void BufferPool::MapPage(Shard& shard, PageId id, size_t frame) {
+  SEGDB_DCHECK(Lookup(shard, id) == kNoFrame);
+  size_t slot = HomeSlot(id, shard.table_shift);
+  // The table is at most half full, so the run ends well inside one lap.
+  for (size_t step = 0; step <= shard.table_mask; ++step) {
+    if (shard.table[slot].load(std::memory_order_relaxed) == 0) break;
+    slot = (slot + 1) & shard.table_mask;
+  }
+  shard.table[slot].store(Tag(id) | frame, std::memory_order_relaxed);
+}
+
+void BufferPool::UnmapPage(Shard& shard, PageId id) {
+  const uint64_t tag = Tag(id);
+  const size_t mask = shard.table_mask;
+  size_t hole = HomeSlot(id, shard.table_shift);
+  for (size_t step = 0; step <= mask; ++step) {
+    if ((shard.table[hole].load(std::memory_order_relaxed) & ~kLowHalf) ==
+        tag) {
+      break;
+    }
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: every later entry of the run whose home is at
+  // or before the hole moves into it, so each entry stays reachable from
+  // its home with no empty slot between. A probe racing the shift may miss
+  // the entry being moved; that is a false miss, which the locked path
+  // absorbs.
+  size_t next = hole;
+  for (size_t step = 0; step < mask; ++step) {
+    next = (next + 1) & mask;
+    const uint64_t word = shard.table[next].load(std::memory_order_relaxed);
+    if (word == 0) break;
+    const size_t home =
+        HomeSlot(static_cast<PageId>((word >> 32) - 1), shard.table_shift);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      shard.table[hole].store(word, std::memory_order_relaxed);
+      hole = next;
+    }
+  }
+  shard.table[hole].store(0, std::memory_order_relaxed);
+}
+
+bool BufferPool::TryPin(Frame& f, PageId id) {
+  const uint64_t tag = Tag(id);
+  uint64_t word = f.pin_word.load(std::memory_order_relaxed);
+  for (int attempt = 0; attempt < kPinAttempts; ++attempt) {
+    if ((word & ~kLowHalf) != tag) return false;
+    // Acquire pairs with the install's release (the page bytes) and with
+    // earlier unpins' releases (writes made through their pins).
+    if (f.pin_word.compare_exchange_weak(word, word + 1,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+      f.referenced.store(true, std::memory_order_relaxed);
+      f.hits.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+  }
+  return false;
+}
+
+void BufferPool::PinMapped(Shard& /*shard*/, Frame& f) {
+  uint64_t add = 1;
+  if (f.prefetched) {
+    f.prefetched = false;
+    add += Tag(f.id);
+  }
+  f.pin_word.fetch_add(add, std::memory_order_acquire);
+  f.referenced.store(true, std::memory_order_relaxed);
 }
 
 void BufferPool::Unpin(size_t frame) {
@@ -93,17 +197,49 @@ void BufferPool::Unpin(size_t frame) {
   // Reference first: after the release-decrement the frame may be evicted
   // and reused, and this pin must not touch it again.
   f.referenced.store(true, std::memory_order_relaxed);
-  const int prev = f.pin_count.fetch_sub(1, std::memory_order_release);
-  SEGDB_DCHECK(prev > 0);
+  const uint64_t prev = f.pin_word.fetch_sub(1, std::memory_order_release);
+  SEGDB_DCHECK(Pins(prev) > 0);
+}
+
+bool BufferPool::TakeFrame(Frame& f) {
+  uint64_t word = f.pin_word.load(std::memory_order_relaxed);
+  if (Pins(word) != 0) return false;
+  // Only a pin can change the word now (its page changes under the shard
+  // mutex, which the caller holds), so a failed CAS means a pin won. The
+  // acquire pairs with the last unpin's release: the taker sees every
+  // write made through the frame's former pins.
+  return f.pin_word.compare_exchange_strong(word, 0, std::memory_order_acquire,
+                                            std::memory_order_relaxed);
 }
 
 void BufferPool::Claim(Frame& f, PageId id) {
   f.id = id;
-  f.pin_count.store(1, std::memory_order_relaxed);
+  // The claimer adds its own pin: the pin word only ever changes by
+  // read-modify-writes.
+  const uint64_t prev = f.pin_word.fetch_add(1, std::memory_order_relaxed);
+  SEGDB_DCHECK(prev == 0);
   f.dirty.store(false, std::memory_order_relaxed);
   f.referenced.store(false, std::memory_order_relaxed);
   f.prefetched = false;
   f.staging = true;
+}
+
+void BufferPool::Install(Shard& shard, size_t frame) {
+  Frame& f = frames_[frame];
+  f.staging = false;
+  f.referenced.store(true, std::memory_order_relaxed);
+  // Release: a lock-free hit that pins the frame sees its bytes.
+  const uint64_t prev =
+      f.pin_word.fetch_add(Tag(f.id), std::memory_order_release);
+  SEGDB_DCHECK(prev == 1);
+  MapPage(shard, f.id, frame);
+}
+
+void BufferPool::ReleaseClaim(Shard& shard, size_t frame) {
+  const uint64_t prev =
+      frames_[frame].pin_word.fetch_sub(1, std::memory_order_relaxed);
+  SEGDB_DCHECK(prev == 1);
+  FreeFrame(shard, frame);
 }
 
 bool BufferPool::Claimed(const Shard& shard, PageId id) const {
@@ -116,8 +252,8 @@ bool BufferPool::Claimed(const Shard& shard, PageId id) const {
 
 void BufferPool::FreeFrame(Shard& shard, size_t frame) {
   Frame& f = frames_[frame];
+  SEGDB_DCHECK(f.pin_word.load(std::memory_order_relaxed) == 0);
   f.id = kInvalidPageId;
-  f.pin_count.store(0, std::memory_order_relaxed);
   f.dirty.store(false, std::memory_order_relaxed);
   f.prefetched = false;
   f.staging = false;
@@ -146,22 +282,25 @@ Result<size_t> BufferPool::GrabFrame(Shard& shard) {
       shard.free_frames.pop_back();
       return idx;
     }
-    // CLOCK sweep from the hand: an unpinned frame with its reference bit
-    // set gets a second chance (the bit is cleared), the first one without
-    // is the victim. Pins only grow under this shard's mutex, which we
-    // hold, so a frame seen unpinned on the first turn is still unpinned —
-    // and unreferenced — on the second: two turns find a victim unless
-    // every frame was pinned (or claimed) when the hand passed it.
+    // CLOCK sweep from the hand: on the first turn an unpinned frame with
+    // its reference bit set gets a second chance (the bit is cleared), and
+    // the first one without is the victim; on the second turn the first
+    // unpinned frame is. Lock-free hits may pin or re-reference a frame
+    // between the turns, and a frame is taken only by a CAS from zero pins,
+    // so two turns find a victim unless every frame was pinned (or
+    // claimed) when the second turn passed it. A serial run never pins
+    // during a sweep, so there the second turn meets only cleared bits and
+    // the order is plain CLOCK's.
     const size_t n = shard.frames.size();
     for (size_t step = 0; step < 2 * n; ++step) {
       const size_t idx = shard.frames[shard.hand];
       shard.hand = shard.hand + 1 == n ? 0 : shard.hand + 1;
       Frame& f = frames_[idx];
-      // Acquire pairs with the release-decrement in Unpin: a frame seen
-      // unpinned here is fully released, including its page bytes, dirty
-      // bit and reference bit.
-      if (f.pin_count.load(std::memory_order_acquire) != 0) continue;
-      if (f.referenced.exchange(false, std::memory_order_relaxed)) continue;
+      if (Pins(f.pin_word.load(std::memory_order_relaxed)) != 0) continue;
+      if (step < n && f.referenced.exchange(false, std::memory_order_relaxed)) {
+        continue;
+      }
+      if (!TakeFrame(f)) continue;  // a lock-free hit pinned it first
       victim = idx;
       break;
     }
@@ -181,16 +320,20 @@ Result<size_t> BufferPool::GrabFrame(Shard& shard) {
       // before then correctly discards them).
       sink_->CaptureEviction(f.id, f.page);
       ++shard.stats.spills;
-      shard.page_table.erase(f.id);
-      f.id = kInvalidPageId;
-      f.dirty.store(false, std::memory_order_relaxed);
-      f.prefetched = false;
-      return victim;
+    } else {
+      // The frame is unreadable while its bytes go out, so no lock-free
+      // hit pins it and no writer changes it meanwhile.
+      const Status written = disk_->WritePage(f.id, f.page);
+      if (!written.ok()) {
+        // Still resident and dirty: readable again (a dirty frame is never
+        // a staged one).
+        f.pin_word.fetch_add(Tag(f.id), std::memory_order_release);
+        return written;
+      }
+      ++shard.stats.writebacks;
     }
-    SEGDB_RETURN_IF_ERROR(disk_->WritePage(f.id, f.page));
-    ++shard.stats.writebacks;
   }
-  shard.page_table.erase(f.id);
+  UnmapPage(shard, f.id);
   f.id = kInvalidPageId;
   f.dirty.store(false, std::memory_order_relaxed);
   f.prefetched = false;
@@ -199,69 +342,69 @@ Result<size_t> BufferPool::GrabFrame(Shard& shard) {
 
 Result<PageRef> BufferPool::Fetch(PageId id) {
   Shard& shard = ShardFor(id);
+  // The hit path: probe the table and pin the frame, with no lock.
+  const size_t probed = Lookup(shard, id);
+  if (probed != kNoFrame && TryPin(frames_[probed], id)) {
+    return PageRef(this, probed, id);
+  }
   size_t claimed;
   {
     util::MutexLock lock(&shard.mu);
     ++shard.stats.fetches;
-    auto it = shard.page_table.find(id);
-    if (it != shard.page_table.end()) {
-      Frame& f = frames_[it->second];
+    const size_t mapped = Lookup(shard, id);
+    if (mapped != kNoFrame) {
+      Frame& f = frames_[mapped];
+      // First demand fetch of a staged page: charge the miss the paper's
+      // model counts for this page, without a second physical read. Any
+      // other frame here is a hit whose lock-free pin lost a race.
       if (f.prefetched) {
-        // First demand fetch of a staged page: charge the miss the paper's
-        // model counts for this page, without a second physical read.
-        f.prefetched = false;
         ++shard.stats.misses;
       } else {
         ++shard.stats.hits;
       }
-      Pin(f);
-      return PageRef(this, it->second, id);
+      PinMapped(shard, f);
+      return PageRef(this, mapped, id);
     }
     ++shard.stats.misses;
     Result<size_t> frame = GrabFrame(shard);
     if (!frame.ok()) return frame.status();
     claimed = frame.value();
     Frame& f = frames_[claimed];
+    Claim(f, id);
     if (sink_ != nullptr && sink_->TakeSpilled(id, &f.page)) {
       // A spilled dirty page rejoins the pool. The miss above stays charged
       // — without the sink these bytes would have been written back on
       // eviction and demand-read here, so cold I/O counts are
       // sink-invariant. The frame is dirty: the device copy is stale until
       // commit writeback.
-      f.id = id;
       f.dirty.store(true, std::memory_order_relaxed);
       ListDirty(shard, claimed);
-      Pin(f);
-      shard.page_table.emplace(id, claimed);
+      Install(shard, claimed);
       return PageRef(this, claimed, id);
     }
-    Claim(f, id);
   }
   // Fill with no lock held. The claim's pin keeps the hand away, and the
-  // frame is in no page table, so no other thread reads or writes its bytes.
+  // frame is unreadable and in no page table, so no other thread reads or
+  // writes its bytes.
   const Status read = disk_->ReadPage(id, &frames_[claimed].page);
   util::MutexLock lock(&shard.mu);
   if (!read.ok()) {
     // Failed demand read: the claimed frame goes back to the free list with
     // no page-table entry, so a retry of the same Fetch starts from a clean
     // slate. The miss stays counted — the device was asked.
-    FreeFrame(shard, claimed);
+    ReleaseClaim(shard, claimed);
     return read;
   }
-  auto [it, inserted] = shard.page_table.try_emplace(id, claimed);
-  if (!inserted) {
+  const size_t winner = Lookup(shard, id);
+  if (winner != kNoFrame) {
     // Another thread installed the page while we read it: release the
     // claim and pin its frame. Our read stays charged, as it was a device
     // read; a staged frame's first-demand miss is the one we just charged.
-    FreeFrame(shard, claimed);
-    Frame& winner = frames_[it->second];
-    winner.prefetched = false;
-    Pin(winner);
-    return PageRef(this, it->second, id);
+    ReleaseClaim(shard, claimed);
+    PinMapped(shard, frames_[winner]);
+    return PageRef(this, winner, id);
   }
-  Frame& f = frames_[claimed];
-  f.staging = false;
-  f.referenced.store(true, std::memory_order_relaxed);
+  Install(shard, claimed);
   return PageRef(this, claimed, id);
 }
 
@@ -280,12 +423,11 @@ Result<PageRef> BufferPool::NewPage() {
     return frame.status();
   }
   Frame& f = frames_[frame.value()];
+  Claim(f, id.value());
   f.page.Zero();
-  f.id = id.value();
   f.dirty.store(true, std::memory_order_relaxed);
   ListDirty(shard, frame.value());
-  Pin(f);
-  shard.page_table[id.value()] = frame.value();
+  Install(shard, frame.value());
   return PageRef(this, frame.value(), id.value());
 }
 
@@ -293,13 +435,12 @@ Status BufferPool::FreePage(PageId id) {
   Shard& shard = ShardFor(id);
   {
     util::MutexLock lock(&shard.mu);
-    auto it = shard.page_table.find(id);
-    if (it != shard.page_table.end()) {
-      const size_t frame = it->second;
-      if (frames_[frame].pin_count.load(std::memory_order_acquire) > 0) {
+    const size_t frame = Lookup(shard, id);
+    if (frame != kNoFrame) {
+      if (!TakeFrame(frames_[frame])) {
         return Status::FailedPrecondition("FreePage: page is pinned");
       }
-      shard.page_table.erase(it);
+      UnmapPage(shard, id);
       FreeFrame(shard, frame);
     }
   }
@@ -334,7 +475,7 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
     // Free frames only: read-ahead must never displace demand-resident
     // pages, or it would perturb the measured hit/miss pattern.
     if (shard.free_frames.empty()) continue;
-    if (shard.page_table.find(id) != shard.page_table.end()) continue;
+    if (Lookup(shard, id) != kNoFrame) continue;
     // Spilled pages must not be staged either: the device bytes are stale
     // (the fresh bytes live in the sink until commit-time writeback).
     if (sink_ != nullptr && sink_->Contains(id)) continue;
@@ -366,20 +507,22 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   // unreachable; the fault-injection suite pins this down. A page that
   // became resident meanwhile (demand fetch raced the fill) also releases
   // the claim: the table entry wins. A staged page enters unreferenced, so
-  // the hand takes it first if no demand fetch comes for it.
+  // the hand takes it first if no demand fetch comes for it, and
+  // unreadable, so its first fetch takes the locked path that charges the
+  // miss.
   for (size_t i = 0; i < claims.size(); ++i) {
     const Staged& c = claims[i];
     Shard& shard = ShardFor(c.id);
     util::MutexLock lock(&shard.mu);
-    if (!fills[i].status.ok() ||
-        !shard.page_table.try_emplace(c.id, c.frame).second) {
-      FreeFrame(shard, c.frame);
+    if (!fills[i].status.ok() || Lookup(shard, c.id) != kNoFrame) {
+      ReleaseClaim(shard, c.frame);
       continue;
     }
     Frame& f = frames_[c.frame];
     f.staging = false;
     f.prefetched = true;
-    f.pin_count.store(0, std::memory_order_relaxed);
+    f.pin_word.fetch_sub(1, std::memory_order_release);
+    MapPage(shard, c.id, c.frame);
     ++shard.stats.prefetches;
   }
 }
@@ -404,7 +547,7 @@ Status BufferPool::FlushAll() {
     for (size_t idx : list) {
       Frame& f = frames_[idx];
       if (!f.dirty.load(std::memory_order_relaxed)) continue;  // stale
-      f.pin_count.fetch_add(1, std::memory_order_relaxed);
+      f.pin_word.fetch_add(1, std::memory_order_acquire);
       frames.push_back(idx);
       writes.push_back(PageWrite{f.id, &f.page, Status::OK()});
     }
@@ -424,7 +567,7 @@ Status BufferPool::FlushAll() {
         f.dirty.store(false, std::memory_order_relaxed);
         ++shard.stats.writebacks;
       }
-      f.pin_count.fetch_sub(1, std::memory_order_release);
+      f.pin_word.fetch_sub(1, std::memory_order_release);
     }
     if (shard.flushing) {
       shard.flushing = false;
@@ -453,14 +596,19 @@ Status BufferPool::EvictAll() {
     for (size_t idx : shard.frames) {
       Frame& f = frames_[idx];
       if (f.id == kInvalidPageId) continue;
-      if (f.pin_count.load(std::memory_order_acquire) > 0) {
+      // A claim holds its own pin, so it is refused here too.
+      if (!TakeFrame(f)) {
         return Status::FailedPrecondition("EvictAll: page is pinned");
       }
       if (f.dirty.load(std::memory_order_relaxed)) {
-        SEGDB_RETURN_IF_ERROR(disk_->WritePage(f.id, f.page));
+        const Status written = disk_->WritePage(f.id, f.page);
+        if (!written.ok()) {
+          f.pin_word.fetch_add(Tag(f.id), std::memory_order_release);
+          return written;
+        }
         ++shard.stats.writebacks;
       }
-      shard.page_table.erase(f.id);
+      UnmapPage(shard, f.id);
       FreeFrame(shard, idx);
     }
     // Every frame is free now: restore the fresh-pool order, so an emptied
@@ -490,8 +638,14 @@ BufferPoolStats BufferPool::stats() const {
   BufferPoolStats total;
   for (const Shard& shard : shards_) {
     util::MutexLock lock(&shard.mu);
-    total.fetches += shard.stats.fetches;
-    total.hits += shard.stats.hits;
+    // A lock-free hit is one fetch and one hit, read once for both sums,
+    // so hits + misses == fetches holds in every snapshot.
+    uint64_t lock_free = 0;
+    for (size_t idx : shard.frames) {
+      lock_free += frames_[idx].hits.load(std::memory_order_relaxed);
+    }
+    total.fetches += shard.stats.fetches + lock_free;
+    total.hits += shard.stats.hits + lock_free;
     total.misses += shard.stats.misses;
     total.writebacks += shard.stats.writebacks;
     total.prefetches += shard.stats.prefetches;
@@ -504,6 +658,9 @@ void BufferPool::ResetStats() {
   for (Shard& shard : shards_) {
     util::MutexLock lock(&shard.mu);
     shard.stats = BufferPoolStats();
+    for (size_t idx : shard.frames) {
+      frames_[idx].hits.store(0, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -518,9 +675,9 @@ Status BufferPool::CheckInvariants() const {
     // Hold the shard's mutex while auditing it. The audit is documented
     // quiescent-only (the frame-vs-disk byte compare can race with pinned
     // writers), but the page-table and stats reads are guarded state, and
-    // the thread-safety analysis rightly rejected the previous lock-free
-    // walk: an audit concurrent with a Fetch storm on another shard is
-    // legal and must not tear this shard's map.
+    // an audit concurrent with a Fetch storm on another shard is legal. A
+    // lock-free hit changes only a readable frame's pin count, reference
+    // bit and hit count, which the audit does not pin down exactly.
     util::MutexLock lock(&shard.mu);
     if (shard.hand >= shard.frames.size()) {
       return Status::Corruption("CLOCK hand outside its shard");
@@ -545,7 +702,10 @@ Status BufferPool::CheckInvariants() const {
       }
       owned[idx] = true;
       const Frame& f = frames_[idx];
-      if (f.pin_count.load(std::memory_order_relaxed) < 0) {
+      const uint64_t word = f.pin_word.load(std::memory_order_relaxed);
+      const uint64_t tag = word & ~kLowHalf;
+      // Far beyond any real pin count: an unpin without a pin.
+      if (Pins(word) > kLowHalf / 2) {
         return Status::Corruption("frame with negative pin count");
       }
       if (f.listed != on_dirty_list[idx]) {
@@ -556,8 +716,11 @@ Status BufferPool::CheckInvariants() const {
         return Status::Corruption("dirty frame missing from the dirty list");
       }
       if (f.id == kInvalidPageId) {
-        if (f.pin_count.load(std::memory_order_relaxed) != 0) {
+        if (Pins(word) != 0) {
           return Status::Corruption("empty frame still pinned");
+        }
+        if (tag != 0) {
+          return Status::Corruption("empty frame open to lock-free hits");
         }
         if (f.dirty.load(std::memory_order_relaxed)) {
           return Status::Corruption("empty frame marked dirty");
@@ -576,18 +739,17 @@ Status BufferPool::CheckInvariants() const {
       }
       if (f.staging) {
         // Claimed by an in-flight fill (a demand miss or a batched
-        // Prefetch): holds exactly the claimer's pin, is not yet mapped (so
-        // not resident), and its page bytes are undefined until the fill
-        // completes.
-        if (f.pin_count.load(std::memory_order_relaxed) != 1) {
+        // Prefetch): holds exactly the claimer's pin, is unreadable and not
+        // yet mapped (so not resident), and its page bytes are undefined
+        // until the fill completes.
+        if (word != 1) {
           return Status::Corruption(
               "staging frame must hold exactly the claimer's pin");
         }
         if (f.prefetched) {
           return Status::Corruption("staging frame already marked staged");
         }
-        auto claimed = shard.page_table.find(f.id);
-        if (claimed != shard.page_table.end() && claimed->second == idx) {
+        if (Lookup(shard, f.id) == idx) {
           return Status::Corruption("staging frame is in the page table");
         }
         continue;
@@ -596,13 +758,18 @@ Status BufferPool::CheckInvariants() const {
       if (f.id % shards_.size() != s) {
         return Status::Corruption("page resident in the wrong shard");
       }
-      auto it = shard.page_table.find(f.id);
-      if (it == shard.page_table.end() || it->second != idx) {
+      if (Lookup(shard, f.id) != idx) {
         return Status::Corruption("resident frame missing from the page table");
       }
-      if (f.prefetched &&
-          f.pin_count.load(std::memory_order_relaxed) != 0) {
-        return Status::Corruption("staged (prefetched) frame is pinned");
+      if (f.prefetched) {
+        // Staged and not yet demand-fetched: unpinned, and closed to
+        // lock-free hits so that its first fetch charges the miss.
+        if (word != 0) {
+          return Status::Corruption("staged (prefetched) frame is pinned");
+        }
+      } else if (tag != Tag(f.id)) {
+        return Status::Corruption(
+            "resident frame's pin word names another page");
       }
       if (!f.dirty.load(std::memory_order_relaxed)) {
         // A clean frame must agree with disk byte-for-byte; a mismatch
@@ -620,9 +787,17 @@ Status BufferPool::CheckInvariants() const {
     if (dirty_listed != shard.dirty_frames.size()) {
       return Status::Corruption("dirty list names a frame of another shard");
     }
-    table_total += shard.page_table.size();
-    for (const auto& [id, idx] : shard.page_table) {
-      if (idx >= frames_.size() || frames_[idx].id != id) {
+    // Every entry names the frame that holds its page; with the probe check
+    // above (each resident frame found from its home) and the count below,
+    // no page is mapped twice.
+    for (size_t slot = 0; slot <= shard.table_mask; ++slot) {
+      const uint64_t word = shard.table[slot].load(std::memory_order_relaxed);
+      if (word == 0) continue;
+      ++table_total;
+      const PageId id = static_cast<PageId>((word >> 32) - 1);
+      const size_t idx = static_cast<size_t>(word & kLowHalf);
+      if (idx >= frames_.size() || frames_[idx].id != id ||
+          frames_[idx].staging) {
         return Status::Corruption("page-table entry points at a wrong frame");
       }
       if (id % shards_.size() != s) {

@@ -9,19 +9,25 @@
 //
 // Concurrency model (DESIGN.md section 10). The read path — Fetch of
 // already-written pages, PageRef::page() const access, Release, Prefetch —
-// is safe from any number of threads. The page table is sharded by size
-// (S = clamp(frames/64, 1, 16); pages hash to shards by id; each shard owns
-// a disjoint set of frames, its own mutex and its own CLOCK hand), so
-// readers on different shards never serialize. A miss never holds its
-// shard during the device read: it claims a frame under the shard lock,
-// fills it with no lock held, and re-locks to install it. Everything that
-// mutates pages or the page set — NewPage, FreePage, MarkDirty plus writes
-// through page(), FlushAll, EvictAll, ResetStats — requires external
+// is safe from any number of threads. Pages hash to shards by id (S =
+// clamp(frames/64, 1, 16)); each shard owns a disjoint set of frames, its
+// own mutex, page table and CLOCK hand. A hit takes no lock: Fetch probes
+// its shard's page table, a fixed array of atomic (page id, frame) words,
+// and pins the frame with a CAS on the frame's pin word, which carries the
+// id of the page the frame holds readable beside its pin count, so the pin
+// succeeds only if the frame still holds that page. A probe that finds
+// nothing, or a pin that loses a race, falls back to the locked path; no
+// thread ever waits for another's pin. A miss never holds its shard during
+// the device read: it claims a frame under the shard lock, fills it with
+// no lock held, and re-locks to install it. Everything that mutates pages
+// or the page set — NewPage, FreePage, MarkDirty plus writes through
+// page(), FlushAll, EvictAll, ResetStats — requires external
 // synchronization: a single writer. Of these only FlushAll may run beside
 // the read path (a durable commit writes back while queries run): its
 // batch pins the frames it writes, so no miss evicts one under it. The
-// rest need quiescence. Stats are kept per shard and aggregated by
-// stats(), so the miss counter still equals the paper's I/O count.
+// rest need quiescence. Stats are kept per shard, plus a per-frame count
+// of lock-free hits, and summed by stats(), so the miss counter still
+// equals the paper's I/O count.
 //
 // Dirty lists. Each shard lists the frames that went clean -> dirty since
 // its last FlushAll, so a commit's CollectDirty and FlushAll cost its dirty
@@ -32,33 +38,45 @@
 // FlushAll drops it.
 //
 // Lock discipline (compile-time checked on Clang, DESIGN.md section 12).
-// Each Shard::mu is a capability guarding that shard's page_table, free
-// list, dirty list, CLOCK hand, stats, and the shard-owned frames'
-// non-atomic metadata (Frame::id, Frame::prefetched, Frame::staging,
-// Frame::listed). Shard mutexes are leaves and are never nested — every
-// public method locks at most one shard at a time (the quiescent sweeps
-// lock shards strictly one after another), and nothing that holds one
-// calls MarkDirty.
-// Three fields deliberately live OUTSIDE the capability as atomics:
-//   - Frame::pin_count: decremented lock-free by PageRef::Release from any
-//     thread (taking the shard lock on every unpin would serialize readers
-//     that never touch the page table); its release/acquire pairing with
-//     the CLOCK sweep is documented at the use sites.
+// Each Shard::mu is a capability guarding that shard's free list, dirty
+// list, CLOCK hand, stats, every write to its page table, and the
+// shard-owned frames' non-atomic metadata (Frame::id, Frame::prefetched,
+// Frame::staging, Frame::listed). Shard mutexes are leaves and are never
+// nested — every public method locks at most one shard at a time (the
+// quiescent sweeps lock shards strictly one after another), and nothing
+// that holds one calls MarkDirty.
+// Five fields deliberately live OUTSIDE the capability as atomics:
+//   - Shard::table's words: written only under the shard mutex, probed
+//     lock-free by Fetch. A probe may miss an entry a writer is moving
+//     (the locked path then finds it) or name a frame that has since
+//     changed its page (the pin's id check then fails); it never pins a
+//     frame that does not hold the page.
+//   - Frame::pin_word: the readable page's id and the pin count. Pins grow
+//     lock-free (a hit's CAS) and under the lock (a miss, a staged page's
+//     first fetch, FlushAll); PageRef::Release drops them lock-free. Every
+//     change to it is a read-modify-write, never a store, so no pin is
+//     lost, a frame changes its page only by a CAS from zero pins, and the
+//     release of an install (or of an unpin after page writes) reaches
+//     every later pin's acquire.
+//   - Frame::hits: the fetches this frame served without the lock, on the
+//     cache line the pin already writes; stats() adds them to hits and
+//     fetches.
 //   - Frame::referenced: the CLOCK reference bit, set on pin and unpin;
-//     the hand reads and clears it only for *unpinned* frames under the
-//     shard lock, and pins only grow under that lock, so no set is lost.
+//     the hand reads and clears it only for unpinned frames under the
+//     shard lock.
 //   - Frame::dirty: set by MarkDirty through a pinned PageRef; the pin
-//     itself keeps eviction away, and the unpin release-store publishes it
-//     to the next sweep. Only the clean -> dirty edge takes the shard lock,
-//     to list the frame; marking a dirty frame again stays lock-free.
+//     itself keeps eviction away, and the unpin release-decrement
+//     publishes it to the next sweep. Only the clean -> dirty edge takes
+//     the shard lock, to list the frame; marking a dirty frame again stays
+//     lock-free.
 #ifndef SEGDB_IO_BUFFER_POOL_H_
 #define SEGDB_IO_BUFFER_POOL_H_
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "io/disk_manager.h"
@@ -171,18 +189,23 @@ class BufferPool {
   size_t frame_count() const { return frames_.size(); }
   size_t shard_count() const { return shards_.size(); }
 
-  // Pins the page, reading it from disk on a miss. Thread-safe. A miss
-  // claims a frame (a free one first, else the CLOCK victim), reads into it
-  // with no lock held, then installs it; if another thread installed the
-  // same page meanwhile, the claim is released and that frame is pinned
-  // instead (both reads stay charged, so misses still equal device reads).
-  // A failed read returns the claimed frame to the free list.
+  // Pins the page, reading it from disk on a miss. Thread-safe. A hit on a
+  // readable frame takes no lock: a probe of the shard's page table and a
+  // CAS on the frame's pin word. Everything else takes the shard lock: a
+  // staged page's first fetch, a hit whose probe or pin lost a race, and a
+  // miss. A miss claims a frame (a free one first, else the CLOCK victim),
+  // reads into it with no lock held, then installs it; if another thread
+  // installed the same page meanwhile, the claim is released and that
+  // frame is pinned instead (both reads stay charged, so misses still
+  // equal device reads). A failed read returns the claimed frame to the
+  // free list.
   Result<PageRef> Fetch(PageId id);
 
   // Allocates a fresh zeroed page on disk and pins it (dirty). Writer path.
   Result<PageRef> NewPage();
 
-  // Frees a disk page. The page must not be pinned. Writer path.
+  // Frees a disk page. Writer path. A pinned page is refused with
+  // FailedPrecondition, whichever path pinned it.
   Status FreePage(PageId id);
 
   // Read-ahead hint: stages absent pages into *free* frames of their
@@ -226,8 +249,10 @@ class BufferPool {
   // sink's to report.
   void CollectDirty(std::vector<PageImage>* out) const;
 
-  // Aggregates the per-shard counters. The sums reproduce exactly the
-  // single-threaded counters for any serial trace.
+  // Aggregates the per-shard counters and the per-frame lock-free hit
+  // counts (O(frames)). The sums reproduce exactly the single-threaded
+  // counters for any serial trace, and every snapshot, even mid-storm,
+  // has hits + misses == fetches.
   BufferPoolStats stats() const;
   void ResetStats();
 
@@ -255,7 +280,12 @@ class BufferPool {
     explicit Frame(uint32_t page_size) : page(page_size) {}
     Page page;
     PageId id = kInvalidPageId;
-    std::atomic<int> pin_count{0};
+    // The pin word: high 32 bits the id + 1 of the page the frame holds
+    // installed and readable (0 while it is free, claimed by an in-flight
+    // fill, or staged by Prefetch and not yet demand-fetched), low 32 bits
+    // the pin count. A lock-free hit pins by a CAS that expects its page's
+    // id, so the pin is its own check. See the file comment.
+    std::atomic<uint64_t> pin_word{0};
     std::atomic<bool> dirty{false};
     // CLOCK reference bit: set on every pin and unpin, cleared by the hand
     // as it passes an unpinned frame (second chance).
@@ -275,14 +305,25 @@ class BufferPool {
     bool staging = false;
     // On its shard's dirty_frames. Same guard story as `prefetched`.
     bool listed = false;
+    // Fetches this frame served without the shard lock, whatever page it
+    // held; stats() adds them to hits and fetches.
+    std::atomic<uint64_t> hits{0};
   };
 
   struct Shard {
     // mutable: stats() and CheckInvariants() aggregate under it from
     // const context.
     mutable util::Mutex mu;
-    // page id -> global frame index; all mapped frames belong to `frames`.
-    std::unordered_map<PageId, size_t> page_table SEGDB_GUARDED_BY(mu);
+    // The page table: open addressing with linear probing over a fixed
+    // power-of-two array of words (id + 1) << 32 | frame, 0 when empty.
+    // Twice the shard's frame count, so it never grows and is at most half
+    // full; a deletion shifts the rest of its run back, so there are no
+    // tombstones. Written only under `mu` (MapPage, UnmapPage), probed
+    // without it (Lookup). Fixed at construction, like the two below.
+    std::unique_ptr<std::atomic<uint64_t>[]> table;
+    size_t table_mask = 0;
+    // 64 - log2(table size): the multiplicative hash keeps the top bits.
+    int table_shift = 0;
     // Global frame indices owned by the shard. Fixed at construction,
     // read-only afterwards — no guard needed.
     std::vector<size_t> frames;
@@ -298,29 +339,56 @@ class BufferPool {
     // that finds every frame pinned waits on `flushed` for it to land.
     bool flushing SEGDB_GUARDED_BY(mu) = false;
     util::CondVar flushed;
+    // Fetches that took the lock; lock-free hits are on their frames.
     BufferPoolStats stats SEGDB_GUARDED_BY(mu);
   };
 
+  static constexpr size_t kNoFrame = ~size_t{0};
+
   Shard& ShardFor(PageId id) { return shards_[id % shards_.size()]; }
 
-  void Pin(Frame& f) {
-    f.pin_count.fetch_add(1, std::memory_order_relaxed);
-    f.referenced.store(true, std::memory_order_relaxed);
-  }
+  // The frame `shard`'s table maps `id` to, or kNoFrame. Exact under the
+  // shard mutex. Without it a concurrent deletion may hide the entry (the
+  // caller's locked path then finds it), and the frame named may since
+  // hold another page (the caller's pin then fails its id check).
+  size_t Lookup(const Shard& shard, PageId id) const;
+  // Adds `id` -> `frame` to the table; `id` must be absent.
+  void MapPage(Shard& shard, PageId id, size_t frame)
+      SEGDB_REQUIRES(shard.mu);
+  // Removes `id`'s entry, which must be present.
+  void UnmapPage(Shard& shard, PageId id) SEGDB_REQUIRES(shard.mu);
+  // The lock-free hit: pins `f` if it holds `id` installed and readable,
+  // and counts the hit on the frame. False sends the caller to the locked
+  // path; it never waits.
+  bool TryPin(Frame& f, PageId id);
+  // Pins a mapped frame under its shard's mutex. A staged frame's first
+  // pin also makes it readable to lock-free hits.
+  void PinMapped(Shard& shard, Frame& f) SEGDB_REQUIRES(shard.mu);
   void Unpin(size_t frame);
+  // Makes a mapped, unpinned frame unreadable so its page may change: a
+  // CAS from zero pins, which fails if any pin holds the frame. Under the
+  // frame's shard mutex.
+  bool TakeFrame(Frame& f);
   // Takes a free frame of `shard`, else evicts the CLOCK victim, writing it
-  // back first if dirty. The frame comes back unmapped, unpinned and clean.
-  // If every frame is pinned while a FlushAll batch holds some of them,
-  // waits for the batch to land rather than fail.
+  // back first if dirty. The frame comes back unmapped, unpinned, clean and
+  // unreadable. If every frame is pinned while a FlushAll batch holds some
+  // of them, waits for the batch to land rather than fail.
   Result<size_t> GrabFrame(Shard& shard) SEGDB_REQUIRES(shard.mu);
   // Marks a grabbed frame as claimed for `id`: pinned by the claimer,
-  // `staging`, not in the page table. The caller holds the frame's shard
-  // mutex, which the frame alone cannot name for the annotation.
+  // `staging`, unreadable, not in the page table. The caller holds the
+  // frame's shard mutex, which the frame alone cannot name for the
+  // annotation.
   void Claim(Frame& f, PageId id);
+  // Ends a claim whose page is ready: the frame becomes readable, keeps
+  // the claimer's pin and enters the page table.
+  void Install(Shard& shard, size_t frame) SEGDB_REQUIRES(shard.mu);
+  // Ends a claim whose fill failed or lost its race: drops the claimer's
+  // pin and frees the frame.
+  void ReleaseClaim(Shard& shard, size_t frame) SEGDB_REQUIRES(shard.mu);
   // Whether an in-flight fill of `id` holds a claim in `shard`.
   bool Claimed(const Shard& shard, PageId id) const SEGDB_REQUIRES(shard.mu);
-  // Returns an unmapped frame (a released claim, a freed page) to the free
-  // list: no id, no pin, clean.
+  // Returns an unmapped, unpinned, unreadable frame (a released claim, a
+  // freed page) to the free list: no id, clean.
   void FreeFrame(Shard& shard, size_t frame) SEGDB_REQUIRES(shard.mu);
   // Every frame free, in construction order, the hand at the start, and
   // the dirty list empty.

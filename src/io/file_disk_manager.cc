@@ -112,14 +112,16 @@ Result<std::unique_ptr<FileDiskManager>> FileDiskManager::Open(
       init = dm->InitExisting(static_cast<uint64_t>(st.st_size));
     }
   }
+  // A failed Open closes the fd without persisting anything: the file it
+  // refused keeps its size and bytes.
   if (!init.ok()) {
-    dm->Close().IgnoreError();
+    dm->CloseFile(/*persist=*/false).IgnoreError();
     return init;
   }
   Result<std::unique_ptr<AsyncIoEngine>> engine =
       CreateAsyncIoEngine(fd, options.engine);
   if (!engine.ok()) {
-    dm->Close().IgnoreError();
+    dm->CloseFile(/*persist=*/false).IgnoreError();
     return engine.status();
   }
   dm->engine_ = std::move(engine.value());
@@ -256,10 +258,12 @@ Status FileDiskManager::WriteMeta() {
   return Status::OK();
 }
 
-Status FileDiskManager::Close() {
+Status FileDiskManager::Close() { return CloseFile(/*persist=*/true); }
+
+Status FileDiskManager::CloseFile(bool persist) {
   util::MutexLock lock(&mu_);
   if (fd_ < 0) return Status::OK();
-  Status meta = data_offset_ != 0 ? WriteMeta() : Status::OK();
+  Status meta = persist ? WriteMeta() : Status::OK();
   scheduler_.reset();
   engine_.reset();  // before the fd they operate on goes away
   if (::close(fd_) != 0 && meta.ok()) {

@@ -116,6 +116,9 @@ class FileDiskManager final : public DiskManager {
  private:
   FileDiskManager(uint32_t page_size, const FileDiskManagerOptions& options);
 
+  // Close's body. With `persist` false it writes nothing back: Open's
+  // failure path, which must leave the file it refused untouched.
+  Status CloseFile(bool persist);
   Status InitCreate() SEGDB_REQUIRES(mu_);
   Status InitExisting(uint64_t file_size) SEGDB_REQUIRES(mu_);
   Status WriteMeta() SEGDB_REQUIRES(mu_);

@@ -525,9 +525,11 @@ TEST(ConcurrencyTest, AuditConcurrentWithReadStorm) {
 }
 
 TEST(ConcurrencyTest, StatsConsistentDuringFetchStorm) {
-  // stats() aggregates per-shard counters under the shard locks; polled
-  // mid-storm it must always satisfy hits + misses == fetches and stay
-  // monotone (each shard's triple is updated atomically under its mutex).
+  // stats() sums each shard's locked counters and its frames' lock-free hit
+  // counts under the shard lock; polled mid-storm it must always satisfy
+  // hits + misses == fetches and stay monotone. A locked fetch updates its
+  // shard's triple under the mutex, and a lock-free hit is one count that
+  // stats() adds to both hits and fetches, so every snapshot balances.
   io::SimDiskManager disk(256);
   io::BufferPool pool(&disk, 4096);
   auto ids = FillPages(&pool, 512);
@@ -554,6 +556,69 @@ TEST(ConcurrencyTest, StatsConsistentDuringFetchStorm) {
   for (std::thread& r : readers) r.join();
   const auto s = pool.stats();
   EXPECT_EQ(s.hits + s.misses, s.fetches);
+}
+
+// Lock-free hits interleaved with frame reuse in one shard. Hot readers pin
+// a small set of stamped pages and check every stamp, lock-free once the
+// page is resident; missers fetch the other pages through 64 frames, so
+// CLOCK victims, frames freed and reclaimed, and re-installs of a page
+// into another frame keep racing the hot readers' table probes and pin
+// CASes. A pin that landed on a frame mid-change would read another
+// page's stamp.
+TEST(ConcurrencyTest, LockFreeHitsRaceFrameReuse) {
+  io::SimDiskManager disk(256);
+  io::BufferPool pool(&disk, 64);
+  ASSERT_EQ(pool.shard_count(), 1u);
+  auto ids = FillPages(&pool, 512);
+  pool.ResetStats();
+  const std::vector<io::PageId> hot(ids.begin(), ids.begin() + 8);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> bad{0};
+  std::atomic<uint64_t> hot_fetches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(6000 + t);
+      uint64_t done = 0;
+      while (!stop.load(std::memory_order_relaxed) || done < 20000) {
+        const io::PageId id = hot[rng.Uniform(hot.size())];
+        auto ref = pool.Fetch(id);
+        if (!ref.ok()) {
+          if (ref.status().code() != StatusCode::kResourceExhausted) ++bad;
+          continue;
+        }
+        if (ref.value().page().ReadAt<uint64_t>(0) != Stamp(id)) ++bad;
+        ++done;
+      }
+      hot_fetches += done;
+    });
+  }
+  for (size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(7000 + t);
+      for (int i = 0; i < 20000; ++i) {
+        const io::PageId id = ids[8 + rng.Uniform(ids.size() - 8)];
+        auto ref = pool.Fetch(id);
+        if (!ref.ok()) {
+          if (ref.status().code() != StatusCode::kResourceExhausted) ++bad;
+          continue;
+        }
+        if (ref.value().page().ReadAt<uint64_t>(0) != Stamp(id)) ++bad;
+      }
+    });
+  }
+  for (size_t t = 2; t < threads.size(); ++t) threads[t].join();
+  stop.store(true);
+  threads[0].join();
+  threads[1].join();
+  EXPECT_EQ(bad.load(), 0u);
+  const Status audit = pool.CheckInvariants();
+  EXPECT_TRUE(audit.ok()) << audit.message();
+  const auto s = pool.stats();
+  EXPECT_EQ(s.hits + s.misses, s.fetches);
+  EXPECT_GE(s.fetches, hot_fetches.load());
+  // The missers alone could hit only by chance; the hot set is resident.
+  EXPECT_GT(s.hits, hot_fetches.load() / 2);
 }
 
 TEST(ConcurrencyTest, ThreadPoolRunsEverySubmittedTask) {

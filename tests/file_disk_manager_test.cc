@@ -331,6 +331,56 @@ TEST(FileDiskManagerTest, RejectsForeignOrMismatchedFile) {
   std::remove(path.c_str());
 }
 
+std::vector<uint8_t> ReadWholeFile(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  uint8_t buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + got);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+// A failed Open writes nothing back: a one-page file cut inside its bitmap
+// region keeps its size and bytes, and a second Open fails the same way
+// (it used to come back grown to the bitmap's size, with a superblock of
+// max_pages 0 that the next Open called implausible).
+TEST(FileDiskManagerTest, FailedOpenLeavesTheFileUntouched) {
+  const std::string path = TempPath("fdm_truncated.segdb");
+  {
+    auto opened = FileDiskManager::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    FileDiskManager& disk = *opened.value();
+    auto id = disk.AllocatePage();
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(disk.WritePage(id.value(), MakePattern(disk.page_size(), 5))
+                    .ok());
+    ASSERT_TRUE(disk.Close().ok());
+  }
+  const std::vector<uint8_t> whole = ReadWholeFile(path);
+  ASSERT_GT(whole.size(), 4196u);
+  const std::vector<uint8_t> cut(whole.begin(), whole.begin() + 4196);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(cut.data(), 1, cut.size(), f), cut.size());
+    std::fclose(f);
+  }
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto opened = FileDiskManager::Open(path);
+    ASSERT_FALSE(opened.ok()) << "attempt " << attempt;
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(opened.status().message(),
+              "file truncated inside the bitmap region")
+        << "attempt " << attempt;
+    EXPECT_EQ(ReadWholeFile(path), cut) << "attempt " << attempt;
+  }
+  std::remove(path.c_str());
+}
+
 // Counter parity: the same op sequence on both backends must produce
 // identical DiskStats and identical read-back bytes. This is the backend
 // half of the golden-I/O guarantee (the pool half lives in

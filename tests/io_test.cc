@@ -206,6 +206,11 @@ TEST_F(BufferPoolTest, HitsDoNotTouchDisk) {
   EXPECT_EQ(pool_.stats().hits, 5u);
   EXPECT_EQ(pool_.stats().misses, 0u);
   EXPECT_EQ(disk_.stats().reads, 0u);
+  // The hits were lock-free, counted on the page's frame; ResetStats
+  // zeroes those counts with the shard's.
+  pool_.ResetStats();
+  EXPECT_EQ(pool_.stats().fetches, 0u);
+  EXPECT_EQ(pool_.stats().hits, 0u);
 }
 
 TEST_F(BufferPoolTest, LruEvictsColdestPage) {
@@ -281,6 +286,64 @@ TEST_F(BufferPoolTest, FreePageRejectsPinned) {
   EXPECT_FALSE(pool_.FreePage(id).ok());
   ref.value().Release();
   EXPECT_TRUE(pool_.FreePage(id).ok());
+}
+
+// A resident page's fetch is a lock-free hit; the pin it takes must hold
+// the page against FreePage and EvictAll like any other pin.
+TEST_F(BufferPoolTest, LockFreeHitPinRefusesFreeAndEvict) {
+  PageId id;
+  {
+    auto created = pool_.NewPage();
+    ASSERT_TRUE(created.ok());
+    id = created.value().page_id();
+  }
+  auto ref = pool_.Fetch(id);
+  ASSERT_TRUE(ref.ok());
+  ASSERT_EQ(pool_.stats().hits, 1u);
+  const Status freed = pool_.FreePage(id);
+  EXPECT_EQ(freed.code(), StatusCode::kFailedPrecondition);
+  const Status evicted = pool_.EvictAll();
+  EXPECT_EQ(evicted.code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(pool_.CheckInvariants().ok());
+  ref.value().Release();
+  EXPECT_TRUE(pool_.EvictAll().ok());
+  EXPECT_TRUE(pool_.FreePage(id).ok());
+  EXPECT_TRUE(pool_.CheckInvariants().ok());
+}
+
+// A staged page is closed to lock-free hits: its first Fetch takes the
+// locked path and charges exactly one miss, without a device read, and the
+// next one is a hit.
+TEST_F(BufferPoolTest, PrefetchedPageFirstFetchChargesOneMiss) {
+  PageId id;
+  {
+    auto created = pool_.NewPage();
+    ASSERT_TRUE(created.ok());
+    id = created.value().page_id();
+    created.value().page().WriteAt<uint64_t>(0, 4242);
+    created.value().MarkDirty();
+  }
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  ASSERT_TRUE(pool_.EvictAll().ok());
+  const PageId ids[] = {id};
+  pool_.Prefetch(ids);
+  ASSERT_EQ(pool_.stats().prefetches, 1u);
+  pool_.ResetStats();
+  disk_.ResetStats();
+  {
+    auto first = pool_.Fetch(id);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first.value().page().ReadAt<uint64_t>(0), 4242u);
+  }
+  EXPECT_EQ(pool_.stats().fetches, 1u);
+  EXPECT_EQ(pool_.stats().misses, 1u);
+  EXPECT_EQ(pool_.stats().hits, 0u);
+  EXPECT_EQ(disk_.stats().reads, 0u);
+  auto second = pool_.Fetch(id);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(pool_.stats().misses, 1u);
+  EXPECT_EQ(pool_.stats().hits, 1u);
+  EXPECT_TRUE(pool_.CheckInvariants().ok());
 }
 
 TEST_F(BufferPoolTest, MoveTransfersPin) {
