@@ -1,5 +1,7 @@
 #include "geom/filter_kernel.h"
 
+#include <algorithm>
+
 #include "geom/segment.h"
 
 // The AVX2 path needs GCC or Clang: the target("avx2") attribute and
@@ -47,8 +49,14 @@ inline bool VsHitLane(const SegmentStrips& s, uint32_t i, int64_t qx,
   return in_x & (x1 == x2 ? v_hit : nv_hit);
 }
 
-inline uint8_t ClassifyLane(const SegmentStrips& s, uint32_t i, int64_t qx,
-                            int64_t ylo, int64_t yhi) {
+// One lane's class as the three mask bits it sets; an outside lane sets
+// none.
+struct LaneClass {
+  bool below, in_range, above;
+};
+
+inline LaneClass ClassifyLane(const SegmentStrips& s, uint32_t i, int64_t qx,
+                              int64_t ylo, int64_t yhi) {
   const int64_t x1 = StripLane(s.x1, i);
   const int64_t x2 = StripLane(s.x2, i);
   const int64_t y1 = StripLane(s.y1, i);
@@ -63,9 +71,21 @@ inline uint8_t ClassifyLane(const SegmentStrips& s, uint32_t i, int64_t qx,
   const bool vert = x1 == x2;
   const bool below = vert ? (y2 < ylo) : (lo < 0);
   const bool above = !below & (vert ? (y1 > yhi) : (hi > 0));
-  const uint8_t c =
-      below ? kLaneBelow : (above ? kLaneAbove : kLaneInRange);
-  return in_x ? c : kLaneOutside;
+  return LaneClass{in_x && below, in_x && !below && !above, in_x && above};
+}
+
+// Lanes [first, first + n) of one mask word, n <= 64, classified one at a
+// time from bit `from` on; the caller has set the bits below it.
+inline void ClassifyTail(const SegmentStrips& s, uint32_t first, uint32_t n,
+                         uint32_t from, int64_t qx, int64_t ylo, int64_t yhi,
+                         uint64_t* below, uint64_t* in_range,
+                         uint64_t* above) {
+  for (uint32_t j = from; j < n; ++j) {
+    const LaneClass c = ClassifyLane(s, first + j, qx, ylo, yhi);
+    *below |= uint64_t{c.below} << j;
+    *in_range |= uint64_t{c.in_range} << j;
+    *above |= uint64_t{c.above} << j;
+  }
 }
 
 // --- Scalar kernels ------------------------------------------------------
@@ -86,11 +106,17 @@ uint32_t FilterVsScalar(const SegmentStrips& s, uint32_t count, int64_t qx,
 }
 
 void ClassifyVsScalar(const SegmentStrips& s, uint32_t count, int64_t qx,
-                      int64_t ylo, int64_t yhi, uint8_t* out_class) {
+                      int64_t ylo, int64_t yhi, const LaneMasks& out) {
   ylo = ClampQueryY(ylo);
   yhi = ClampQueryY(yhi);
-  for (uint32_t i = 0; i < count; ++i) {
-    out_class[i] = ClassifyLane(s, i, qx, ylo, yhi);
+  for (uint32_t w = 0; w < LaneMaskWords(count); ++w) {
+    const uint32_t first = w * 64;
+    uint64_t below = 0, in_range = 0, above = 0;
+    ClassifyTail(s, first, std::min(count - first, 64u), 0, qx, ylo, yhi,
+                 &below, &in_range, &above);
+    out.below[w] = below;
+    out.in_range[w] = in_range;
+    out.above[w] = above;
   }
 }
 
@@ -189,52 +215,64 @@ SEGDB_AVX2 uint32_t FilterVsAvx2(const SegmentStrips& s, uint32_t count,
   return n;
 }
 
+// The sign bit of each 64-bit lane: a compare vector's four mask bits.
+SEGDB_AVX2 inline uint64_t LaneBits(__m256i v) {
+  return static_cast<uint64_t>(_mm256_movemask_pd(_mm256_castsi256_pd(v)));
+}
+
+// Four lanes per step, each class's bits taken from its compare vector.
 SEGDB_AVX2 void ClassifyVsAvx2(const SegmentStrips& s, uint32_t count,
                                int64_t qx, int64_t ylo, int64_t yhi,
-                               uint8_t* out_class) {
+                               const LaneMasks& out) {
   ylo = ClampQueryY(ylo);
   yhi = ClampQueryY(yhi);
   const __m256i vqx = _mm256_set1_epi64x(qx);
   const __m256i vylo = _mm256_set1_epi64x(ylo);
   const __m256i vyhi = _mm256_set1_epi64x(yhi);
   const __m256i zero = _mm256_setzero_si256();
-  uint32_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i x1 = Load4(s.x1, i);
-    const __m256i x2 = Load4(s.x2, i);
-    const __m256i y1 = Load4(s.y1, i);
-    const __m256i y2 = Load4(s.y2, i);
-    const __m256i x1_gt_qx = _mm256_cmpgt_epi64(x1, vqx);
-    const __m256i out_x =
-        _mm256_or_si256(x1_gt_qx, _mm256_cmpgt_epi64(vqx, x2));
-    __m256i xc = _mm256_blendv_epi8(vqx, x1, x1_gt_qx);
-    xc = _mm256_blendv_epi8(xc, x2, _mm256_cmpgt_epi64(xc, x2));
-    const __m256i a = _mm256_sub_epi64(xc, x1);
-    const __m256i b = _mm256_sub_epi64(x2, xc);
-    const __m256i lo = _mm256_add_epi64(Mul64(_mm256_sub_epi64(y1, vylo), b),
-                                        Mul64(_mm256_sub_epi64(y2, vylo), a));
-    const __m256i hi = _mm256_add_epi64(Mul64(_mm256_sub_epi64(y1, vyhi), b),
-                                        Mul64(_mm256_sub_epi64(y2, vyhi), a));
-    const __m256i vert = _mm256_cmpeq_epi64(x1, x2);
-    const __m256i below =
-        _mm256_blendv_epi8(_mm256_cmpgt_epi64(zero, lo),
-                           _mm256_cmpgt_epi64(vylo, y2), vert);
-    const __m256i above = _mm256_andnot_si256(
-        below, _mm256_blendv_epi8(_mm256_cmpgt_epi64(hi, zero),
-                                  _mm256_cmpgt_epi64(y1, vyhi), vert));
-    __m256i c = _mm256_set1_epi64x(kLaneInRange);
-    c = _mm256_blendv_epi8(c, _mm256_set1_epi64x(kLaneBelow), below);
-    c = _mm256_blendv_epi8(c, _mm256_set1_epi64x(kLaneAbove), above);
-    c = _mm256_andnot_si256(out_x, c);
-    alignas(32) int64_t tmp[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), c);
-    out_class[i + 0] = static_cast<uint8_t>(tmp[0]);
-    out_class[i + 1] = static_cast<uint8_t>(tmp[1]);
-    out_class[i + 2] = static_cast<uint8_t>(tmp[2]);
-    out_class[i + 3] = static_cast<uint8_t>(tmp[3]);
-  }
-  for (; i < count; ++i) {
-    out_class[i] = ClassifyLane(s, i, qx, ylo, yhi);
+  for (uint32_t w = 0; w < LaneMaskWords(count); ++w) {
+    const uint32_t first = w * 64;
+    const uint32_t n = std::min(count - first, 64u);
+    uint64_t below_word = 0, in_word = 0, above_word = 0;
+    uint32_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const uint32_t i = first + j;
+      const __m256i x1 = Load4(s.x1, i);
+      const __m256i x2 = Load4(s.x2, i);
+      const __m256i y1 = Load4(s.y1, i);
+      const __m256i y2 = Load4(s.y2, i);
+      const __m256i x1_gt_qx = _mm256_cmpgt_epi64(x1, vqx);
+      const __m256i out_x =
+          _mm256_or_si256(x1_gt_qx, _mm256_cmpgt_epi64(vqx, x2));
+      __m256i xc = _mm256_blendv_epi8(vqx, x1, x1_gt_qx);
+      xc = _mm256_blendv_epi8(xc, x2, _mm256_cmpgt_epi64(xc, x2));
+      const __m256i a = _mm256_sub_epi64(xc, x1);
+      const __m256i b = _mm256_sub_epi64(x2, xc);
+      const __m256i lo =
+          _mm256_add_epi64(Mul64(_mm256_sub_epi64(y1, vylo), b),
+                           Mul64(_mm256_sub_epi64(y2, vylo), a));
+      const __m256i hi =
+          _mm256_add_epi64(Mul64(_mm256_sub_epi64(y1, vyhi), b),
+                           Mul64(_mm256_sub_epi64(y2, vyhi), a));
+      const __m256i vert = _mm256_cmpeq_epi64(x1, x2);
+      const __m256i below =
+          _mm256_blendv_epi8(_mm256_cmpgt_epi64(zero, lo),
+                             _mm256_cmpgt_epi64(vylo, y2), vert);
+      const __m256i above = _mm256_andnot_si256(
+          below, _mm256_blendv_epi8(_mm256_cmpgt_epi64(hi, zero),
+                                    _mm256_cmpgt_epi64(y1, vyhi), vert));
+      const uint64_t outside = LaneBits(out_x);
+      const uint64_t b_bits = LaneBits(below) & ~outside;
+      const uint64_t a_bits = LaneBits(above) & ~outside;
+      below_word |= b_bits << j;
+      above_word |= a_bits << j;
+      in_word |= (~(outside | b_bits | a_bits) & 0xfu) << j;
+    }
+    ClassifyTail(s, first, n, j, qx, ylo, yhi, &below_word, &in_word,
+                 &above_word);
+    out.below[w] = below_word;
+    out.in_range[w] = in_word;
+    out.above[w] = above_word;
   }
 }
 

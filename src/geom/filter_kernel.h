@@ -58,13 +58,21 @@ inline int64_t StripLane(const uint8_t* strip, uint32_t i) {
 }
 
 // Lane classes produced by the classify kernel, mirroring the line-PST
-// report loop: a lane is kOutside when the query abscissa misses [x1, x2],
-// otherwise below / crossing / above the query range [ylo, yhi] at qx.
-// (Vertical lanes: below when y2 < ylo, above when y1 > yhi.)
-inline constexpr uint8_t kLaneOutside = 0;
-inline constexpr uint8_t kLaneBelow = 1;
-inline constexpr uint8_t kLaneInRange = 2;
-inline constexpr uint8_t kLaneAbove = 3;
+// report loop, as three bitmasks: bit i of word i / 64 is set in `below`,
+// `in_range` or `above` when lane i passes below, crosses or passes above
+// the query range [ylo, yhi] at qx, and in none of them when qx misses
+// [x1, x2]. (Vertical lanes: below when y2 < ylo, above when y1 > yhi.)
+// Each array holds LaneMaskWords(count) words; bits at and past `count`
+// are zero.
+struct LaneMasks {
+  uint64_t* below = nullptr;
+  uint64_t* in_range = nullptr;
+  uint64_t* above = nullptr;
+};
+
+inline constexpr uint32_t LaneMaskWords(uint32_t count) {
+  return (count + 63) / 64;
+}
 
 // Lanes intersecting the vertical query segment x = qx, ylo <= y <= yhi
 // (exactly geom::IntersectsVerticalSegment). Writes matching lane indices
@@ -73,10 +81,10 @@ using FilterVsFn = uint32_t (*)(const SegmentStrips& s, uint32_t count,
                                 int64_t qx, int64_t ylo, int64_t yhi,
                                 uint32_t* out_idx);
 
-// Per-lane kLane* classes at (qx, [ylo, yhi]), written to out_class.
+// The class masks of `count` lanes at (qx, [ylo, yhi]), written to `out`.
 using ClassifyVsFn = void (*)(const SegmentStrips& s, uint32_t count,
                               int64_t qx, int64_t ylo, int64_t yhi,
-                              uint8_t* out_class);
+                              const LaneMasks& out);
 
 struct FilterKernel {
   FilterVsFn filter_vs = nullptr;
@@ -94,8 +102,8 @@ const FilterKernel* SimdFilterKernel();
 // SIMD when available, scalar otherwise. Resolved once.
 const FilterKernel& ActiveFilterKernel();
 
-// Reusable scratch arena for kernel output: match-index runs and lane
-// classes grow monotonically and are recycled across queries, so steady-
+// Reusable scratch arena for kernel output: match-index runs and class
+// masks grow monotonically and are recycled across queries, so steady-
 // state scans allocate nothing. One arena per thread (see
 // GetThreadFilterScratch), which is what makes QueryEngine's fan-out reuse
 // it safely: each worker amortizes a single arena over its whole batch.
@@ -106,14 +114,17 @@ class ResultBuffer {
     return idx_.data();
   }
 
-  uint8_t* ReserveClasses(uint32_t count) {
-    if (cls_.size() < count) cls_.resize(count);
-    return cls_.data();
+  // Room for the three class masks of `count` lanes.
+  LaneMasks ReserveMasks(uint32_t count) {
+    const size_t words = LaneMaskWords(count);
+    if (masks_.size() < 3 * words) masks_.resize(3 * words);
+    return LaneMasks{masks_.data(), masks_.data() + words,
+                     masks_.data() + 2 * words};
   }
 
  private:
   std::vector<uint32_t> idx_;
-  std::vector<uint8_t> cls_;
+  std::vector<uint64_t> masks_;
 };
 
 // Thread-local arena used by the in-page scan sites.

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstring>
 
+#include "geom/decode_kernel.h"
+#include "io/column_codec.h"
 #include "util/check.h"
 
 namespace segdb::io {
@@ -36,6 +38,46 @@ uint32_t Pins(uint64_t word) { return static_cast<uint32_t>(word); }
 // Fibonacci hashing: the top bits of id * 2^64/phi pick the home slot.
 size_t HomeSlot(PageId id, int shift) {
   return static_cast<size_t>((uint64_t{id} * 0x9e3779b97f4a7c15ULL) >> shift);
+}
+
+// Whether a page's ready decode equals its bytes decoded afresh. A write
+// that skipped the slot's drop may have left anything at the region, so
+// the header is checked first and the region is decoded from a padded
+// copy: a malformed region reads as a mismatch, never out of bounds.
+bool DecodeMatchesBytes(const Page& page, const Page::DecodedRegion& d) {
+  const uint64_t bytes = ColumnarRegionBytes(d.capacity);
+  if (d.capacity == 0 || uint64_t{d.off} + bytes > page.size()) return false;
+  // The padding covers the unpack kernels' 8-byte loads past a lane.
+  std::vector<uint8_t> region(bytes + 8);
+  std::memcpy(region.data(), page.data() + d.off, bytes);
+  uint16_t stored = 0;
+  std::memcpy(&stored, region.data(), sizeof(stored));
+  if (stored != 0 && stored != d.capacity) return false;
+  const PackedRegionInfo info =
+      ParsePackedRegionHeader(region.data(), d.capacity);
+  for (uint32_t c = 0; c < kColumnarColumns; ++c) {
+    const uint32_t width = info.width[c];
+    bool known = false;
+    switch (static_cast<ColumnTag>(info.tag[c])) {
+      case ColumnTag::kConst:
+        known = width == 0;
+        break;
+      case ColumnTag::kFor:
+        known = width >= 1 && width <= geom::kMaxUnpackWidth;
+        break;
+      case ColumnTag::kRaw64:
+        known = width == 64;
+        break;
+    }
+    if (!known || info.slot_off[c] + (uint64_t{width} * d.capacity + 7) / 8 >
+                      bytes) {
+      return false;
+    }
+  }
+  std::vector<int64_t> fresh(uint64_t{kColumnarColumns} * d.capacity);
+  DecodeColumnarRegion(region.data(), d.capacity, fresh.data());
+  return std::memcmp(fresh.data(), d.lanes,
+                     fresh.size() * sizeof(int64_t)) == 0;
 }
 
 }  // namespace
@@ -779,6 +821,13 @@ Status BufferPool::CheckInvariants() const {
         if (std::memcmp(f.page.data(), on_disk.data(), f.page.size()) != 0) {
           return Status::Corruption("clean frame diverges from disk contents");
         }
+      }
+      // A ready decode must be the frame's bytes decoded afresh; a mismatch
+      // means a write skipped the slot's drop, and readers would be served
+      // the old lanes.
+      const Page::DecodedRegion decoded = f.page.decoded();
+      if (decoded.lanes != nullptr && !DecodeMatchesBytes(f.page, decoded)) {
+        return Status::Corruption("frame's decoded lanes diverge from its bytes");
       }
     }
     if (free_count != shard.free_frames.size()) {

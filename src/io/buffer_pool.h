@@ -45,7 +45,7 @@
 // nested — every public method locks at most one shard at a time (the
 // quiescent sweeps lock shards strictly one after another), and nothing
 // that holds one calls MarkDirty.
-// Five fields deliberately live OUTSIDE the capability as atomics:
+// Six fields deliberately live OUTSIDE the capability as atomics:
 //   - Shard::table's words: written only under the shard mutex, probed
 //     lock-free by Fetch. A probe may miss an entry a writer is moving
 //     (the locked path then finds it) or name a frame that has since
@@ -69,6 +69,12 @@
 //     publishes it to the next sweep. Only the clean -> dirty edge takes
 //     the shard lock, to list the frame; marking a dirty frame again stays
 //     lock-free.
+//   - The state word of Frame::page's decode slot (io/page.h): readers
+//     fill the slot under their pin, by a CAS from empty, with no lock.
+//     It drops back to empty only on a write of the page's bytes, so only
+//     under the single-writer contract or on a frame taken at zero pins
+//     (a fill, a spill refill, NewPage's zeroing), never under a reader.
+//     The lane buffer stays with the frame across its residencies.
 #ifndef SEGDB_IO_BUFFER_POOL_H_
 #define SEGDB_IO_BUFFER_POOL_H_
 
@@ -258,8 +264,10 @@ class BufferPool {
 
   // Audits the pool: page-table/frame agreement, pin and CLOCK bookkeeping,
   // dirty lists (every dirty frame listed by its shard, no frame listed
-  // twice), stats consistency, and clean resident frames matching their
-  // on-disk contents (via DiskManager::PeekPage, so no I/O is counted).
+  // twice), stats consistency, clean resident frames matching their
+  // on-disk contents (via DiskManager::PeekPage, so no I/O is counted), and
+  // every resident frame's ready decode matching its bytes decoded afresh
+  // (a write that skipped the slot's drop).
   // Takes each shard's mutex while auditing it, so it may run concurrently
   // with the pure read path (Fetch/Release/Prefetch of clean pages). It
   // must still not overlap writers: the clean-frame-vs-disk byte compare
@@ -309,6 +317,7 @@ class BufferPool {
     // held; stats() adds them to hits and fetches.
     std::atomic<uint64_t> hits{0};
   };
+  static_assert(sizeof(Frame) == 64, "a frame is one cache line");
 
   struct Shard {
     // mutable: stats() and CheckInvariants() aggregate under it from

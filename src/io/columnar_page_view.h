@@ -13,19 +13,25 @@
 // Access model. The read-only view parses only the 56-byte header at
 // construction, so per-record probes (the B+-tree binary searches build a
 // view per comparison) stay O(1): Get extracts one lane from the packed
-// bits. strips() — the bulk-scan entry the filter kernels consume — decodes
-// the region once into a checked-out thread-local scratch (geom decode
-// kernels, AVX2 where the CPU has it) and serves lane pointers from it; Get
-// switches to the decoded lanes from then on. The mutable view decodes
-// eagerly, applies Set/WriteRange to the scratch, and re-encodes on
-// destruction iff anything changed — the encode is canonical (pure function
-// of the lane values), which BufferPool::CheckInvariants' clean-frame-vs-
-// disk compare relies on. Read-your-writes holds within a view; a mutable
-// view's writes reach the page when the view dies, so callers must not read
-// the same region through a *different* view while a dirty mutable view is
-// live (no call site in the tree does).
+// bits. strips() and ReadRange — the bulk entries the filter kernels and
+// gathers consume — serve the page's decode slot (io/page.h): the region is
+// decoded at most once per page residency (geom decode kernels, AVX2 where
+// the CPU has it), by the first reader that wins the slot, and every later
+// view of the page reads the same lanes; Get switches to the decoded lanes
+// from then on. A reader that loses the fill race, or finds another region
+// of the page cached, decodes into a checked-out thread-local scratch
+// instead. The mutable view never fills the slot: it decodes eagerly into
+// scratch, applies Set/WriteRange there, and re-encodes on destruction iff
+// anything changed, through Page::data(), which drops the slot. The encode
+// is canonical (a pure function of the lane values), which
+// BufferPool::CheckInvariants' clean-frame-vs-disk compare relies on.
+// Read-your-writes holds within a view; a mutable view's writes reach the
+// page when the view dies, so callers must not read the same region
+// through a *different* view while a dirty mutable view is live (no call
+// site in the tree does), and a read-only view's lanes are valid only
+// until the page is next written.
 //
-// strips() pointers come from the 8-aligned scratch, while the region
+// strips() pointers come from an 8-aligned lane buffer, while the region
 // itself may start at any offset (a line-PST node with odd fanout starts
 // at 4 mod 8), so header and lane access stay memcpy-based — same
 // discipline as Page::ReadAt.
@@ -57,21 +63,25 @@ class ConstColumnarPageView {
 
   ConstColumnarPageView(const Page& page, uint32_t base_off,
                         uint32_t capacity)
-      : base_(page.data() + base_off), capacity_(capacity) {
+      : page_(&page),
+        base_(page.data() + base_off),
+        base_off_(base_off),
+        capacity_(capacity) {
     SEGDB_DCHECK(uint64_t{base_off} + ColumnarRegionBytes(capacity) <=
                  page.size());
     if (capacity_ != 0) info_ = ParsePackedRegionHeader(base_, capacity_);
   }
 
-  // Views hand out pointers into page bytes or checked-out scratch; they
-  // are scoped locals everywhere, so copying is disabled outright.
+  // Views hand out pointers into page bytes, the page's decode slot or
+  // checked-out scratch; they are scoped locals everywhere, so copying is
+  // disabled outright.
   ConstColumnarPageView(const ConstColumnarPageView&) = delete;
   ConstColumnarPageView& operator=(const ConstColumnarPageView&) = delete;
 
   uint32_t capacity() const { return capacity_; }
 
-  // Strip bases in layout order x1, x2, y1, y2, id. The first call decodes
-  // the region into scratch.
+  // Strip bases in layout order x1, x2, y1, y2, id. The first call serves
+  // the page's decode slot, filling it if the region is not decoded yet.
   const uint8_t* x1_strip() const { return Strip(0); }
   const uint8_t* x2_strip() const { return Strip(1); }
   const uint8_t* y1_strip() const { return Strip(2); }
@@ -112,7 +122,7 @@ class ConstColumnarPageView {
   }
 
  protected:
-  // One lane, O(1): decoded scratch when available, otherwise a bit
+  // One lane, O(1): decoded lanes when available, otherwise a bit
   // extraction off the parsed header.
   int64_t Lane(uint32_t column, uint32_t i) const {
     if (lanes_ != nullptr) {
@@ -123,12 +133,19 @@ class ConstColumnarPageView {
 
   void EnsureDecoded() const {
     if (lanes_ != nullptr || capacity_ == 0) return;
+    lanes_ = page_->SharedDecode(
+        base_off_, capacity_, uint64_t{kColumnarColumns} * capacity_,
+        [this](int64_t* out) { DecodeColumnarRegion(base_, capacity_, out); });
+    if (lanes_ == nullptr) DecodeToScratch();
+  }
+
+  void DecodeToScratch() const {
     scratch_ = geom::ColumnScratch(uint64_t{kColumnarColumns} * capacity_);
     DecodeColumnarRegion(base_, capacity_, scratch_.data());
     lanes_ = scratch_.data();
   }
 
-  // The scratch layout: column-major 8-byte lanes. An empty region has no
+  // The lane layout: column-major 8-byte lanes. An empty region has no
   // lanes; its strips point at the region base.
   const uint8_t* Strip(uint32_t lane) const {
     EnsureDecoded();
@@ -137,35 +154,43 @@ class ConstColumnarPageView {
            uint64_t{lane} * capacity_ * kLaneBytes;
   }
 
+  const Page* page_;
   const uint8_t* base_;
+  uint32_t base_off_;
   uint32_t capacity_;
   PackedRegionInfo info_;
   mutable geom::ColumnScratch scratch_;
-  mutable int64_t* lanes_ = nullptr;
+  // The page's shared lanes or scratch's; the mutable view writes scratch.
+  mutable const int64_t* lanes_ = nullptr;
 };
 
-// Mutable view over the same layout. The region decodes eagerly so
-// Get/Set interleave with read-your-writes; the destructor re-encodes the
-// region iff a write happened (canonical bytes — see the file comment).
+// Mutable view over the same layout. The region decodes eagerly into
+// scratch, never into the page's decode slot, so Get/Set interleave with
+// read-your-writes; the destructor re-encodes the region iff a write
+// happened (canonical bytes — see the file comment). The re-encode writes
+// through Page::data(), which drops the page's decode slot.
 class ColumnarPageView : public ConstColumnarPageView {
  public:
   ColumnarPageView(Page* page, uint32_t base_off, uint32_t capacity)
-      : ConstColumnarPageView(*page, base_off, capacity),
-        mut_base_(page->data() + base_off) {
-    EnsureDecoded();
+      : ConstColumnarPageView(*page, base_off, capacity), mut_page_(page) {
+    if (capacity_ != 0) DecodeToScratch();
   }
 
   ~ColumnarPageView() {
-    if (dirty_) EncodeColumnarRegion(mut_base_, capacity_, lanes_);
+    if (dirty_) {
+      EncodeColumnarRegion(mut_page_->data() + base_off_, capacity_,
+                           scratch_.data());
+    }
   }
 
   void Set(uint32_t i, const geom::Segment& s) {
     SEGDB_DCHECK(i < capacity());
-    lanes_[uint64_t{0} * capacity_ + i] = s.x1;
-    lanes_[uint64_t{1} * capacity_ + i] = s.x2;
-    lanes_[uint64_t{2} * capacity_ + i] = s.y1;
-    lanes_[uint64_t{3} * capacity_ + i] = s.y2;
-    lanes_[uint64_t{4} * capacity_ + i] = static_cast<int64_t>(s.id);
+    int64_t* lanes = scratch_.data();
+    lanes[uint64_t{0} * capacity_ + i] = s.x1;
+    lanes[uint64_t{1} * capacity_ + i] = s.x2;
+    lanes[uint64_t{2} * capacity_ + i] = s.y1;
+    lanes[uint64_t{3} * capacity_ + i] = s.y2;
+    lanes[uint64_t{4} * capacity_ + i] = static_cast<int64_t>(s.id);
     dirty_ = true;
   }
 
@@ -175,7 +200,7 @@ class ColumnarPageView : public ConstColumnarPageView {
   }
 
  private:
-  uint8_t* mut_base_;
+  Page* mut_page_;
   bool dirty_ = false;
 };
 

@@ -1,6 +1,7 @@
 #include "pst/line_pst.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -670,54 +671,51 @@ Status LinePst::Query(int64_t qx, int64_t ylo, int64_t yhi,
 
   QueryState st;
   // One branchless kernel pass classifies every stored segment of a node
-  // against (cqx, [ylo, yhi]). Stored segments satisfy x1 <= base_x <= cqx,
-  // so the kernel's span test x1 <= cqx <= x2 is exactly the old
-  // "Reach(s) < cqx" skip; below/in-range/above reproduce the CompareYAtX
-  // signs (filter_kernel.h). A node's array is in base order (the bulk
-  // build keeps the sorted order, Insert places by lower_bound, Erase
-  // removes a slot; CheckSubtree audits it), so the last below lane is the
-  // base-order maximum of the node's below lanes and the first above lane
-  // the minimum of its above lanes: one BaseCompare per fence tightens it
+  // against (cqx, [ylo, yhi]) into three lane bitmasks. Stored segments
+  // satisfy x1 <= base_x <= cqx, so the kernel's span test x1 <= cqx <= x2
+  // is exactly the old "Reach(s) < cqx" skip; below/in-range/above
+  // reproduce the CompareYAtX signs (filter_kernel.h). A node's array is in
+  // base order (the bulk build keeps the sorted order, Insert places by
+  // lower_bound, Erase removes a slot; CheckSubtree audits it), so the last
+  // below lane (the highest below bit) is the base-order maximum of the
+  // node's below lanes and the first above lane (the lowest above bit) the
+  // minimum of its above lanes: one BaseCompare per fence tightens it
   // exactly as a max/min over every lane would. In-range lanes are
-  // bulk-gathered, in node order and in the caller's frame, onto *dst.
+  // bulk-gathered, in node order (ascending bits) and in the caller's
+  // frame, onto *dst.
   auto scan_node = [&](const io::Page& p, const NodeHeader& hdr,
                        std::vector<geom::Segment>* dst) {
     const io::ConstColumnarPageView view(p, SegOff(0), cap_);
     geom::ResultBuffer& scratch = geom::GetThreadFilterScratch();
-    uint8_t* cls = scratch.ReserveClasses(hdr.count);
+    const geom::LaneMasks masks = scratch.ReserveMasks(hdr.count);
     geom::ActiveFilterKernel().classify_vs(view.strips(), hdr.count, cqx,
-                                           ylo, yhi, cls);
-    uint32_t* idx = scratch.ReserveIndices(hdr.count);
-    uint32_t hits = 0;
-    uint32_t last_below = hdr.count;
-    uint32_t first_above = hdr.count;
-    for (uint32_t i = 0; i < hdr.count; ++i) {
-      switch (cls[i]) {
-        case geom::kLaneBelow:
-          last_below = i;
-          break;
-        case geom::kLaneAbove:
-          if (first_above == hdr.count) first_above = i;
-          break;
-        case geom::kLaneInRange:
-          idx[hits++] = i;
-          break;
-        default:
-          break;
-      }
-    }
-    if (last_below != hdr.count) {
-      const geom::Segment s = view.Get(last_below);
+                                           ylo, yhi, masks);
+    const uint32_t words = geom::LaneMaskWords(hdr.count);
+    for (uint32_t w = words; w-- > 0;) {
+      if (masks.below[w] == 0) continue;
+      const geom::Segment s =
+          view.Get(w * 64 + 63 - std::countl_zero(masks.below[w]));
       if (!st.have_lf || BaseCompare(s, st.lf) > 0) {
         st.lf = s;
         st.have_lf = true;
       }
+      break;
     }
-    if (first_above != hdr.count) {
-      const geom::Segment s = view.Get(first_above);
+    for (uint32_t w = 0; w < words; ++w) {
+      if (masks.above[w] == 0) continue;
+      const geom::Segment s =
+          view.Get(w * 64 + std::countr_zero(masks.above[w]));
       if (!st.have_rf || BaseCompare(s, st.rf) < 0) {
         st.rf = s;
         st.have_rf = true;
+      }
+      break;
+    }
+    uint32_t* idx = scratch.ReserveIndices(hdr.count);
+    uint32_t hits = 0;
+    for (uint32_t w = 0; w < words; ++w) {
+      for (uint64_t bits = masks.in_range[w]; bits != 0; bits &= bits - 1) {
+        idx[hits++] = w * 64 + std::countr_zero(bits);
       }
     }
     const size_t first = dst->size();

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "geom/predicates.h"
@@ -136,6 +139,143 @@ TEST(ColumnarPageViewTest, AppendMatchesGathers) {
   EXPECT_EQ(out[2], segs[8]);
   EXPECT_EQ(out[3], segs[8]);
   EXPECT_EQ(out[4], segs[31]);
+}
+
+// --- The page's decode slot (io/page.h) -------------------------------
+
+constexpr uint32_t kSlotBase = 8;
+const uint32_t kSlotCap = ColumnarRegionCapacity(kPageSize - kSlotBase);
+
+std::vector<geom::Segment> SlotRecords(uint64_t seed) {
+  std::vector<geom::Segment> segs = MakeSegments(kSlotCap, seed);
+  segs.resize(kSlotCap);
+  return segs;
+}
+
+Page EncodedPage(const std::vector<geom::Segment>& segs) {
+  Page p(kPageSize);
+  ColumnarPageView(&p, kSlotBase, kSlotCap)
+      .WriteRange(0, segs.data(), static_cast<uint32_t>(segs.size()));
+  return p;
+}
+
+// A bulk read through a fresh read-only view: fills or serves the slot.
+std::vector<geom::Segment> ReadAll(const Page& p) {
+  std::vector<geom::Segment> out(kSlotCap);
+  ConstColumnarPageView(p, kSlotBase, kSlotCap)
+      .ReadRange(0, out.data(), kSlotCap);
+  return out;
+}
+
+TEST(PageDecodeSlotTest, TwoConstViewsShareOneDecode) {
+  const std::vector<geom::Segment> segs = SlotRecords(1);
+  const Page p = EncodedPage(segs);
+  EXPECT_EQ(p.decoded().lanes, nullptr);
+  const ConstColumnarPageView a(p, kSlotBase, kSlotCap);
+  const ConstColumnarPageView b(p, kSlotBase, kSlotCap);
+  const geom::SegmentStrips sa = a.strips();
+  const Page::DecodedRegion ready = p.decoded();
+  ASSERT_NE(ready.lanes, nullptr);
+  EXPECT_EQ(ready.off, kSlotBase);
+  EXPECT_EQ(ready.capacity, kSlotCap);
+  EXPECT_EQ(sa.x1, reinterpret_cast<const uint8_t*>(ready.lanes));
+  const geom::SegmentStrips sb = b.strips();
+  EXPECT_EQ(sb.x1, sa.x1);
+  EXPECT_EQ(sb.x2, sa.x2);
+  EXPECT_EQ(sb.y1, sa.y1);
+  EXPECT_EQ(sb.y2, sa.y2);
+  EXPECT_EQ(b.id_strip(), a.id_strip());
+  for (uint32_t i = 0; i < kSlotCap; ++i) EXPECT_EQ(b.Get(i), segs[i]);
+}
+
+TEST(PageDecodeSlotTest, AnotherRegionDecodesPrivately) {
+  // Two regions on one page: the first bulk read takes the slot, the
+  // other region's view decodes into scratch and leaves the slot alone.
+  constexpr uint32_t kCap = 24;
+  const uint32_t second = kSlotBase + static_cast<uint32_t>(
+                                          ColumnarRegionBytes(kCap));
+  const std::vector<geom::Segment> segs = MakeSegments(2 * kCap, 5);
+  Page p(kPageSize);
+  ColumnarPageView(&p, kSlotBase, kCap).WriteRange(0, segs.data(), kCap);
+  ColumnarPageView(&p, second, kCap).WriteRange(0, segs.data() + kCap, kCap);
+  const Page& cp = p;
+  const ConstColumnarPageView a(cp, kSlotBase, kCap);
+  const ConstColumnarPageView b(cp, second, kCap);
+  const uint8_t* a_x1 = a.x1_strip();
+  EXPECT_NE(b.x1_strip(), a_x1);
+  EXPECT_EQ(cp.decoded().off, kSlotBase);
+  EXPECT_EQ(reinterpret_cast<const uint8_t*>(cp.decoded().lanes), a_x1);
+  for (uint32_t i = 0; i < kCap; ++i) {
+    EXPECT_EQ(a.Get(i), segs[i]);
+    EXPECT_EQ(b.Get(i), segs[kCap + i]);
+  }
+}
+
+TEST(PageDecodeSlotTest, EveryWriteEntryPointDropsTheDecode) {
+  const std::vector<geom::Segment> before = SlotRecords(2);
+  const std::vector<geom::Segment> after = SlotRecords(3);
+  const std::vector<geom::Segment> zeros(kSlotCap);
+  const Page next = EncodedPage(after);
+  struct Entry {
+    const char* name;
+    std::function<void(Page*)> write;
+    const std::vector<geom::Segment>* expect;
+  };
+  const Entry entries[] = {
+      {"WriteAt",
+       [&](Page* p) {
+         for (uint32_t i = 0; i < kPageSize; ++i) {
+           p->WriteAt<uint8_t>(i, next.ReadAt<uint8_t>(i));
+         }
+       },
+       &after},
+      {"WriteArray",
+       [&](Page* p) { p->WriteArray(0, next.data(), kPageSize); }, &after},
+      {"Zero", [](Page* p) { p->Zero(); }, &zeros},
+      {"data",
+       [&](Page* p) { std::memcpy(p->data(), next.data(), kPageSize); },
+       &after},
+      {"mutable view Set",
+       [&](Page* p) {
+         ColumnarPageView view(p, kSlotBase, kSlotCap);
+         for (uint32_t i = 0; i < kSlotCap; ++i) view.Set(i, after[i]);
+       },
+       &after},
+      {"copy-assignment", [&](Page* p) { *p = next; }, &after},
+      {"move-assignment",
+       [&](Page* p) {
+         Page moved = next;
+         *p = std::move(moved);
+       },
+       &after},
+  };
+  for (const Entry& e : entries) {
+    SCOPED_TRACE(e.name);
+    Page p = EncodedPage(before);
+    ASSERT_EQ(ReadAll(p), before);
+    const int64_t* lanes = std::as_const(p).decoded().lanes;
+    ASSERT_NE(lanes, nullptr);
+    e.write(&p);
+    EXPECT_EQ(std::as_const(p).decoded().lanes, nullptr);
+    EXPECT_EQ(ReadAll(p), *e.expect);
+    // The refill reuses the buffer the page already holds.
+    EXPECT_EQ(std::as_const(p).decoded().lanes, lanes);
+  }
+}
+
+TEST(PageDecodeSlotTest, CopiedPageStartsWithNoDecode) {
+  const std::vector<geom::Segment> segs = SlotRecords(4);
+  Page p = EncodedPage(segs);
+  ASSERT_EQ(ReadAll(p), segs);
+  const int64_t* lanes = std::as_const(p).decoded().lanes;
+  ASSERT_NE(lanes, nullptr);
+  const Page copy(p);
+  EXPECT_EQ(copy.decoded().lanes, nullptr);
+  EXPECT_EQ(ReadAll(copy), segs);
+  EXPECT_NE(copy.decoded().lanes, lanes);
+  const Page moved(std::move(p));
+  EXPECT_EQ(moved.decoded().lanes, nullptr);
+  EXPECT_EQ(ReadAll(moved), segs);
 }
 
 TEST(PageRecordLayoutTest, RowMajorPrimaryRoundTrip) {

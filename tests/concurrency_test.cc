@@ -22,7 +22,9 @@
 #include "core/two_level_binary_index.h"
 #include "core/two_level_interval_index.h"
 #include "geom/predicates.h"
+#include "geom/filter_kernel.h"
 #include "io/buffer_pool.h"
+#include "io/columnar_page_view.h"
 #include "io/disk_manager.h"
 #include "io/fault_injection.h"
 #include "io/file_disk_manager.h"
@@ -619,6 +621,85 @@ TEST(ConcurrencyTest, LockFreeHitsRaceFrameReuse) {
   EXPECT_GE(s.fetches, hot_fetches.load());
   // The missers alone could hit only by chance; the hot set is resident.
   EXPECT_GT(s.hits, hot_fetches.load() / 2);
+}
+
+// Decode-slot fills racing each other and frame reuse in one shard. Every
+// page holds a columnar region whose lanes are a function of its id. Hot
+// readers scan a few pages through strips(), so their first fills race;
+// missers scan the rest through 64 frames, so frames change pages, and
+// their slots drop and refill, between the hot readers' probes. A reader
+// served another page's lanes, or a half-filled slot, sees a wrong lane.
+TEST(ConcurrencyTest, DecodeSlotFillsRaceFrameReuse) {
+  constexpr uint32_t kPage = 512;
+  constexpr uint32_t kOff = 8;
+  const uint32_t cap = io::ColumnarRegionCapacity(kPage - kOff);
+  auto record = [](io::PageId id, uint32_t i) {
+    const int64_t x = int64_t{id} * 64 + i;
+    return Segment::Make({x, i}, {x + 1 + i, int64_t{id}}, Stamp(id) + i);
+  };
+  io::SimDiskManager disk(kPage);
+  io::BufferPool pool(&disk, 64);
+  ASSERT_EQ(pool.shard_count(), 1u);
+  std::vector<io::PageId> ids;
+  for (int n = 0; n < 512; ++n) {
+    auto ref = pool.NewPage();
+    ASSERT_TRUE(ref.ok());
+    const io::PageId id = ref.value().page_id();
+    std::vector<Segment> segs;
+    for (uint32_t i = 0; i < cap; ++i) segs.push_back(record(id, i));
+    io::ColumnarPageView(&ref.value().page(), kOff, cap)
+        .WriteRange(0, segs.data(), cap);
+    ref.value().MarkDirty();
+    ids.push_back(id);
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  const std::vector<io::PageId> hot(ids.begin(), ids.begin() + 8);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> bad{0};
+  auto scan = [&](io::PageId id) {
+    auto ref = pool.Fetch(id);
+    if (!ref.ok()) {
+      if (ref.status().code() != StatusCode::kResourceExhausted) ++bad;
+      return;
+    }
+    const io::ConstColumnarPageView view(ref.value().page(), kOff, cap);
+    const geom::SegmentStrips s = view.strips();
+    for (uint32_t i = 0; i < cap; ++i) {
+      const Segment want = record(id, i);
+      if (geom::StripLane(s.x1, i) != want.x1 ||
+          geom::StripLane(s.x2, i) != want.x2 ||
+          geom::StripLane(s.y1, i) != want.y1 ||
+          geom::StripLane(s.y2, i) != want.y2 || view.Get(i) != want) {
+        ++bad;
+        return;
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(8000 + t);
+      for (int done = 0; !stop.load(std::memory_order_relaxed) || done < 5000;
+           ++done) {
+        scan(hot[rng.Uniform(hot.size())]);
+      }
+    });
+  }
+  for (size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(9000 + t);
+      for (int i = 0; i < 5000; ++i) {
+        scan(ids[8 + rng.Uniform(ids.size() - 8)]);
+      }
+    });
+  }
+  for (size_t t = 2; t < threads.size(); ++t) threads[t].join();
+  stop.store(true);
+  threads[0].join();
+  threads[1].join();
+  EXPECT_EQ(bad.load(), 0u);
+  const Status audit = pool.CheckInvariants();
+  EXPECT_TRUE(audit.ok()) << audit.message();
 }
 
 TEST(ConcurrencyTest, ThreadPoolRunsEverySubmittedTask) {

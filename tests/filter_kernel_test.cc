@@ -6,9 +6,12 @@
 // checked against the same oracles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/decode_kernel.h"
@@ -24,19 +27,22 @@
 namespace segdb::geom {
 namespace {
 
-// Strips backed by a real page region, like every production call site.
+// Strips backed by a real page region, like every production call site:
+// written through a mutable view, then served by a read-only view over the
+// page's decode slot.
 struct StripFixture {
   explicit StripFixture(const std::vector<Segment>& segs, uint32_t base = 8)
-      : page(base + static_cast<uint32_t>(segs.size()) *
-                        io::ConstColumnarPageView::kBytesPerRecord),
+      : page(base + static_cast<uint32_t>(io::ColumnarRegionBytes(
+                        static_cast<uint32_t>(segs.size())))),
         count(static_cast<uint32_t>(segs.size())) {
-    io::ColumnarPageView view(&page, base, count);
-    view.WriteRange(0, segs.data(), count);
-    strips = view.strips();
+    io::ColumnarPageView(&page, base, count).WriteRange(0, segs.data(), count);
+    view = std::make_unique<io::ConstColumnarPageView>(page, base, count);
+    strips = view->strips();
   }
 
   io::Page page;
   uint32_t count;
+  std::unique_ptr<io::ConstColumnarPageView> view;
   SegmentStrips strips;
 };
 
@@ -46,29 +52,65 @@ std::vector<const FilterKernel*> KernelsUnderTest() {
   return kernels;
 }
 
-uint8_t OracleClass(const Segment& s, int64_t qx, int64_t ylo, int64_t yhi) {
-  if (qx < s.x1 || qx > s.x2) return kLaneOutside;
-  if (s.is_vertical()) {
-    if (s.y2 < ylo) return kLaneBelow;
-    if (s.y1 > yhi) return kLaneAbove;
-    return kLaneInRange;
+// The three class masks of a lane run, one word per 64 lanes.
+struct Masks {
+  explicit Masks(uint32_t count)
+      : below(LaneMaskWords(count)),
+        in_range(LaneMaskWords(count)),
+        above(LaneMaskWords(count)) {}
+  LaneMasks out() {
+    return LaneMasks{below.data(), in_range.data(), above.data()};
   }
-  if (CompareYAtX(s, qx, ylo) < 0) return kLaneBelow;
-  if (CompareYAtX(s, qx, yhi) > 0) return kLaneAbove;
-  return kLaneInRange;
+  bool operator==(const Masks&) const = default;
+
+  std::vector<uint64_t> below, in_range, above;
+};
+
+// The __int128 oracle's classes as masks: an outside lane sets no bit.
+Masks OracleMasks(const std::vector<Segment>& segs, int64_t qx, int64_t ylo,
+                  int64_t yhi) {
+  Masks m(static_cast<uint32_t>(segs.size()));
+  for (uint32_t i = 0; i < segs.size(); ++i) {
+    const Segment& s = segs[i];
+    if (qx < s.x1 || qx > s.x2) continue;
+    std::vector<uint64_t>* mask = &m.in_range;
+    if (s.is_vertical()) {
+      if (s.y2 < ylo) {
+        mask = &m.below;
+      } else if (s.y1 > yhi) {
+        mask = &m.above;
+      }
+    } else if (CompareYAtX(s, qx, ylo) < 0) {
+      mask = &m.below;
+    } else if (CompareYAtX(s, qx, yhi) > 0) {
+      mask = &m.above;
+    }
+    (*mask)[i / 64] |= uint64_t{1} << (i % 64);
+  }
+  return m;
+}
+
+// Prefilled with ones, so a word the kernel leaves unwritten shows.
+Masks KernelMasks(const FilterKernel& k, const StripFixture& fix, int64_t qx,
+                  int64_t ylo, int64_t yhi) {
+  Masks m(fix.count);
+  for (auto* v : {&m.below, &m.in_range, &m.above}) {
+    std::fill(v->begin(), v->end(), ~uint64_t{0});
+  }
+  k.classify_vs(fix.strips, fix.count, qx, ylo, yhi, m.out());
+  return m;
 }
 
 void CheckAllKernels(const std::vector<Segment>& segs, int64_t qx,
                      int64_t ylo, int64_t yhi) {
   const StripFixture fix(segs);
   std::vector<uint32_t> expect_vs;
-  std::vector<uint8_t> expect_cls;
   for (uint32_t i = 0; i < segs.size(); ++i) {
     if (IntersectsVerticalSegment(segs[i], qx, ylo, yhi)) {
       expect_vs.push_back(i);
     }
-    expect_cls.push_back(OracleClass(segs[i], qx, ylo, yhi));
   }
+  const Masks expect_masks = OracleMasks(segs, qx, ylo, yhi);
   for (const FilterKernel* k : KernelsUnderTest()) {
     SCOPED_TRACE(std::string("kernel=") + k->name + " qx=" +
                  std::to_string(qx) + " ylo=" + std::to_string(ylo) +
@@ -78,10 +120,7 @@ void CheckAllKernels(const std::vector<Segment>& segs, int64_t qx,
         k->filter_vs(fix.strips, fix.count, qx, ylo, yhi, idx.data());
     idx.resize(vs_hits);
     EXPECT_EQ(idx, expect_vs);
-
-    std::vector<uint8_t> cls(segs.size());
-    k->classify_vs(fix.strips, fix.count, qx, ylo, yhi, cls.data());
-    EXPECT_EQ(cls, expect_cls);
+    EXPECT_TRUE(KernelMasks(*k, fix, qx, ylo, yhi) == expect_masks);
   }
 }
 
@@ -90,7 +129,7 @@ TEST(FilterKernelTest, ZeroCount) {
   for (const FilterKernel* k : KernelsUnderTest()) {
     uint32_t sink = 0xdead;
     EXPECT_EQ(k->filter_vs(fix.strips, 0, 0, -1, 1, &sink), 0u);
-    k->classify_vs(fix.strips, 0, 0, -1, 1, nullptr);
+    k->classify_vs(fix.strips, 0, 0, -1, 1, LaneMasks{});
   }
 }
 
@@ -155,14 +194,82 @@ TEST(FilterKernelTest, MirroredCoordinatesStayExact) {
   }
 }
 
+// Every lane count from 0 to 200, so runs that are not multiples of 4
+// (the AVX2 step) or 64 (a mask word) are covered, under finite, sentinel
+// and INT64/4-scale query ordinates, and over mirrored lanes too.
+TEST(FilterKernelTest, MasksMatchOracleAtEveryCount) {
+  Rng rng(2024);
+  std::vector<Segment> pool =
+      workload::GenMapLayer(rng, 200, int64_t{1} << 20);
+  ASSERT_GE(pool.size(), 200u);
+  pool.resize(200);
+  const workload::BoundingBox box = workload::ComputeBoundingBox(pool);
+  Rng qrng(2025);
+  const std::vector<workload::VsQuery> queries =
+      workload::GenVsQueries(qrng, 3, box, 0.2);
+  constexpr int64_t kHuge = std::numeric_limits<int64_t>::max() / 4;
+  for (bool mirrored : {false, true}) {
+    std::vector<Segment> segs = pool;
+    if (mirrored) {
+      for (Segment& s : segs) s = MirrorX(s, -(int64_t{1} << 29));
+    }
+    for (uint32_t count = 0; count <= 200; ++count) {
+      const std::vector<Segment> run(segs.begin(), segs.begin() + count);
+      for (const workload::VsQuery& q : queries) {
+        // Mirrored lanes are queried at the mirrored abscissa.
+        const int64_t qx =
+            mirrored ? 2 * -(int64_t{1} << 29) - q.x0 : q.x0;
+        CheckAllKernels(run, qx, q.ylo, q.yhi);
+        CheckAllKernels(run, qx, -(kMaxCoord + 1), q.yhi);
+        CheckAllKernels(run, qx, q.ylo, kMaxCoord + 1);
+        CheckAllKernels(run, qx, -kHuge, kHuge);
+      }
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// The AVX2 kernel is the scalar core's exact twin: equal masks, bit for
+// bit, on every count and every query shape above.
+TEST(FilterKernelTest, SimdMasksEqualScalarBitForBit) {
+  const FilterKernel* simd = SimdFilterKernel();
+  if (simd == nullptr) GTEST_SKIP() << "no SIMD kernel on this CPU";
+  Rng rng(31);
+  std::vector<Segment> pool =
+      workload::GenMapLayer(rng, 200, int64_t{1} << 20);
+  ASSERT_GE(pool.size(), 200u);
+  pool.resize(200);
+  pool[7] = Segment::Make({100, 40}, {100, 40}, 900);  // point
+  pool[70] = Segment::Make({-50, 7}, {300, 7}, 901);   // horizontal
+  const workload::BoundingBox box = workload::ComputeBoundingBox(pool);
+  Rng qrng(32);
+  constexpr int64_t kHuge = std::numeric_limits<int64_t>::max() / 4;
+  for (uint32_t count = 0; count <= 200; ++count) {
+    const StripFixture fix(
+        std::vector<Segment>(pool.begin(), pool.begin() + count));
+    for (const workload::VsQuery& q :
+         workload::GenVsQueries(qrng, 4, box, 0.3)) {
+      for (const auto& [ylo, yhi] :
+           {std::pair{q.ylo, q.yhi}, std::pair{-kHuge, q.yhi},
+            std::pair{q.ylo, kMaxCoord + 1}}) {
+        EXPECT_TRUE(KernelMasks(*simd, fix, q.x0, ylo, yhi) ==
+                    KernelMasks(ScalarFilterKernel(), fix, q.x0, ylo, yhi))
+            << "count " << count << " qx " << q.x0;
+      }
+    }
+  }
+}
+
 TEST(FilterKernelTest, ResultBufferReuseGrowsMonotonically) {
   ResultBuffer buf;
   uint32_t* a = buf.ReserveIndices(16);
   ASSERT_NE(a, nullptr);
   a[15] = 1;
-  uint8_t* c = buf.ReserveClasses(1024);
-  ASSERT_NE(c, nullptr);
-  c[1023] = kLaneAbove;
+  const LaneMasks m = buf.ReserveMasks(1024);
+  ASSERT_NE(m.below, nullptr);
+  EXPECT_EQ(m.in_range, m.below + LaneMaskWords(1024));
+  EXPECT_EQ(m.above, m.in_range + LaneMaskWords(1024));
+  m.above[LaneMaskWords(1024) - 1] = 1;
   // Shrinking requests reuse the same arena; no reallocation is observable
   // through the returned pointers' validity.
   uint32_t* b = buf.ReserveIndices(8);

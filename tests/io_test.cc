@@ -5,11 +5,13 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "io/buffer_pool.h"
+#include "io/columnar_page_view.h"
 #include "io/disk_manager.h"
 #include "io/fault_injection.h"
 #include "io/page.h"
@@ -47,6 +49,19 @@ class BufferPoolPeer {
       return a.id < b.id;
     });
     return out;
+  }
+};
+
+// Reaches into a page's bytes and decode slot past the drop, to make a
+// ready decode stale the way a write that skipped the drop would.
+class PagePeer {
+ public:
+  static void WriteWithoutDrop(Page& page, uint32_t off, const uint8_t* src,
+                               uint32_t count) {
+    std::memcpy(page.data_.data() + off, src, count);
+  }
+  static int64_t* ReadyLanes(Page& page) {
+    return page.slot_.load()->lanes.get();
   }
 };
 
@@ -769,6 +784,108 @@ TEST(BufferPoolFlushTest, SpillBatchHoldsItsPagesUntilTheyLand) {
   Page page(kPageSize);
   ASSERT_TRUE(disk.PeekPage(id.value(), &page).ok());
   EXPECT_EQ(page.ReadAt<uint64_t>(0), 42u);
+}
+
+// --- Decode slots on pool frames ------------------------------------------
+
+constexpr uint32_t kRegionOff = 8;
+const uint32_t kRegionCap = ColumnarRegionCapacity(kPageSize - kRegionOff);
+
+std::vector<geom::Segment> TaggedRecords(int64_t tag) {
+  std::vector<geom::Segment> segs;
+  for (uint32_t i = 0; i < kRegionCap; ++i) {
+    const int64_t x = tag * 1000 + i;
+    segs.push_back(geom::Segment::Make({x, i}, {x + 10, tag},
+                                       static_cast<uint64_t>(tag * 100 + i)));
+  }
+  return segs;
+}
+
+PageId NewRegionPage(BufferPool* pool, int64_t tag) {
+  auto ref = pool->NewPage();
+  EXPECT_TRUE(ref.ok());
+  const std::vector<geom::Segment> segs = TaggedRecords(tag);
+  ColumnarPageView(&ref.value().page(), kRegionOff, kRegionCap)
+      .WriteRange(0, segs.data(), kRegionCap);
+  ref.value().MarkDirty();
+  return ref.value().page_id();
+}
+
+TEST(BufferPoolDecodeTest, ReusedFrameServesTheNewPagesLanes) {
+  SimDiskManager disk(kPageSize);
+  BufferPool pool(&disk, 1);
+  const PageId a = NewRegionPage(&pool, 1);
+  const PageId b = NewRegionPage(&pool, 2);  // evicts a
+  const int64_t* buffer = nullptr;
+  const std::pair<PageId, int64_t> visits[] = {{a, 1}, {b, 2}, {a, 1}};
+  for (const auto& [id, tag] : visits) {
+    SCOPED_TRACE(tag);
+    auto ref = pool.Fetch(id);
+    ASSERT_TRUE(ref.ok());
+    const Page& p = ref.value().page();
+    EXPECT_EQ(p.decoded().lanes, nullptr);  // the miss dropped the decode
+    const ConstColumnarPageView view(p, kRegionOff, kRegionCap);
+    const geom::SegmentStrips strips = view.strips();
+    const std::vector<geom::Segment> expect = TaggedRecords(tag);
+    for (uint32_t i = 0; i < kRegionCap; ++i) {
+      EXPECT_EQ(geom::StripLane(strips.x1, i), expect[i].x1);
+      EXPECT_EQ(view.Get(i), expect[i]);
+    }
+    // One frame, one buffer, kept across residencies.
+    if (buffer == nullptr) buffer = p.decoded().lanes;
+    EXPECT_EQ(p.decoded().lanes, buffer);
+    EXPECT_EQ(reinterpret_cast<const int64_t*>(strips.x1), buffer);
+  }
+  const Status audit = pool.CheckInvariants();
+  EXPECT_TRUE(audit.ok()) << audit.message();
+}
+
+TEST(BufferPoolDecodeTest, StaleDecodeFailsTheAudit) {
+  SimDiskManager disk(kPageSize);
+  BufferPool pool(&disk, 4);
+  const PageId id = NewRegionPage(&pool, 3);
+  Page other(kPageSize);
+  {
+    const std::vector<geom::Segment> segs = TaggedRecords(4);
+    ColumnarPageView(&other, kRegionOff, kRegionCap)
+        .WriteRange(0, segs.data(), kRegionCap);
+  }
+  const uint32_t region_bytes =
+      static_cast<uint32_t>(ColumnarRegionBytes(kRegionCap));
+  const std::vector<uint8_t> junk(region_bytes, 0xff);
+  for (int fault = 0; fault < 3; ++fault) {
+    SCOPED_TRACE(fault);
+    auto ref = pool.Fetch(id);
+    ASSERT_TRUE(ref.ok());
+    Page& p = ref.value().page();
+    // A clean rewrite of the region: the decode drops and refills.
+    {
+      const std::vector<geom::Segment> segs = TaggedRecords(3);
+      ColumnarPageView(&p, kRegionOff, kRegionCap)
+          .WriteRange(0, segs.data(), kRegionCap);
+      ref.value().MarkDirty();
+    }
+    const ConstColumnarPageView view(std::as_const(p), kRegionOff, kRegionCap);
+    ASSERT_NE(view.strips().x1, nullptr);
+    ASSERT_NE(std::as_const(p).decoded().lanes, nullptr);
+    ASSERT_TRUE(pool.CheckInvariants().ok());
+    switch (fault) {
+      case 0:  // a lane changed under the slot
+        PagePeer::ReadyLanes(p)[kRegionCap + 1] ^= 1;
+        break;
+      case 1:  // another region's bytes written past the drop
+        PagePeer::WriteWithoutDrop(p, kRegionOff, other.data() + kRegionOff,
+                                   region_bytes);
+        break;
+      default:  // a malformed region: checked, never decoded out of bounds
+        PagePeer::WriteWithoutDrop(p, kRegionOff, junk.data(), region_bytes);
+        break;
+    }
+    const Status audit = pool.CheckInvariants();
+    EXPECT_EQ(audit.code(), StatusCode::kCorruption);
+    EXPECT_NE(audit.message().find("decoded lanes"), std::string::npos)
+        << audit.message();
+  }
 }
 
 }  // namespace
